@@ -7,7 +7,7 @@ replication layer owns seeding and parallelism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -45,13 +45,6 @@ class EstimatorReport:
     def to_csv_row(self) -> str:
         name, arg = self.method.rstrip(")").split("(")
         return f"{name},{arg},{self.estimate!r},{self.stderr!r},{self.count_exceed}"
-
-
-@dataclass(frozen=True)
-class MaximaRecord:
-    u: ThresholdVector
-    M: np.ndarray
-    nonexceed: bool
 
 
 def _values(Y) -> np.ndarray:
@@ -96,11 +89,6 @@ def empirical_nonexceed(generator, u: ThresholdVector, reps: int,
     p_hat = hits / reps
     ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / reps)
     return p_hat, ci
-
-
-def maxima_record(Y, u: ThresholdVector) -> MaximaRecord:
-    M = cmax(Y)
-    return MaximaRecord(u=u, M=M, nonexceed=bool(np.all(M <= u.u)))
 
 
 def runs_theta(Y, u, m: int) -> EstimatorReport:

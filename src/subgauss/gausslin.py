@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft
 from scipy.signal import fftconvolve
 
 GENERATOR_ID = "philox4x64-numpy"
@@ -96,11 +97,15 @@ class CoeffTable:
     """Truncated moving-average coefficients Psi_0..Psi_L.
 
     psi has shape (L+1, d0, d0); spec is retained for the analytic tail
-    bounds of the originating family.
+    bounds of the originating family. The real FFT of psi is cached per
+    transform length for `simulate`.
     """
 
     spec: LinearProcessSpec
     psi: np.ndarray = field(repr=False)
+    _psi_hat: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def d0(self) -> int:
@@ -342,20 +347,25 @@ def simulate(coeffs: CoeffTable, n: int, seed: int) -> SeriesMatrix:
 
     A burn-in of L innovations is consumed so the emitted path is stationary;
     the output is a pure function of (coeffs, n, seed).
+
+    The convolution is circular, over a real FFT of length N >= n + L: the
+    wrap-around reaches only rows before L, which are discarded. The
+    transform of psi is computed once per N and cached on `coeffs`.
     """
     if n < 1:
         raise SpecError("n must be >= 1")
     d0, L = coeffs.d0, coeffs.L
     rng = np.random.Generator(np.random.Philox(key=seed))
     eps = rng.standard_normal((n + L, d0))
-    X = np.zeros((n, d0))
-    for i in range(d0):
-        for j in range(d0):
-            conv = fftconvolve(eps[:, j], coeffs.psi[:, i, j])
-            X[:, i] += conv[L : L + n]
+    N = fft.next_fast_len(n + L, real=True)
+    psi_hat = coeffs._psi_hat.get(N)
+    if psi_hat is None:
+        psi_hat = coeffs._psi_hat[N] = fft.rfft(coeffs.psi, n=N, axis=0)
+    eps_hat = fft.rfft(eps, n=N, axis=0)
+    X = fft.irfft(np.einsum("fij,fj->fi", psi_hat, eps_hat), n=N, axis=0)
     meta = {
         "seed": seed,
         "spec": coeffs.fingerprint(),
         "generator": GENERATOR_ID,
     }
-    return SeriesMatrix(values=X, meta=meta)
+    return SeriesMatrix(values=X[L : L + n], meta=meta)

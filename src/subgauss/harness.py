@@ -21,6 +21,22 @@ from subgauss.gausslin import SeriesMatrix, SpecError
 
 ENV_SEED = "SUBGAUSS_SEED"
 
+# Required fields of each analysis type. A config naming another type, or
+# leaving out one of these fields, is rejected before any replication runs.
+ANALYSIS_FIELDS = {
+    "nonexceed": (),
+    "runs": ("m",),
+    "blocks": ("b",),
+    "pointproc": ("r", "p"),
+    "dprime": ("k_list",),
+    "scan": ("levels", "rho"),
+    "gauss-tools": (),
+}
+# Analyses evaluated on every replication path.
+PER_PATH = ("runs", "blocks", "pointproc", "nonexceed")
+# Analyses that compare paths against the thresholds u_n(tau).
+NEEDS_THRESHOLDS = PER_PATH + ("dprime",)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -38,6 +54,17 @@ class ExperimentConfig:
             raise SpecError("reps must be >= 1")
         if self.n < 1:
             raise SpecError("n must be >= 1")
+        for idx, a in enumerate(self.analyses):
+            kind = a.get("type") if isinstance(a, dict) else None
+            if kind not in ANALYSIS_FIELDS:
+                raise SpecError(
+                    f"analyses[{idx}]: unknown analysis type {kind!r} (field: type)"
+                )
+            for name in ANALYSIS_FIELDS[kind]:
+                if name not in a:
+                    raise SpecError(
+                        f"analyses[{idx}] ({kind}) missing field {name!r}"
+                    )
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
@@ -101,9 +128,17 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     output directory is given and return the summary dict.
 
     Per-replication failures are recorded, never silently dropped; the run
-    aborts only if more than 1% of replications fail.
+    aborts only if more than 1% of replications fail. A replication counts
+    in every per-path analysis or, if any of them raises, in none.
     """
     path_fn, spec, u = _build_generator(cfg)
+    if u is None:
+        for a in cfg.analyses:
+            if a["type"] in NEEDS_THRESHOLDS:
+                raise SpecError(
+                    f"{a['type']} analysis needs thresholds: an m4 generator "
+                    f"and a nonempty tau (field: tau)"
+                )
     summary = {
         "name": cfg.name,
         "n": cfg.n,
@@ -115,28 +150,30 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     }
     artifacts = {}
 
-    per_path = [a for a in cfg.analyses
-                if a["type"] in ("runs", "blocks", "pointproc", "nonexceed")]
-    if per_path:
+    if any(a["type"] in PER_PATH for a in cfg.analyses):
         maxima = []
-        runs_rows = {i: [] for i, a in enumerate(cfg.analyses) if a["type"] == "runs"}
-        blocks_rows = {i: [] for i, a in enumerate(cfg.analyses) if a["type"] == "blocks"}
-        patterns = {i: [] for i, a in enumerate(cfg.analyses) if a["type"] == "pointproc"}
+        results = {i: [] for i, a in enumerate(cfg.analyses)
+                   if a["type"] in ("runs", "blocks", "pointproc")}
         for rep in range(cfg.reps):
             seed = cfg.base_seed ^ rep
             try:
                 Y = path_fn(seed)
-                maxima.append(evt.cmax(Y))
+                M = evt.cmax(Y)
+                got = {}
                 for idx, a in enumerate(cfg.analyses):
                     if a["type"] == "runs":
-                        runs_rows[idx].append(evt.runs_theta(Y, u, a["m"]))
+                        got[idx] = evt.runs_theta(Y, u, a["m"])
                     elif a["type"] == "blocks":
-                        blocks_rows[idx].append(evt.blocks_theta(Y, u, a["b"]))
+                        got[idx] = evt.blocks_theta(Y, u, a["b"])
                     elif a["type"] == "pointproc":
                         gc = pointproc.GapConfig(a["r"], a["p"], a.get("m", 0))
-                        patterns[idx].append(pointproc.gapped_blocks(Y, u, gc))
+                        got[idx] = pointproc.gapped_blocks(Y, u, gc)
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
                 summary["failures"].append({"replication": rep, "error": str(exc)})
+                continue
+            maxima.append(M)
+            for idx, result in got.items():
+                results[idx].append(result)
         nfail = len(summary["failures"])
         if nfail > 0.01 * cfg.reps:
             raise RuntimeError(
@@ -151,16 +188,16 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
                 ci = 1.96 * float(np.sqrt(p_hat * (1 - p_hat) / ok))
                 summary["analyses"][key] = {"p_hat": p_hat, "ci_halfwidth": ci}
             elif a["type"] in ("runs", "blocks"):
-                rows = (runs_rows if a["type"] == "runs" else blocks_rows)[idx]
-                est = float(np.mean([r.estimate for r in rows]))
-                se = float(np.std([r.estimate for r in rows], ddof=1)
-                           / np.sqrt(len(rows))) if len(rows) > 1 else 0.0
+                reports = results[idx]
+                est = float(np.mean([r.estimate for r in reports]))
+                se = float(np.std([r.estimate for r in reports], ddof=1)
+                           / np.sqrt(len(reports))) if len(reports) > 1 else 0.0
                 summary["analyses"][key] = {"estimate": est, "stderr": se}
                 csv = [evt.EstimatorReport.CSV_HEADER]
-                csv += [r.to_csv_row() for r in rows]
+                csv += [r.to_csv_row() for r in reports]
                 artifacts[f"{cfg.name}_{key.replace(':', '_')}.csv"] = "\n".join(csv) + "\n"
             elif a["type"] == "pointproc":
-                pats = patterns[idx]
+                pats = results[idx]
                 lam = a.get("lambda_target")
                 if lam is None:
                     lam = float(np.mean([p.count for p in pats]))
@@ -180,7 +217,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     for idx, a in enumerate(cfg.analyses):
         key = f"{idx}:{a['type']}"
         if a["type"] == "dprime":
-            if u is None or len(u.u) != 1:
+            if len(u.u) != 1:
                 raise SpecError("dprime analysis needs a univariate generator")
             rep_d = evt.dprime_stat(
                 path_fn, cfg.n, float(u.u[0]), a["k_list"],

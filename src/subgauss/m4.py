@@ -33,16 +33,26 @@ class SubGauss:
     """Innovations W_{k,j} = h(X_{k,j}) with X a Gaussian linear process and
     h the (folded) Pareto probability integral transform; the marginal is
     exact Pareto(alpha) while temporal/cross dependence is inherited from X.
+
+    The coefficient table of `lin` and the marginal sd of X (from Gamma(0))
+    are resolved once, at construction, as `coeffs` and `sd`; every path
+    drawn through `innovations` reuses them.
     """
 
     lin: LinearProcessSpec
     transform: str = "pareto"  # or "folded_pareto"
+    coeffs: gausslin.CoeffTable = field(init=False, repr=False, compare=False)
+    sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "subgauss"
 
     def __post_init__(self):
         if self.transform not in ("pareto", "folded_pareto"):
             raise SpecError("SubGauss transform must be pareto or folded_pareto")
+        coeffs = gausslin.make_coeffs(self.lin)
+        gamma0, _ = gausslin.autocov(coeffs, 0)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "sd", np.sqrt(np.diag(gamma0)))
 
 
 @dataclass(frozen=True)
@@ -74,10 +84,13 @@ class M4Spec:
                 "every output component needs a positive coefficient "
                 "(degenerate marginal otherwise)"
             )
+        inn = self.innovation
+        if isinstance(inn, SubGauss) and inn.lin.d0 != self.d:
+            raise SpecError(
+                f"SubGauss innovation has lin.d0={inn.lin.d0}, "
+                f"spec needs d0 = d = {self.d} (field: d0)"
+            )
         object.__setattr__(self, "a", a)
-        # finite lag window: the alpha-epsilon summability requirement is
-        # vacuous; recorded for the validator contract
-        object.__setattr__(self, "summability", "finite-window: vacuous")
 
     @property
     def r_lo(self) -> int:
@@ -106,9 +119,7 @@ class M4Spec:
         elif isinstance(self.innovation, SubGauss):
             inn = {
                 "kind": "subgauss",
-                "lin": json.loads(
-                    gausslin.make_coeffs(self.innovation.lin).to_json()
-                ),
+                "lin": json.loads(self.innovation.coeffs.to_json()),
                 "transform": self.innovation.transform,
             }
         else:
@@ -287,8 +298,8 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
         off = spec.r_hi - r
         Wseg = W.values[off : off + n_out]  # (n_out, d) over j
         for i in range(spec.d):
-            contrib = Wseg * spec.a[ri, i][None, :]
-            np.maximum(out[:, i], np.max(contrib, axis=1), out=out[:, i])
+            for j in range(spec.d):
+                np.maximum(out[:, i], Wseg[:, j] * spec.a[ri, i, j], out=out[:, i])
     meta = dict(W.meta)
     meta["m4"] = {"lags": list(spec.lags), "m_trunc": m_trunc}
     return SeriesMatrix(values=out, meta=meta)
@@ -299,7 +310,9 @@ def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
 
     SubGauss mode simulates the Gaussian linear process, standardizes each
     column by its exact (truncated-model) marginal sd, and applies the
-    (folded) Pareto transform columnwise.
+    (folded) Pareto transform columnwise. The coefficient table and the sd
+    come from the SubGauss state resolved at construction, so a replication
+    does only its own simulation and transform.
     """
     inn = spec.innovation
     if inn is None:
@@ -313,13 +326,8 @@ def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
             meta={"seed": seed, "generator": gausslin.GENERATOR_ID,
                   "innovation": "iid_pareto"},
         )
-    coeffs = gausslin.make_coeffs(inn.lin)
-    if coeffs.d0 != spec.d:
-        raise SpecError("SubGauss linear process dimension must equal d")
-    X = gausslin.simulate(coeffs, n, seed)
-    gamma0, _ = gausslin.autocov(coeffs, 0)
-    sd = np.sqrt(np.diag(gamma0))
-    Z = SeriesMatrix(values=X.values / sd, meta=X.meta)
+    X = gausslin.simulate(inn.coeffs, n, seed)
+    Z = SeriesMatrix(values=X.values / inn.sd, meta=X.meta)
     t = WindowTransform(
         m=0,
         parts=tuple(

@@ -216,6 +216,35 @@ class TestSimulate:
         assert out.splitlines()[0] == "t,x1,x2"
         assert len(out.splitlines()) == 4
 
+    @pytest.mark.parametrize("d0", [1, 2])
+    @pytest.mark.parametrize("L", [0, 1, 37])
+    @pytest.mark.parametrize("n_vs_L", ["short", "long"])
+    def test_matches_time_domain_reference(self, d0, L, n_vs_L):
+        # X_k = sum_l Psi_l eps_{k+L-l} over the same innovation draws,
+        # by direct convolution
+        n = max(1, L // 3) if n_vs_L == "short" else 2 * L + 5
+        seed = 11
+        psi = np.random.default_rng(L + 10 * d0).normal(size=(L + 1, d0, d0))
+        t = make_coeffs(LinearProcessSpec(d0=d0, family=Custom(psi), L=L))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        eps = rng.standard_normal((n + L, d0))
+        want = np.zeros((n, d0))
+        for i in range(d0):
+            for j in range(d0):
+                want[:, i] += np.convolve(eps[:, j], psi[:, i, j])[L : L + n]
+        got = gausslin.simulate(t, n, seed).values
+        assert got.shape == (n, d0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_transform_cache_keyed_by_length(self):
+        # paths of two lengths on one table equal those on fresh tables
+        spec = poly_spec(beta=0.8, L=37, d0=2, b=0.7)
+        shared = make_coeffs(spec)
+        first = [gausslin.simulate(shared, n, 4).values for n in (20, 500, 20)]
+        for n, got in zip((20, 500, 20), first):
+            fresh = gausslin.simulate(make_coeffs(spec), n, 4).values
+            np.testing.assert_array_equal(got, fresh)
+
 
 @given(
     beta=st.floats(0.6, 3.0),

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subgauss import gausslin, harness
+from subgauss import evt, gausslin, harness
 from subgauss.cli import main as cli_main
 from subgauss.gausslin import SpecError
 from subgauss.harness import ExperimentConfig
@@ -89,6 +89,34 @@ class TestRun:
             ExperimentConfig.from_json(json.dumps(tiny_config(base_seed=2)))
         )
         assert s1["analyses"] != s2["analyses"]
+
+    def test_replication_counts_in_all_analyses_or_none(self, tmp_path,
+                                                        monkeypatch):
+        # blocks fails on two replications after nonexceed and runs have
+        # succeeded on them; none of the three may count those two
+        bad_seeds = {7 ^ 5, 7 ^ 17}
+
+        def report(method):
+            def estimator(Y, u, arg):
+                if method == "blocks" and Y.meta["seed"] in bad_seeds:
+                    raise evt.InsufficientExceedances(0)
+                return evt.EstimatorReport(1.0, 0.0, 20, f"{method}({arg})")
+            return estimator
+
+        monkeypatch.setattr(evt, "runs_theta", report("runs"))
+        monkeypatch.setattr(evt, "blocks_theta", report("blocks"))
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            tau=[1e-4], reps=200,
+            analyses=[{"type": "nonexceed"}, {"type": "runs", "m": 1},
+                      {"type": "blocks", "b": 10}],
+        )))
+        summary = harness.run(cfg, str(tmp_path))
+        failed = sorted(f["replication"] for f in summary["failures"])
+        assert failed == [5, 17]
+        assert summary["analyses"]["0:nonexceed"]["p_hat"] <= 1.0
+        for key in ("1_runs", "2_blocks"):
+            rows = (tmp_path / f"tiny_{key}.csv").read_text().splitlines()[1:]
+            assert len(rows) == cfg.reps - len(failed)
 
     def test_gauss_generator_with_scan(self):
         psi0 = ((1.0, 0.0), (0.5, 0.8660254037844386))
@@ -210,6 +238,31 @@ class TestCli:
             (tmp_path / "e1_iid_baseline_summary.json").read_text()
         )
         assert abs(summary["analyses"]["0:nonexceed"]["p_hat"] - 0.368) < 0.12
+
+    @pytest.mark.parametrize("change, field", [
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            "d": 1, "alpha": 1.0, "lags": [0, 0], "a": [[[1.0]]],
+            "innovation": {"kind": "subgauss", "transform": "pareto", "lin": {
+                "d0": 2, "family": "iid", "params": {}, "L": 0}}}}}, "d0",
+            id="subgauss-d0-mismatch"),
+        pytest.param({"analyses": [{"type": "nonexceed"}, {"type": "mystery"}]},
+                     "type", id="unknown-type"),
+        pytest.param({"analyses": [{"type": "runs"}]}, "'m'", id="runs-m"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50}]}, "'p'",
+                     id="pointproc-p"),
+        pytest.param({"analyses": [{"type": "scan", "rho": 0.5}]}, "'levels'",
+                     id="scan-levels"),
+        pytest.param({"analyses": [{"type": "dprime"}]}, "'k_list'",
+                     id="dprime-k_list"),
+        pytest.param({"tau": []}, "tau", id="no-thresholds"),
+    ])
+    def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
+                                                 change, field):
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(tiny_config(**change)))
+        assert cli_main(["run", "--config", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
 
     def test_console_script_entrypoint(self):
         proc = subprocess.run(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from subgauss import gausslin, m4
 from subgauss.gausslin import SpecError
@@ -35,6 +36,35 @@ def bivariate_spec(extra_lag5=None):
         lags=lags,
         a=np.array(a),
         innovation=IidPareto(alpha=1.0),
+    )
+
+
+def build_reference(W, spec, m_trunc=None):
+    """The lag-by-lag formula build replaced: a reduction over j per (r, i)."""
+    span = spec.r_hi - spec.r_lo
+    n_out = W.n - span
+    out = np.zeros((n_out, spec.d))
+    for ri, r in enumerate(spec.lag_values()):
+        if m_trunc is not None and abs(r) > m_trunc:
+            continue
+        off = spec.r_hi - r
+        Wseg = W.values[off : off + n_out]
+        for i in range(spec.d):
+            np.maximum(out[:, i], np.max(Wseg * spec.a[ri, i][None, :], axis=1),
+                       out=out[:, i])
+    return out
+
+
+def custom_subgauss_spec(d=2):
+    rng = np.random.default_rng(8)
+    table = np.abs(rng.normal(size=(4, d, d)))
+    lin = gausslin.LinearProcessSpec(d0=d, family=gausslin.Custom(table), L=3)
+    return M4Spec(
+        d=d,
+        alpha=1.5,
+        lags=(0, 1),
+        a=np.ones((2, d, d)),
+        innovation=SubGauss(lin=lin, transform="pareto"),
     )
 
 
@@ -85,6 +115,17 @@ class TestSpecValidation:
         back = M4Spec.from_json(spec.to_json())
         assert isinstance(back.innovation, SubGauss)
         assert back.innovation.transform == "pareto"
+
+    def test_subgauss_dimension_mismatch_names_d0(self):
+        lin = gausslin.LinearProcessSpec(d0=1, family=gausslin.Iid(), L=0)
+        with pytest.raises(SpecError, match="d0"):
+            M4Spec(
+                d=2,
+                alpha=1.0,
+                lags=(0, 0),
+                a=np.ones((1, 2, 2)),
+                innovation=SubGauss(lin=lin),
+            )
 
 
 class TestClosedForms:
@@ -167,6 +208,35 @@ class TestBuildAndInnovations:
         trunc = m4.build(W, spec, m_trunc=1)
         assert full.n == trunc.n
         assert np.all(full.values >= trunc.values - 1e-12)
+
+    @pytest.mark.parametrize("m_trunc", [None, 0, 2])
+    def test_build_equals_reference(self, m_trunc):
+        rng = np.random.default_rng(4)
+        spec = M4Spec(
+            d=3,
+            alpha=1.0,
+            lags=(-2, 3),
+            a=rng.uniform(0.0, 1.0, size=(6, 3, 3)) * (rng.random((6, 3, 3)) > 0.3),
+            innovation=IidPareto(alpha=1.0),
+        )
+        W = m4.innovations(spec, 2000, 6)
+        got = m4.build(W, spec, m_trunc=m_trunc).values
+        np.testing.assert_array_equal(got, build_reference(W, spec, m_trunc))
+
+    def test_subgauss_custom_family(self):
+        # a Custom table holds an ndarray: the spec is unhashable, and its
+        # state is resolved on the instance
+        spec = custom_subgauss_spec()
+        inn = spec.innovation
+        W = m4.innovations(spec, 300, 2).values
+        X = gausslin.simulate(gausslin.make_coeffs(inn.lin), 300, 2).values
+        sd = np.sqrt(np.diag(gausslin.autocov(inn.coeffs, 0)[0]))
+        np.testing.assert_allclose(W, ndtr(-X / sd) ** (-1.0 / spec.alpha),
+                                   rtol=1e-12)
+        Y = m4.build(m4.innovations(spec, 301, 2), spec)
+        assert Y.values.shape == (300, 2) and np.all(Y.values >= 1.0)
+        back = M4Spec.from_json(spec.to_json())
+        np.testing.assert_array_equal(back.innovation.coeffs.psi, inn.coeffs.psi)
 
     def test_iid_pareto_marginal(self):
         W = m4.innovations(equal_spec(), 200_000, 5)
