@@ -1,8 +1,8 @@
 """Regenerate the shipped acceptance configs in configs/.
 
 Each config is an ExperimentConfig JSON consumable by `subgauss run
---config <file>`; the pytest acceptance suite exercises the same settings
-through the library. Deterministic: fixed seeds, sorted keys.
+--config <file>`; the pytest acceptance suite runs E1-E5 from these files
+through the same engine. Deterministic: fixed seeds, sorted keys.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def main() -> None:
             "tau": [500.0],
             "reps": 20,
             "base_seed": 1002,
-            "analyses": [{"type": "runs", "m": 3}],
+            "analyses": [{"type": "runs", "m": m} for m in range(4)],
         },
         "e3": {
             "name": "e3_bivariate",

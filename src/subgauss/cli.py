@@ -9,13 +9,14 @@ set, overrides any base seed from flags or config files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from subgauss import evt, gausslin, harness, m4, pointproc
+from subgauss import gausslin, harness, m4
 from subgauss.gausslin import SpecError
 from subgauss.harness import ExperimentConfig, effective_base_seed
 
@@ -63,31 +64,39 @@ def _cmd_acf(args) -> int:
     return 0
 
 
-def _m4_path_fn(spec: m4.M4Spec, n: int):
-    span = spec.r_hi - spec.r_lo
-
-    def path_fn(seed):
-        return m4.build(m4.innovations(spec, n + span, seed), spec)
-
-    return path_fn
+def _replicate(args, analysis: dict):
+    """Run one analysis over the M4 spec and flags through the replication
+    engine; return the generator, the summary entry and the CSV artifact."""
+    cfg = ExperimentConfig(
+        name=args.command,
+        generator={"kind": "m4", "spec": json.loads(Path(args.spec).read_text())},
+        n=args.n,
+        tau=tuple(float(t) for t in args.tau.split(",")),
+        reps=args.reps,
+        base_seed=effective_base_seed(args.seed, 0),
+        analyses=(analysis,),
+    )
+    gen = harness._build_generator(cfg)
+    entries, artifacts, _ = harness.replicate(gen, cfg.analyses, cfg.reps,
+                                              cfg.base_seed)
+    key = f"0:{analysis['type']}"
+    return gen, entries[key], artifacts.get(key)
 
 
 def _cmd_maxima(args) -> int:
-    spec = _load_m4(args.spec)
-    tau = tuple(float(t) for t in args.tau.split(","))
-    u = m4.thresholds(spec, args.n, tau)
-    seed = effective_base_seed(args.seed, 0)
-    path_fn = _m4_path_fn(spec, args.n)
-    p_hat, ci = evt.empirical_nonexceed(path_fn, u, reps=args.reps, base_seed=seed)
-    g = m4.G_limit(spec, tau)
-    th = m4.theta(spec, tau)
+    if args.reps < 100:
+        raise SpecError("maxima needs --reps >= 100 (field: reps)")
+    gen, entry, _ = _replicate(args, {"type": "nonexceed"})
+    g = m4.G_limit(gen.spec, gen.u.tau)
+    th = m4.theta(gen.spec, gen.u.tau)
+    p_hat, ci = entry["p_hat"], entry["ci_halfwidth"]
     payload = {
         "p_hat": p_hat,
         "ci_halfwidth": ci,
         "G": g,
         "theta": th,
         "limit": g**th,
-        "u": u.u.tolist(),
+        "u": gen.u.u.tolist(),
     }
     if args.format == "csv":
         _write("p_hat,ci_halfwidth,limit\n"
@@ -125,41 +134,19 @@ def _cmd_m4_verify(args) -> int:
 
 
 def _cmd_pointproc(args) -> int:
-    spec = _load_m4(args.spec)
-    tau = tuple(float(t) for t in args.tau.split(","))
-    u = m4.thresholds(spec, args.n, tau)
-    cfg = pointproc.GapConfig(args.r, args.p, args.m)
-    seed = effective_base_seed(args.seed, 0)
-    path_fn = _m4_path_fn(spec, args.n)
-    patterns = []
-    for rep in range(args.reps):
-        patterns.append(pointproc.gapped_blocks(path_fn(seed ^ rep), u, cfg))
-    if args.format == "csv":
-        _write(pointproc.patterns_to_csv(patterns), args.out)
-    else:
-        lam = float(np.mean([p.count for p in patterns]))
-        rep_diag = pointproc.poisson_diagnostics(patterns, lam)
-        _write(rep_diag.to_json() + "\n", args.out)
+    if args.format == "json" and args.reps < 200:
+        raise SpecError("pointproc --format json needs --reps >= 200 "
+                        "(field: reps)")
+    _, entry, csv = _replicate(
+        args, {"type": "pointproc", "r": args.r, "p": args.p, "m": args.m})
+    _write(csv if args.format == "csv" else json.dumps(entry) + "\n", args.out)
     return 0
 
 
 def _cmd_dprime(args) -> int:
-    spec = _load_m4(args.spec)
-    tau = tuple(float(t) for t in args.tau.split(","))
-    if spec.d != 1 or len(tau) != 1:
-        raise SpecError("dprime requires a univariate spec (field: d)")
-    u = m4.thresholds(spec, args.n, tau)
-    seed = effective_base_seed(args.seed, 0)
     k_list = [int(k) for k in args.k_list.split(",")]
-    rep = evt.dprime_stat(_m4_path_fn(spec, args.n), args.n, float(u.u[0]),
-                          k_list, reps=args.reps, base_seed=seed)
-    payload = {
-        "stats": {str(k): v for k, v in rep.stats.items()},
-        "stderr": {str(k): v for k, v in rep.stderr.items()},
-        "joint_events": rep.joint_events,
-        "wide_ci": rep.wide_ci,
-    }
-    _write(json.dumps(payload) + "\n", args.out)
+    _, entry, _ = _replicate(args, {"type": "dprime", "k_list": k_list})
+    _write(json.dumps(entry) + "\n", args.out)
     return 0
 
 
@@ -180,19 +167,10 @@ def _cmd_gauss_tools(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    seed = effective_base_seed(args.seed, cfg.base_seed)
-    if seed != cfg.base_seed:
-        cfg = ExperimentConfig(
-            name=cfg.name, generator=cfg.generator, n=cfg.n, tau=cfg.tau,
-            reps=args.reps or cfg.reps, base_seed=seed,
-            analyses=cfg.analyses, out=cfg.out,
-        )
-    elif args.reps:
-        cfg = ExperimentConfig(
-            name=cfg.name, generator=cfg.generator, n=cfg.n, tau=cfg.tau,
-            reps=args.reps, base_seed=cfg.base_seed,
-            analyses=cfg.analyses, out=cfg.out,
-        )
+    changes = {"base_seed": effective_base_seed(args.seed, cfg.base_seed)}
+    if args.reps is not None:
+        changes["reps"] = args.reps
+    cfg = dataclasses.replace(cfg, **changes)
     out_dir = args.out or cfg.out
     summary = harness.run(cfg, out_dir)
     if out_dir is None:

@@ -1,8 +1,8 @@
-"""Componentwise maxima, extremal-index estimators, non-exceedance Monte
-Carlo, the D'(u_n) anti-clustering statistic, and extremal-independence scans.
+"""Componentwise maxima, extremal-index estimators, the D'(u_n)
+anti-clustering statistic, and extremal-independence scans.
 
-Path generators are callables seed -> SeriesMatrix (or a bare array); the
-replication layer owns seeding and parallelism.
+Every function here reads one path (a SeriesMatrix or a bare array); the
+replication engine in `harness` owns seeding and the loop over paths.
 """
 
 from __future__ import annotations
@@ -68,29 +68,6 @@ def _exceed_indicator(Y, u) -> np.ndarray:
     return np.any(v > uu[None, :], axis=1)
 
 
-def empirical_nonexceed(generator, u: ThresholdVector, reps: int,
-                        base_seed: int = 0):
-    """Fraction of replications whose componentwise maxima stay below u,
-    with a 95% binomial confidence half-width.
-
-    Replication i uses seed base_seed XOR i.
-    """
-    if reps < 100:
-        raise SpecError("reps must be >= 100")
-    hits = 0
-    for i in range(reps):
-        try:
-            Y = generator(base_seed ^ i)
-        except Exception as exc:
-            raise RuntimeError(f"generator failed at replication {i}") from exc
-        M = cmax(Y)
-        if np.all(M <= u.u):
-            hits += 1
-    p_hat = hits / reps
-    ci = 1.96 * np.sqrt(p_hat * (1.0 - p_hat) / reps)
-    return p_hat, ci
-
-
 def runs_theta(Y, u, m: int) -> EstimatorReport:
     """Runs estimator: fraction of exceedances followed by m clear steps.
 
@@ -137,52 +114,32 @@ def blocks_theta(Y, u, b: int) -> EstimatorReport:
     return EstimatorReport(est, stderr, total, f"blocks({b})")
 
 
-@dataclass(frozen=True)
-class DPrimeReport:
-    """n * sum_{j<=n/k} Phat(Y_0 > u, Y_j > u) per k, replication-averaged."""
-
-    stats: dict            # k -> mean statistic
-    stderr: dict           # k -> standard error over replications
-    joint_events: int      # pooled pair-count across lags and replications
-    wide_ci: bool          # fewer than 10 joint events anywhere
+def dprime_ks(k_list) -> list:
+    """The distinct k of an anti-clustering k_list, ascending."""
+    ks = sorted(set(int(k) for k in k_list))
+    if not ks or ks[0] < 1:
+        raise SpecError("k_list must hold at least one k >= 1 (field: k_list)")
+    return ks
 
 
-def dprime_stat(generator, n: int, u_level: float, k_list, reps: int = 50,
-                base_seed: int = 0) -> DPrimeReport:
-    """Anti-clustering statistic for a univariate series: pair exceedance
-    probabilities estimated by ergodic time averages on each replication
-    path, then averaged over replications."""
-    k_list = sorted(set(int(k) for k in k_list))
-    if any(k < 1 for k in k_list):
-        raise SpecError("k values must be >= 1")
-    per_rep = {k: [] for k in k_list}
-    joint_events = 0
-    jmax = n // min(k_list)
-    for i in range(reps):
-        Y = generator(base_seed ^ i)
-        v = _values(Y).ravel()
-        if len(v) != n:
-            raise SpecError("generator path length differs from n")
-        e = (v > u_level).astype(float)
-        # counts_j = sum_k e_k e_{k+j} for all lags at once
-        c = fftconvolve(e, e[::-1])
-        counts = c[n - 1 : n - 1 + jmax + 1]  # lag 0..jmax
-        counts = np.round(counts).astype(int)
-        joint_events += int(np.sum(counts[1:]))
-        lags = np.arange(1, jmax + 1)
-        p_hat = counts[1:] / (n - lags)
-        csum = np.concatenate([[0.0], np.cumsum(p_hat)])
-        for k in k_list:
-            per_rep[k].append(n * csum[n // k])
-    stats, stderr = {}, {}
-    for k in k_list:
-        arr = np.asarray(per_rep[k])
-        stats[k] = float(np.mean(arr))
-        stderr[k] = float(np.std(arr, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-    return DPrimeReport(
-        stats=stats, stderr=stderr, joint_events=joint_events,
-        wide_ci=joint_events < 10,
-    )
+def dprime_path(Y, u_level: float, k_list) -> tuple:
+    """Anti-clustering statistic of one univariate path of length n: for each
+    k in dprime_ks(k_list), n * sum_{j<=n/k} Phat(Y_0 > u, Y_j > u), with the
+    pair exceedance probabilities estimated by time averages. Returns those
+    values and the number of joint exceedance pairs at lags 1..n/min(k)."""
+    v = _values(Y).ravel()
+    n = len(v)
+    ks = dprime_ks(k_list)
+    jmax = n // ks[0]
+    e = (v > u_level).astype(float)
+    # counts_j = sum_k e_k e_{k+j} for all lags at once
+    c = fftconvolve(e, e[::-1])
+    counts = c[n - 1 : n - 1 + jmax + 1]  # lag 0..jmax
+    counts = np.round(counts).astype(int)
+    lags = np.arange(1, jmax + 1)
+    p_hat = counts[1:] / (n - lags)
+    csum = np.concatenate([[0.0], np.cumsum(p_hat)])
+    return [n * csum[n // k] for k in ks], int(np.sum(counts[1:]))
 
 
 @dataclass(frozen=True)

@@ -1,41 +1,175 @@
-"""Seeded Monte Carlo replication engine and experiment configs.
+"""Seeded Monte Carlo replication engine, analysis registry and configs.
 
 A config names a path generator (an M4 spec or a transformed Gaussian linear
 process), a sample size, a tau vector, a replication count and a base seed,
-plus a list of analyses. Replication i always uses seed base_seed XOR i and
-aggregation folds replications in index order, so output bytes depend only on
-(config, base_seed), never on execution order.
+plus a list of analyses. `replicate` is the one replication loop: replication
+i draws the path with seed base_seed XOR i once, every per-path analysis maps
+over that path, and results are folded in index order, so output bytes
+depend only on (config, base_seed), never on execution order.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from subgauss import chaos, evt, gausslin, m4, pointproc, subordinate
+from subgauss import evt, gausslin, m4, pointproc, subordinate
 from subgauss.gausslin import SeriesMatrix, SpecError
 
 ENV_SEED = "SUBGAUSS_SEED"
 
-# Required fields of each analysis type. A config naming another type, or
-# leaving out one of these fields, is rejected before any replication runs.
-ANALYSIS_FIELDS = {
-    "nonexceed": (),
-    "runs": ("m",),
-    "blocks": ("b",),
-    "pointproc": ("r", "p"),
-    "dprime": ("k_list",),
-    "scan": ("levels", "rho"),
-    "gauss-tools": (),
+
+class Generator(NamedTuple):
+    """A path generator and what the analyses may use of it."""
+
+    path_fn: Callable    # seed -> SeriesMatrix
+    spec: object = None  # M4Spec, GaussSource, or None for a bare path_fn
+    u: object = None     # ThresholdVector, or None without thresholds
+
+
+class GaussSource(NamedTuple):
+    """The spec of a gauss generator."""
+
+    table: gausslin.CoeffTable
+    d: int               # columns of each path, after the transform
+
+
+# Registry checks raise SpecError naming the config field at fault; they see
+# the generator but draw no path.
+
+def _needs_thresholds(a, gen):
+    if gen.u is None:
+        raise SpecError("needs thresholds: an m4 generator and a nonempty tau "
+                        "(field: tau)")
+
+
+def _gap_config(a) -> pointproc.GapConfig:
+    return pointproc.GapConfig(a["r"], a["p"], a.get("m", 0))
+
+
+def _check_pointproc(a, gen):
+    _needs_thresholds(a, gen)
+    _gap_config(a)
+
+
+def _check_dprime(a, gen):
+    _needs_thresholds(a, gen)
+    if len(gen.u.u) != 1:
+        raise SpecError("needs a univariate generator (field: d)")
+    evt.dprime_ks(a["k_list"])
+
+
+def _check_scan(a, gen):
+    if gen.spec is not None and gen.spec.d < 2:
+        raise SpecError(f"pairs columns 0 and 1, but the generator has "
+                        f"d={gen.spec.d} (field: d)")
+
+
+def _check_gauss_tools(a, gen):
+    if not isinstance(gen.spec, GaussSource):
+        raise SpecError("needs a gauss generator (field: kind)")
+
+
+# Summarize steps: (analysis, {replication: per-path result} or None for an
+# analysis without a per-path map, generator, base_seed) -> (summary entry,
+# CSV artifact or None).
+
+def _nonexceed(a, results, *_):
+    ok = len(results)
+    p_hat = sum(results.values()) / ok
+    ci = 1.96 * float(np.sqrt(p_hat * (1 - p_hat) / ok))
+    return {"p_hat": p_hat, "ci_halfwidth": ci}, None
+
+
+def _estimates(a, results, *_):
+    reports = list(results.values())
+    ests = [r.estimate for r in reports]
+    est = float(np.mean(ests))
+    se = float(np.std(ests, ddof=1) / np.sqrt(len(ests))) if len(ests) > 1 else 0.0
+    csv = [evt.EstimatorReport.CSV_HEADER] + [r.to_csv_row() for r in reports]
+    return {"estimate": est, "stderr": se}, "\n".join(csv) + "\n"
+
+
+def _poisson(a, results, *_):
+    pats = list(results.values())
+    mean = float(np.mean([p.count for p in pats]))
+    lam = a.get("lambda_target")
+    if lam is None:
+        lam = mean
+    if len(pats) >= 200:
+        rep = pointproc.poisson_diagnostics(pats, lam, a.get("bins", 10))
+        entry = json.loads(rep.to_json())
+    else:
+        entry = {"mean_count": mean,
+                 "note": "distributional diagnostics need >= 200 replications"}
+    return entry, pointproc.patterns_to_csv(results)
+
+
+def _dprime(a, results, *_):
+    stats, stderr = {}, {}
+    for j, k in enumerate(evt.dprime_ks(a["k_list"])):
+        arr = np.asarray([values[j] for values, _ in results.values()])
+        stats[str(k)] = float(np.mean(arr))
+        stderr[str(k)] = (float(np.std(arr, ddof=1) / np.sqrt(len(arr)))
+                          if len(arr) > 1 else 0.0)
+    joint = sum(events for _, events in results.values())
+    return {"stats": stats, "stderr": stderr, "joint_events": joint,
+            "wide_ci": joint < 10}, None
+
+
+def _scan(a, results, gen, base_seed):
+    y = gen.path_fn(base_seed)
+    rows = evt.extremal_independence_scan(
+        y.values[:, 0], y.values[:, 1], a["levels"], a["rho"],
+    )
+    csv = [evt.ScanRow.CSV_HEADER] + [r.to_csv_row() for r in rows]
+    return ([json.loads(json.dumps(r.__dict__)) for r in rows],
+            "\n".join(csv) + "\n")
+
+
+def _gauss_tools(a, results, gen, base_seed):
+    table = gen.spec.table
+    return {
+        "tail_decreasing": gausslin.check_decay(table).tail_decreasing,
+        "full_rank": gausslin.full_rank_check(table),
+        "block_toeplitz_min_eig": gausslin.block_toeplitz_min_eig(
+            table, a.get("nblock", 10)),
+    }, None
+
+
+class Analysis(NamedTuple):
+    fields: tuple                # required config fields
+    check: Callable              # (a, gen): what it needs from the generator
+    per_path: Callable | None    # (a, path, u) -> result for one replication
+    summarize: Callable          # see the summarize steps above
+
+
+# Per-path maps look their functions up at call time, so a patched or traced
+# module attribute is the one that runs.
+REGISTRY = {
+    "nonexceed": Analysis(
+        (), _needs_thresholds,
+        lambda a, Y, u: bool(np.all(evt.cmax(Y) <= u.u)), _nonexceed),
+    "runs": Analysis(
+        ("m",), _needs_thresholds,
+        lambda a, Y, u: evt.runs_theta(Y, u, a["m"]), _estimates),
+    "blocks": Analysis(
+        ("b",), _needs_thresholds,
+        lambda a, Y, u: evt.blocks_theta(Y, u, a["b"]), _estimates),
+    "pointproc": Analysis(
+        ("r", "p"), _check_pointproc,
+        lambda a, Y, u: pointproc.gapped_blocks(Y, u, _gap_config(a)), _poisson),
+    "dprime": Analysis(
+        ("k_list",), _check_dprime,
+        lambda a, Y, u: evt.dprime_path(Y, float(u.u[0]), a["k_list"]), _dprime),
+    "scan": Analysis(("levels", "rho"), _check_scan, None, _scan),
+    "gauss-tools": Analysis((), _check_gauss_tools, None, _gauss_tools),
 }
-# Analyses evaluated on every replication path.
-PER_PATH = ("runs", "blocks", "pointproc", "nonexceed")
-# Analyses that compare paths against the thresholds u_n(tau).
-NEEDS_THRESHOLDS = PER_PATH + ("dprime",)
 
 
 @dataclass(frozen=True)
@@ -56,11 +190,11 @@ class ExperimentConfig:
             raise SpecError("n must be >= 1")
         for idx, a in enumerate(self.analyses):
             kind = a.get("type") if isinstance(a, dict) else None
-            if kind not in ANALYSIS_FIELDS:
+            if kind not in REGISTRY:
                 raise SpecError(
                     f"analyses[{idx}]: unknown analysis type {kind!r} (field: type)"
                 )
-            for name in ANALYSIS_FIELDS[kind]:
+            for name in REGISTRY[kind].fields:
                 if name not in a:
                     raise SpecError(
                         f"analyses[{idx}] ({kind}) missing field {name!r}"
@@ -84,11 +218,9 @@ class ExperimentConfig:
             raise SpecError(f"config missing field {exc.args[0]!r}") from exc
 
 
-def _build_generator(cfg: ExperimentConfig):
-    """Return (path_fn, spec_or_None, thresholds_or_None).
-
-    path_fn(seed) -> SeriesMatrix of length cfg.n.
-    """
+def _build_generator(cfg: ExperimentConfig) -> Generator:
+    """The config's generator; its path_fn(seed) -> SeriesMatrix of length
+    cfg.n."""
     gen = cfg.generator
     kind = gen.get("kind")
     if kind == "m4":
@@ -100,7 +232,7 @@ def _build_generator(cfg: ExperimentConfig):
             W = m4.innovations(spec, cfg.n + span, seed)
             return m4.build(W, spec)
 
-        return path_fn, spec, u
+        return Generator(path_fn, spec, u)
     if kind == "gauss":
         table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
         transform = (
@@ -119,141 +251,77 @@ def _build_generator(cfg: ExperimentConfig):
                 X = SeriesMatrix(values=X.values / sd, meta=X.meta)
             return subordinate.apply(X, transform) if transform else X
 
-        return path_fn, table, None
+        d = transform.d if transform else table.d0
+        return Generator(path_fn, GaussSource(table, d))
     raise SpecError(f"unknown generator kind {kind!r}")
 
 
-def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Execute every analysis in the config; write artifact files when an
-    output directory is given and return the summary dict.
+def check(gen: Generator, analyses) -> None:
+    """Check every analysis against the generator; draws no path."""
+    for idx, a in enumerate(analyses):
+        try:
+            REGISTRY[a["type"]].check(a, gen)
+        except SpecError as exc:
+            raise SpecError(f"analyses[{idx}] ({a['type']}): {exc}") from None
 
-    Per-replication failures are recorded, never silently dropped; the run
-    aborts only if more than 1% of replications fail. A replication counts
-    in every per-path analysis or, if any of them raises, in none.
+
+def replicate(gen: Generator, analyses, reps: int, base_seed: int):
+    """The replication engine. Returns (entries, artifacts, failures).
+
+    After `check`, replication i draws gen.path_fn(base_seed ^ i) once and
+    maps every per-path analysis over it. Failures are recorded, never
+    silently dropped: a replication counts in every analysis or, if any of
+    them raises, in none, and the run aborts if more than 1% of replications
+    fail. Each analysis then summarizes its results in replication order;
+    its summary entry and CSV artifact are keyed "<index>:<type>".
     """
-    path_fn, spec, u = _build_generator(cfg)
-    if u is None:
-        for a in cfg.analyses:
-            if a["type"] in NEEDS_THRESHOLDS:
-                raise SpecError(
-                    f"{a['type']} analysis needs thresholds: an m4 generator "
-                    f"and a nonempty tau (field: tau)"
-                )
+    check(gen, analyses)
+    kinds = [REGISTRY[a["type"]] for a in analyses]
+    mapped = [idx for idx, kind in enumerate(kinds) if kind.per_path]
+    results = {idx: {} for idx in mapped}
+    failures = []
+    for rep in range(reps if mapped else 0):
+        try:
+            Y = gen.path_fn(base_seed ^ rep)
+            got = [kinds[idx].per_path(analyses[idx], Y, gen.u) for idx in mapped]
+        except Exception as exc:  # noqa: BLE001 - recorded, not dropped
+            failures.append({"replication": rep, "error": str(exc)})
+            continue
+        for idx, result in zip(mapped, got):
+            results[idx][rep] = result
+    if len(failures) > 0.01 * reps:
+        raise RuntimeError(f"{len(failures)}/{reps} replications failed; aborting")
+    entries, artifacts = {}, {}
+    for idx, (a, kind) in enumerate(zip(analyses, kinds)):
+        key = f"{idx}:{a['type']}"
+        entries[key], csv = kind.summarize(a, results.get(idx), gen, base_seed)
+        if csv is not None:
+            artifacts[key] = csv
+    return entries, artifacts, failures
+
+
+def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
+    """Run the config through the replication engine; write its artifact
+    files when an output directory is given and return the summary dict."""
+    # any (path_fn, spec, u) triple will do, such as a wrapped builder's
+    gen = Generator(*_build_generator(cfg))
+    entries, artifacts, failures = replicate(gen, cfg.analyses, cfg.reps,
+                                             cfg.base_seed)
     summary = {
         "name": cfg.name,
         "n": cfg.n,
         "tau": list(cfg.tau),
         "reps": cfg.reps,
         "base_seed": cfg.base_seed,
-        "analyses": {},
-        "failures": [],
+        "analyses": entries,
+        "failures": failures,
+        "failure_rate": len(failures) / cfg.reps,
     }
-    artifacts = {}
-
-    if any(a["type"] in PER_PATH for a in cfg.analyses):
-        maxima = []
-        results = {i: [] for i, a in enumerate(cfg.analyses)
-                   if a["type"] in ("runs", "blocks", "pointproc")}
-        for rep in range(cfg.reps):
-            seed = cfg.base_seed ^ rep
-            try:
-                Y = path_fn(seed)
-                M = evt.cmax(Y)
-                got = {}
-                for idx, a in enumerate(cfg.analyses):
-                    if a["type"] == "runs":
-                        got[idx] = evt.runs_theta(Y, u, a["m"])
-                    elif a["type"] == "blocks":
-                        got[idx] = evt.blocks_theta(Y, u, a["b"])
-                    elif a["type"] == "pointproc":
-                        gc = pointproc.GapConfig(a["r"], a["p"], a.get("m", 0))
-                        got[idx] = pointproc.gapped_blocks(Y, u, gc)
-            except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-                summary["failures"].append({"replication": rep, "error": str(exc)})
-                continue
-            maxima.append(M)
-            for idx, result in got.items():
-                results[idx].append(result)
-        nfail = len(summary["failures"])
-        if nfail > 0.01 * cfg.reps:
-            raise RuntimeError(
-                f"{nfail}/{cfg.reps} replications failed; aborting"
-            )
-        ok = cfg.reps - nfail
-        for idx, a in enumerate(cfg.analyses):
-            key = f"{idx}:{a['type']}"
-            if a["type"] == "nonexceed":
-                hits = sum(bool(np.all(M <= u.u)) for M in maxima)
-                p_hat = hits / ok
-                ci = 1.96 * float(np.sqrt(p_hat * (1 - p_hat) / ok))
-                summary["analyses"][key] = {"p_hat": p_hat, "ci_halfwidth": ci}
-            elif a["type"] in ("runs", "blocks"):
-                reports = results[idx]
-                est = float(np.mean([r.estimate for r in reports]))
-                se = float(np.std([r.estimate for r in reports], ddof=1)
-                           / np.sqrt(len(reports))) if len(reports) > 1 else 0.0
-                summary["analyses"][key] = {"estimate": est, "stderr": se}
-                csv = [evt.EstimatorReport.CSV_HEADER]
-                csv += [r.to_csv_row() for r in reports]
-                artifacts[f"{cfg.name}_{key.replace(':', '_')}.csv"] = "\n".join(csv) + "\n"
-            elif a["type"] == "pointproc":
-                pats = results[idx]
-                lam = a.get("lambda_target")
-                if lam is None:
-                    lam = float(np.mean([p.count for p in pats]))
-                if len(pats) >= 200:
-                    rep_diag = pointproc.poisson_diagnostics(pats, lam,
-                                                             a.get("bins", 10))
-                    summary["analyses"][key] = json.loads(rep_diag.to_json())
-                else:
-                    summary["analyses"][key] = {
-                        "mean_count": float(np.mean([p.count for p in pats])),
-                        "note": "distributional diagnostics need >= 200 replications",
-                    }
-                artifacts[f"{cfg.name}_{key.replace(':', '_')}.csv"] = (
-                    pointproc.patterns_to_csv(pats)
-                )
-
-    for idx, a in enumerate(cfg.analyses):
-        key = f"{idx}:{a['type']}"
-        if a["type"] == "dprime":
-            if len(u.u) != 1:
-                raise SpecError("dprime analysis needs a univariate generator")
-            rep_d = evt.dprime_stat(
-                path_fn, cfg.n, float(u.u[0]), a["k_list"],
-                reps=cfg.reps, base_seed=cfg.base_seed,
-            )
-            summary["analyses"][key] = {
-                "stats": {str(k): v for k, v in rep_d.stats.items()},
-                "stderr": {str(k): v for k, v in rep_d.stderr.items()},
-                "wide_ci": rep_d.wide_ci,
-            }
-        elif a["type"] == "scan":
-            y = path_fn(cfg.base_seed)
-            rows = evt.extremal_independence_scan(
-                y.values[:, 0], y.values[:, 1], a["levels"], a["rho"],
-            )
-            summary["analyses"][key] = [json.loads(json.dumps(r.__dict__))
-                                        for r in rows]
-            csv = [evt.ScanRow.CSV_HEADER] + [r.to_csv_row() for r in rows]
-            artifacts[f"{cfg.name}_{key.replace(':', '_')}.csv"] = "\n".join(csv) + "\n"
-        elif a["type"] == "gauss-tools":
-            if not isinstance(spec, gausslin.CoeffTable):
-                raise SpecError("gauss-tools analysis needs a gauss generator")
-            report = gausslin.check_decay(spec)
-            nb = a.get("nblock", 10)
-            summary["analyses"][key] = {
-                "tail_decreasing": report.tail_decreasing,
-                "full_rank": gausslin.full_rank_check(spec),
-                "block_toeplitz_min_eig": gausslin.block_toeplitz_min_eig(spec, nb),
-            }
-
-    summary["failure_rate"] = len(summary["failures"]) / cfg.reps
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        for fname, text in sorted(artifacts.items()):
-            (out / fname).write_text(text)
+        for key, text in artifacts.items():
+            (out / f"{cfg.name}_{key.replace(':', '_')}.csv").write_text(text)
         (out / f"{cfg.name}_summary.json").write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n"
         )

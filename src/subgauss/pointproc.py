@@ -165,9 +165,10 @@ def poisson_diagnostics(patterns, lambda_target: float,
     )
 
 
-def patterns_to_csv(patterns) -> str:
+def patterns_to_csv(patterns: dict) -> str:
+    """One row per point; patterns maps replication index -> PointPattern."""
     lines = ["replication,block_index,time"]
-    for rep, p in enumerate(patterns):
+    for rep, p in patterns.items():
         for b, t in zip(p.blocks, p.times):
             lines.append(f"{rep},{b},{float(t)!r}")
     return "\n".join(lines) + "\n"

@@ -2,10 +2,10 @@
 
 Each test runs one experiment end to end at its stated scale and tolerance
 and emits exactly one PASS/FAIL line on the terminal (bypassing capture).
-Scales match the shipped configs in configs/.
+E1-E5 run the shipped configs in configs/ through the replication engine.
 """
 
-import json
+import dataclasses
 import math
 from pathlib import Path
 
@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from subgauss import chaos, evt, gausslin, m4, pointproc, subordinate
-from subgauss.harness import ExperimentConfig, _build_generator
+from subgauss import chaos, gausslin, harness, m4, pointproc, subordinate
+from subgauss.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -33,21 +33,13 @@ def _emit(capsys, name, ok, detail):
 def e2_theta_hats():
     """runs_theta(m=0..3) averaged over the e2_runs replications; reused by
     E2 (m=3 entry) and E5 (plug-in intensities)."""
-    cfg = _cfg("e2_runs")
-    path_fn, _, u = _build_generator(cfg)
-    sums = np.zeros(4)
-    for rep in range(cfg.reps):
-        Y = path_fn(cfg.base_seed ^ rep)
-        for m in range(4):
-            sums[m] += evt.runs_theta(Y, u, m).estimate
-    return sums / cfg.reps
+    summary = harness.run(_cfg("e2_runs"))
+    return [summary["analyses"][f"{m}:runs"]["estimate"] for m in range(4)]
 
 
 def test_e1_iid_baseline(capsys):
     cfg = _cfg("e1")
-    path_fn, _, u = _build_generator(cfg)
-    p, _ = evt.empirical_nonexceed(path_fn, u, reps=cfg.reps,
-                                   base_seed=cfg.base_seed)
+    p = harness.run(cfg)["analyses"]["0:nonexceed"]["p_hat"]
     want = (1 - 1 / cfg.n) ** cfg.n
     err = abs(p - want)
     _emit(capsys, "E1", err <= 0.016,
@@ -57,10 +49,7 @@ def test_e1_iid_baseline(capsys):
 
 def test_e2_extremal_index_quarter(capsys, e2_theta_hats):
     theta3 = e2_theta_hats[3]
-    cfg = _cfg("e2")
-    path_fn, _, u = _build_generator(cfg)
-    p, _ = evt.empirical_nonexceed(path_fn, u, reps=cfg.reps,
-                                   base_seed=cfg.base_seed)
+    p = harness.run(_cfg("e2"))["analyses"]["0:nonexceed"]["p_hat"]
     want = math.exp(-0.25)
     ok = abs(theta3 - 0.25) <= 0.05 and abs(p - want) <= 0.03
     _emit(capsys, "E2", ok,
@@ -73,9 +62,8 @@ def test_e3_bivariate_limit(capsys):
     ok = True
     for stem in ("e3", "e3b"):
         cfg = _cfg(stem)
-        path_fn, spec, u = _build_generator(cfg)
-        p, _ = evt.empirical_nonexceed(path_fn, u, reps=cfg.reps,
-                                       base_seed=cfg.base_seed)
+        spec = harness._build_generator(cfg).spec
+        p = harness.run(cfg)["analyses"]["0:nonexceed"]["p_hat"]
         want = m4.G_limit(spec, cfg.tau) ** m4.theta(spec, cfg.tau)
         ok = ok and abs(p - want) <= 0.03
         details.append(f"tau={tuple(cfg.tau)}: p_hat={p:.4f} "
@@ -85,17 +73,22 @@ def test_e3_bivariate_limit(capsys):
 
 def test_e4_truncation(capsys):
     cfg = _cfg("e4")
-    path_fn, spec, u = _build_generator(cfg)
+    gen = harness._build_generator(cfg)
+    spec = gen.spec
     span = spec.r_hi - spec.r_lo
 
     def trunc_fn(seed):
         W = m4.innovations(spec, cfg.n + span, seed)
         return m4.build(W, spec, m_trunc=1)
 
-    p_f, ci_f = evt.empirical_nonexceed(path_fn, u, reps=cfg.reps,
-                                        base_seed=cfg.base_seed)
-    p_t, ci_t = evt.empirical_nonexceed(trunc_fn, u, reps=cfg.reps,
-                                        base_seed=cfg.base_seed)
+    def nonexceed(path_fn):
+        # common random numbers: both builds share the base seed
+        entries, _, _ = harness.replicate(gen._replace(path_fn=path_fn),
+                                          cfg.analyses, cfg.reps, cfg.base_seed)
+        return entries["0:nonexceed"]["p_hat"], entries["0:nonexceed"]["ci_halfwidth"]
+
+    p_f, ci_f = nonexceed(gen.path_fn)
+    p_t, ci_t = nonexceed(trunc_fn)
     gap = abs(p_f - p_t)
     tol = 0.02 + 2 * math.sqrt(ci_f**2 + ci_t**2)
     # hand values for the truncated extremal index (full normalizer kept)
@@ -116,25 +109,22 @@ def test_e4_truncation(capsys):
 
 def test_e5_point_process(capsys, e2_theta_hats):
     cfg = _cfg("e5")
-    path_fn, _, u = _build_generator(cfg)
-    gc = pointproc.GapConfig(r=50, p=5, m=3)
-    pats = [
-        pointproc.gapped_blocks(path_fn(cfg.base_seed ^ i), u, gc)
-        for i in range(cfg.reps)
-    ]
-    lam = pointproc.lambda_rp(list(e2_theta_hats), e2_theta_hats[3],
+    (a,) = cfg.analyses
+    gc = pointproc.GapConfig(a["r"], a["p"], a["m"])
+    lam = pointproc.lambda_rp(e2_theta_hats, e2_theta_hats[3],
                               math.exp(-1.0), gc)
-    rep = pointproc.poisson_diagnostics(pats, lam)
-    rel = abs(rep.mean_count - lam) / lam
+    cfg = dataclasses.replace(cfg, analyses=({**a, "lambda_target": lam},))
+    rep = harness.run(cfg)["analyses"]["0:pointproc"]
+    rel = abs(rep["mean_count"] - lam) / lam
     ok = (
-        0.85 <= rep.dispersion_index <= 1.15
+        0.85 <= rep["dispersion_index"] <= 1.15
         and rel <= 0.10
-        and rep.ks_interarrival < 0.08
+        and rep["ks_interarrival"] < 0.08
     )
     _emit(capsys, "E5", ok,
-          f"dispersion={rep.dispersion_index:.3f} (0.85..1.15); "
-          f"mean={rep.mean_count:.4f} vs lambda={lam:.4f} "
-          f"(rel err {rel:.3f} ≤ 0.10); KS={rep.ks_interarrival:.4f} < 0.08")
+          f"dispersion={rep['dispersion_index']:.3f} (0.85..1.15); "
+          f"mean={rep['mean_count']:.4f} vs lambda={lam:.4f} "
+          f"(rel err {rel:.3f} ≤ 0.10); KS={rep['ks_interarrival']:.4f} < 0.08")
 
 
 def test_e6_decay_profile(capsys):
@@ -244,18 +234,25 @@ def test_e8_anticlustering(capsys):
         rng = np.random.Generator(np.random.Philox(key=seed))
         return gausslin.SeriesMatrix(values=rng.normal(size=(n, 1)), meta={})
 
+    def dprime(fn, level):
+        u = m4.ThresholdVector(n=n, tau=(tau,), u=np.array([level]))
+        entries, _, _ = harness.replicate(
+            harness.Generator(fn, u=u), [{"type": "dprime", "k_list": k_list}],
+            reps, 88)
+        rep = entries["0:dprime"]
+        return ([rep["stats"][str(k)] for k in k_list],
+                [rep["stderr"][str(k)] for k in k_list])
+
     u_g = float(ndtri(1 - tau / n))
     u_p = n / tau
     mono_ok = True
     for fn, u in ((ident_fn, u_g), (par_fn, u_p)):
-        rep = evt.dprime_stat(fn, n, u, k_list, reps=reps, base_seed=88)
-        vals = [rep.stats[k] for k in k_list]
-        ses = [rep.stderr[k] for k in k_list]
+        vals, ses = dprime(fn, u)
         for (a, sa), (b, sb) in zip(zip(vals, ses), zip(vals[1:], ses[1:])):
             mono_ok = mono_ok and a >= b - 2 * math.hypot(sa, sb)
-    ctrl = evt.dprime_stat(iid_fn, n, u_g, k_list, reps=reps, base_seed=88)
+    vals, ses = dprime(iid_fn, u_g)
     ctrl_ok = all(
-        abs(ctrl.stats[k] - tau**2 / k) <= 3 * ctrl.stderr[k] for k in k_list
+        abs(v - tau**2 / k) <= 3 * se for v, se, k in zip(vals, ses, k_list)
     )
     ok = mono_ok and ctrl_ok
     _emit(capsys, "E8", ok,

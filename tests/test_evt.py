@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgauss import chaos, evt, gausslin, m4
+from subgauss import chaos, evt, gausslin, harness, m4
 from subgauss.gausslin import SeriesMatrix, SpecError
 from subgauss.m4 import IidPareto, M4Spec
 
@@ -34,6 +34,17 @@ def _m4_path(spec, n, seed):
     return m4.build(m4.innovations(spec, n + span, seed), spec)
 
 
+def replicate(path_fn, u, analysis, reps, base_seed):
+    """Summary entry and failures of one analysis over reps paths."""
+    entries, _, failures = harness.replicate(
+        harness.Generator(path_fn, u=u), [analysis], reps, base_seed)
+    return entries[f"0:{analysis['type']}"], failures
+
+
+def univariate_u(n, level):
+    return m4.ThresholdVector(n=n, tau=(1.0,), u=np.array([level]))
+
+
 class TestEmpiricalNonexceed:
     def test_iid_closed_form(self):
         n, tau = 2000, 1.0
@@ -48,24 +59,24 @@ class TestEmpiricalNonexceed:
             n,
             (tau,),
         )
-        p, ci = evt.empirical_nonexceed(iid_fn(n), u, reps=2000, base_seed=7)
+        got, _ = replicate(iid_fn(n), u, {"type": "nonexceed"}, 2000, 7)
         want = (1 - 1 / n) ** n
-        assert abs(p - want) < 2 * ci
-
-    def test_too_few_reps_rejected(self):
-        u = m4.thresholds(equal_spec(), 100, (1.0,))
-        with pytest.raises(SpecError):
-            evt.empirical_nonexceed(iid_fn(100), u, reps=10, base_seed=0)
+        assert abs(got["p_hat"] - want) < 2 * got["ci_halfwidth"]
 
     def test_generator_failure_reports_replication(self):
-        def bad(seed):
-            if seed == 5 ^ 3:
-                raise ValueError("boom")
-            return iid_fn(100)(seed)
+        def failing_at(*reps):
+            def fn(seed):
+                if seed ^ 5 in reps:
+                    raise ValueError("boom")
+                return iid_fn(100)(seed)
+            return fn
 
         u = m4.thresholds(equal_spec(), 100, (1.0,))
-        with pytest.raises(RuntimeError, match="replication 3"):
-            evt.empirical_nonexceed(bad, u, reps=100, base_seed=5)
+        _, failures = replicate(failing_at(3), u, {"type": "nonexceed"}, 100, 5)
+        assert failures == [{"replication": 3, "error": "boom"}]
+        # more than 1% of replications failing aborts the run
+        with pytest.raises(RuntimeError, match="2/100 replications failed"):
+            replicate(failing_at(3, 4), u, {"type": "nonexceed"}, 100, 5)
 
 
 class TestRunsAndBlocks:
@@ -140,29 +151,37 @@ class TestRunsAndBlocks:
 class TestDPrime:
     def test_iid_matches_tau_sq_over_k(self):
         n, tau = 20_000, 5.0
-        u = n / tau
-        rep = evt.dprime_stat(
-            iid_fn(n), n, u, [2, 4, 8, 16], reps=200, base_seed=12
-        )
+        rep, _ = replicate(iid_fn(n), univariate_u(n, n / tau),
+                           {"type": "dprime", "k_list": [2, 4, 8, 16]}, 200, 12)
         for k in (2, 4, 8, 16):
             want = tau**2 / k
-            assert abs(rep.stats[k] - want) <= 3 * rep.stderr[k] + 1e-12
+            assert abs(rep["stats"][str(k)] - want) <= 3 * rep["stderr"][str(k)] + 1e-12
 
     def test_nonincreasing_in_k(self):
         n = 20_000
-        rep = evt.dprime_stat(
-            iid_fn(n), n, n / 5.0, [2, 4, 8, 16], reps=100, base_seed=4
-        )
-        vals = [rep.stats[k] for k in (2, 4, 8, 16)]
+        rep, _ = replicate(iid_fn(n), univariate_u(n, n / 5.0),
+                           {"type": "dprime", "k_list": [16, 2, 8, 4, 2]}, 100, 4)
+        assert list(rep["stats"]) == ["2", "4", "8", "16"]
+        vals = list(rep["stats"].values())
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_wide_ci_flag(self):
         n = 2000
-        rep = evt.dprime_stat(
-            iid_fn(n), n, n * 50.0, [2], reps=50, base_seed=4
-        )
-        assert rep.joint_events < 10
-        assert rep.wide_ci
+        rep, _ = replicate(iid_fn(n), univariate_u(n, n * 50.0),
+                           {"type": "dprime", "k_list": [2]}, 50, 4)
+        assert rep["joint_events"] < 10
+        assert rep["wide_ci"]
+
+    def test_path_statistic_matches_pair_counts(self):
+        # direct O(n^2) pair count on a short path
+        v = iid_fn(300)(9).values[:, 0]
+        u = 20.0
+        (stats,), joint = evt.dprime_path(v, u, [3])
+        e = v > u
+        pairs = [int(np.sum(e[:-j] & e[j:])) for j in range(1, 101)]
+        assert joint == sum(pairs)
+        want = 300 * sum(c / (300 - j) for j, c in enumerate(pairs, 1))
+        np.testing.assert_allclose(stats, want, rtol=1e-12)
 
 
 class TestScan:

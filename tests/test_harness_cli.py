@@ -9,13 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subgauss import evt, gausslin, harness
+from subgauss import evt, gausslin, harness, pointproc
 from subgauss.cli import main as cli_main
 from subgauss.gausslin import SpecError
 from subgauss.harness import ExperimentConfig
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
+# Byte-exact outputs of the replication subcommands on the tiny spec below,
+# written by the commands in TestCliGolden.
+GOLDEN = REPO / "tests" / "golden"
 
 
 def tiny_config(**overrides):
@@ -117,6 +120,30 @@ class TestRun:
         for key in ("1_runs", "2_blocks"):
             rows = (tmp_path / f"tiny_{key}.csv").read_text().splitlines()[1:]
             assert len(rows) == cfg.reps - len(failed)
+
+    def test_pointproc_csv_numbers_replications(self, tmp_path, monkeypatch):
+        # replication 1 fails; the rows of every later replication keep
+        # their own index
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            tau=[5.0], reps=100,
+            analyses=[{"type": "pointproc", "r": 50, "p": 5}],
+        )))
+        harness.run(cfg, str(tmp_path / "all"))
+        gapped_blocks = pointproc.gapped_blocks
+
+        def failing(Y, u, gc):
+            if Y.meta["seed"] == 7 ^ 1:
+                raise evt.InsufficientExceedances(0)
+            return gapped_blocks(Y, u, gc)
+
+        monkeypatch.setattr(pointproc, "gapped_blocks", failing)
+        summary = harness.run(cfg, str(tmp_path / "one_failed"))
+        assert [f["replication"] for f in summary["failures"]] == [1]
+        rows = {d: (tmp_path / d / "tiny_0_pointproc.csv").read_text()
+                .splitlines() for d in ("all", "one_failed")}
+        assert any(r.startswith("1,") for r in rows["all"])
+        assert rows["one_failed"] == [r for r in rows["all"]
+                                      if not r.startswith("1,")]
 
     def test_gauss_generator_with_scan(self):
         psi0 = ((1.0, 0.0), (0.5, 0.8660254037844386))
@@ -239,30 +266,71 @@ class TestCli:
         )
         assert abs(summary["analyses"]["0:nonexceed"]["p_hat"] - 0.368) < 0.12
 
-    @pytest.mark.parametrize("change, field", [
+    @pytest.mark.parametrize("change, flags, field", [
         pytest.param({"generator": {"kind": "m4", "spec": {
             "d": 1, "alpha": 1.0, "lags": [0, 0], "a": [[[1.0]]],
             "innovation": {"kind": "subgauss", "transform": "pareto", "lin": {
-                "d0": 2, "family": "iid", "params": {}, "L": 0}}}}}, "d0",
+                "d0": 2, "family": "iid", "params": {}, "L": 0}}}}}, [], "d0",
             id="subgauss-d0-mismatch"),
         pytest.param({"analyses": [{"type": "nonexceed"}, {"type": "mystery"}]},
-                     "type", id="unknown-type"),
-        pytest.param({"analyses": [{"type": "runs"}]}, "'m'", id="runs-m"),
-        pytest.param({"analyses": [{"type": "pointproc", "r": 50}]}, "'p'",
+                     [], "type", id="unknown-type"),
+        pytest.param({"analyses": [{"type": "runs"}]}, [], "'m'", id="runs-m"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50}]}, [], "'p'",
                      id="pointproc-p"),
-        pytest.param({"analyses": [{"type": "scan", "rho": 0.5}]}, "'levels'",
-                     id="scan-levels"),
-        pytest.param({"analyses": [{"type": "dprime"}]}, "'k_list'",
+        pytest.param({"analyses": [{"type": "scan", "rho": 0.5}]}, [],
+                     "'levels'", id="scan-levels"),
+        pytest.param({"analyses": [{"type": "dprime"}]}, [], "'k_list'",
                      id="dprime-k_list"),
-        pytest.param({"tau": []}, "tau", id="no-thresholds"),
+        pytest.param({"tau": []}, [], "tau", id="no-thresholds"),
+        pytest.param({}, ["--reps", "0"], "reps", id="reps-flag-zero"),
+        pytest.param({"analyses": [{"type": "scan", "levels": [1.5],
+                                    "rho": 0.5}]}, [], "field: d",
+                     id="scan-univariate"),
+        pytest.param({"analyses": [{"type": "dprime", "k_list": []}]}, [],
+                     "field: k_list", id="dprime-k_list-empty"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            "d": 2, "alpha": 1.0, "lags": [0, 0],
+            "a": [[[1.0, 0.0], [0.0, 1.0]]],
+            "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
+            "tau": [80.0, 80.0], "analyses": [{"type": "dprime", "k_list": [2]}]},
+            [], "field: d", id="dprime-bivariate"),
+        pytest.param({"analyses": [{"type": "gauss-tools"}]}, [], "field: kind",
+                     id="gauss-tools-m4"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 5, "p": 5,
+                                    "m": 5}]}, [], "r must exceed",
+                     id="pointproc-r-le-m"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
-                                                 change, field):
+                                                 monkeypatch, change, flags,
+                                                 field):
+        drawn = []
+        build = harness._build_generator
+
+        monkeypatch.setattr(harness, "_build_generator",
+                            lambda cfg: build(cfg)._replace(path_fn=drawn.append))
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(tiny_config(**change)))
-        assert cli_main(["run", "--config", str(f)]) == 2
+        assert cli_main(["run", "--config", str(f)] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
+        assert drawn == []
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["maxima", "--reps", "99"], id="maxima"),
+        pytest.param(["pointproc", "--r", "50", "--p", "5", "--reps", "199",
+                      "--format", "json"], id="pointproc-json"),
+    ])
+    def test_too_few_reps_exit_2_names_reps(self, tmp_path, capsys,
+                                            monkeypatch, argv):
+        drawn = []
+        monkeypatch.setattr(harness, "_build_generator", drawn.append)
+        spec = tmp_path / "m4.json"
+        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
+        argv = argv + ["--spec", str(spec), "--n", "2000", "--tau", "5.0"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "reps" in err
+        assert drawn == []
 
     def test_console_script_entrypoint(self):
         proc = subprocess.run(
@@ -274,11 +342,37 @@ class TestCli:
         assert "simulate" in proc.stdout
 
 
+class TestCliGolden:
+    @pytest.mark.parametrize("golden, argv", [
+        pytest.param("maxima.json", ["maxima", "--tau", "1.0", "--reps", "100",
+                                     "--format", "json"], id="maxima-json"),
+        pytest.param("pointproc.csv", ["pointproc", "--tau", "5.0", "--r", "50",
+                                       "--p", "5", "--m", "1", "--reps", "20",
+                                       "--format", "csv"], id="pointproc-csv"),
+        pytest.param("pointproc.json", ["pointproc", "--tau", "5.0", "--r", "50",
+                                        "--p", "5", "--m", "1", "--reps", "200",
+                                        "--format", "json"], id="pointproc-json"),
+        pytest.param("dprime.json", ["dprime", "--tau", "5.0", "--k-list", "2,4,8",
+                                     "--reps", "50"], id="dprime"),
+    ])
+    def test_output_bytes(self, tmp_path, monkeypatch, golden, argv):
+        monkeypatch.delenv(harness.ENV_SEED, raising=False)
+        spec = tmp_path / "m4.json"
+        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
+        out = tmp_path / golden
+        argv = argv + ["--spec", str(spec), "--n", "2000", "--seed", "3",
+                       "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize(
-        "stem", ["e1", "e2", "e2_runs", "e3", "e3b", "e4", "e5", "e6", "e7"]
+        "path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem
     )
-    def test_config_validates_and_builds(self, stem):
-        cfg = ExperimentConfig.from_json((CONFIGS / f"{stem}.json").read_text())
-        path_fn, _, _ = harness._build_generator(cfg)
-        assert cfg.reps >= 1
+    def test_config_validates_and_builds(self, path):
+        cfg = ExperimentConfig.from_json(path.read_text())
+        drawn = []
+        gen = harness._build_generator(cfg)
+        harness.check(gen._replace(path_fn=drawn.append), cfg.analyses)
+        assert drawn == []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from subgauss import gausslin, m4
+from subgauss import gausslin, harness, m4
 from subgauss.gausslin import SpecError
 from subgauss.m4 import IidPareto, M4Spec, SubGauss
 
@@ -270,15 +270,15 @@ class TestBuildAndInnovations:
     def test_nonexceed_matches_limit(self):
         # P(M_n <= u_n(tau)) -> G(tau)^theta(tau)
         spec = equal_spec()
-        n, tau, reps = 4000, (1.0,), 1500
-        u = m4.thresholds(spec, n, tau)
-        hits = 0
-        for i in range(reps):
-            W = m4.innovations(spec, n + 3, 1000 ^ i)
-            Y = m4.build(W, spec)
-            hits += np.all(Y.values <= u.u)
+        tau = (1.0,)
+        cfg = harness.ExperimentConfig(
+            name="equal", generator={"kind": "m4", "spec": json.loads(spec.to_json())},
+            n=4000, tau=tau, reps=1500, base_seed=1000,
+            analyses=({"type": "nonexceed"},),
+        )
+        p_hat = harness.run(cfg)["analyses"]["0:nonexceed"]["p_hat"]
         want = m4.G_limit(spec, tau) ** m4.theta(spec, tau)
-        assert abs(hits / reps - want) < 0.04
+        assert abs(p_hat - want) < 0.04
 
 
 @given(

@@ -161,7 +161,7 @@ class TestCsvExport:
             PointPattern(times=np.empty(0)),
             PointPattern(times=np.array([0.125])),
         ]
-        out = pointproc.patterns_to_csv(pats)
+        out = pointproc.patterns_to_csv(dict(enumerate(pats)))
         lines = out.strip().splitlines()
         assert lines[0] == "replication,block_index,time"
         assert lines[1] == "0,3,0.25"
