@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 runtime failure (a computation raised), 2 config
-validation failure (bad spec file / bad flag combination), with a message
-naming the offending field. The SUBGAUSS_SEED environment variable, when
+validation failure (bad spec file / bad flag combination / malformed flag
+value), with a message naming the offending field or flag. The SUBGAUSS_SEED environment variable, when
 set, overrides any base seed from flags or config files.
 """
 
@@ -26,6 +26,19 @@ def _write(text: str, out: str | None) -> None:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _list_of(convert):
+    """argparse type for a comma-separated list; a bad item exits 2 with
+    the flag named."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(item) for item in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, "
+                f"got {text!r}") from None
+    return parse
 
 
 def _load_coeffs(path: str) -> gausslin.CoeffTable:
@@ -71,7 +84,7 @@ def _replicate(args, analysis: dict):
         name=args.command,
         generator={"kind": "m4", "spec": json.loads(Path(args.spec).read_text())},
         n=args.n,
-        tau=tuple(float(t) for t in args.tau.split(",")),
+        tau=args.tau,
         reps=args.reps,
         base_seed=effective_base_seed(args.seed, 0),
         analyses=(analysis,),
@@ -108,19 +121,17 @@ def _cmd_maxima(args) -> int:
 
 def _cmd_theta(args) -> int:
     spec = _load_m4(args.spec)
-    tau = tuple(float(t) for t in args.tau.split(","))
-    payload = {"theta": m4.theta(spec, tau)}
+    payload = {"theta": m4.theta(spec, args.tau)}
     if args.m_trunc is not None:
-        payload["theta_2m"] = m4.theta_2m(spec, tau, args.m_trunc)
+        payload["theta_2m"] = m4.theta_2m(spec, args.tau, args.m_trunc)
     _write(json.dumps(payload) + "\n", args.out)
     return 0
 
 
 def _cmd_m4_verify(args) -> int:
     spec = _load_m4(args.spec)
-    tau = tuple(float(t) for t in args.tau.split(","))
-    g = m4.G_limit(spec, tau)
-    t = m4.tail_limit(spec, tau)
+    g = m4.G_limit(spec, args.tau)
+    t = m4.tail_limit(spec, args.tau)
     gap = abs(-np.log(g) - t)
     payload = {
         "A": m4.A_vec(spec).tolist(),
@@ -144,8 +155,7 @@ def _cmd_pointproc(args) -> int:
 
 
 def _cmd_dprime(args) -> int:
-    k_list = [int(k) for k in args.k_list.split(",")]
-    _, entry, _ = _replicate(args, {"type": "dprime", "k_list": k_list})
+    _, entry, _ = _replicate(args, {"type": "dprime", "k_list": args.k_list})
     _write(json.dumps(entry) + "\n", args.out)
     return 0
 
@@ -209,28 +219,28 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("maxima", help="non-exceedance rate vs. the limit")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
+    p.add_argument("--tau", type=_list_of(float), required=True)
     common(p)
     p.add_argument("--reps", type=int, default=200)
     p.set_defaults(func=_cmd_maxima)
 
     p = sub.add_parser("theta", help="extremal index from the coefficient array")
     p.add_argument("--spec", required=True)
-    p.add_argument("--tau", required=True)
+    p.add_argument("--tau", type=_list_of(float), required=True)
     p.add_argument("--m-trunc", type=int, default=None)
     common(p, seed=False)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("m4-verify", help="cross-check the limit identities")
     p.add_argument("--spec", required=True)
-    p.add_argument("--tau", required=True)
+    p.add_argument("--tau", type=_list_of(float), required=True)
     common(p, seed=False)
     p.set_defaults(func=_cmd_m4_verify)
 
     p = sub.add_parser("pointproc", help="gapped-block exceedance point process")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
+    p.add_argument("--tau", type=_list_of(float), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--m", type=int, default=0)
@@ -241,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dprime", help="anti-clustering statistic")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--k-list", required=True)
+    p.add_argument("--tau", type=_list_of(float), required=True)
+    p.add_argument("--k-list", type=_list_of(int), required=True)
     common(p)
     p.add_argument("--reps", type=int, default=50)
     p.set_defaults(func=_cmd_dprime)

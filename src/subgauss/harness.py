@@ -40,37 +40,58 @@ class GaussSource(NamedTuple):
 
 
 # Registry checks raise SpecError naming the config field at fault; they see
-# the generator but draw no path.
+# the generator and the replication count but draw no path. A path has gen.u.n
+# rows.
 
-def _needs_thresholds(a, gen):
+def _needs_thresholds(a, gen, reps):
     if gen.u is None:
         raise SpecError("needs thresholds: an m4 generator and a nonempty tau "
                         "(field: tau)")
+
+
+def _check_runs(a, gen, reps):
+    _needs_thresholds(a, gen, reps)
+    if not 0 <= a["m"] < gen.u.n:
+        raise SpecError(f"run length m={a['m']} must lie in [0, n={gen.u.n}) "
+                        "(field: m)")
+
+
+def _check_blocks(a, gen, reps):
+    _needs_thresholds(a, gen, reps)
+    if a["b"] < 1 or gen.u.n // a["b"] < 50:
+        raise SpecError(f"needs n/b >= 50 blocks, but n={gen.u.n}, b={a['b']} "
+                        "(field: b)")
 
 
 def _gap_config(a) -> pointproc.GapConfig:
     return pointproc.GapConfig(a["r"], a["p"], a.get("m", 0))
 
 
-def _check_pointproc(a, gen):
-    _needs_thresholds(a, gen)
-    _gap_config(a)
+def _check_pointproc(a, gen, reps):
+    _needs_thresholds(a, gen, reps)
+    gap = _gap_config(a)
+    if gap.r + gap.p > gen.u.n:
+        raise SpecError(f"one block-gap segment r+p={gap.r + gap.p} exceeds "
+                        f"n={gen.u.n} (field: r, p)")
 
 
-def _check_dprime(a, gen):
-    _needs_thresholds(a, gen)
+def _check_dprime(a, gen, reps):
+    _needs_thresholds(a, gen, reps)
     if len(gen.u.u) != 1:
         raise SpecError("needs a univariate generator (field: d)")
     evt.dprime_ks(a["k_list"])
 
 
-def _check_scan(a, gen):
+def _check_scan(a, gen, reps):
     if gen.spec is not None and gen.spec.d < 2:
         raise SpecError(f"pairs columns 0 and 1, but the generator has "
                         f"d={gen.spec.d} (field: d)")
+    if reps != 1:
+        raise SpecError(f"scans the single path of base_seed, so reps must be "
+                        f"1, not {reps} (field: reps)")
 
 
-def _check_gauss_tools(a, gen):
+def _check_gauss_tools(a, gen, reps):
     if not isinstance(gen.spec, GaussSource):
         raise SpecError("needs a gauss generator (field: kind)")
 
@@ -144,7 +165,7 @@ def _gauss_tools(a, results, gen, base_seed):
 
 class Analysis(NamedTuple):
     fields: tuple                # required config fields
-    check: Callable              # (a, gen): what it needs from the generator
+    check: Callable              # (a, gen, reps): what it needs of the run
     per_path: Callable | None    # (a, path, u) -> result for one replication
     summarize: Callable          # see the summarize steps above
 
@@ -156,10 +177,10 @@ REGISTRY = {
         (), _needs_thresholds,
         lambda a, Y, u: bool(np.all(evt.cmax(Y) <= u.u)), _nonexceed),
     "runs": Analysis(
-        ("m",), _needs_thresholds,
+        ("m",), _check_runs,
         lambda a, Y, u: evt.runs_theta(Y, u, a["m"]), _estimates),
     "blocks": Analysis(
-        ("b",), _needs_thresholds,
+        ("b",), _check_blocks,
         lambda a, Y, u: evt.blocks_theta(Y, u, a["b"]), _estimates),
     "pointproc": Analysis(
         ("r", "p"), _check_pointproc,
@@ -256,11 +277,12 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
     raise SpecError(f"unknown generator kind {kind!r}")
 
 
-def check(gen: Generator, analyses) -> None:
-    """Check every analysis against the generator; draws no path."""
+def check(gen: Generator, analyses, reps: int) -> None:
+    """Check every analysis against the generator and the replication
+    count; draws no path."""
     for idx, a in enumerate(analyses):
         try:
-            REGISTRY[a["type"]].check(a, gen)
+            REGISTRY[a["type"]].check(a, gen, reps)
         except SpecError as exc:
             raise SpecError(f"analyses[{idx}] ({a['type']}): {exc}") from None
 
@@ -275,7 +297,7 @@ def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     fail. Each analysis then summarizes its results in replication order;
     its summary entry and CSV artifact are keyed "<index>:<type>".
     """
-    check(gen, analyses)
+    check(gen, analyses, reps)
     kinds = [REGISTRY[a["type"]] for a in analyses]
     mapped = [idx for idx, kind in enumerate(kinds) if kind.per_path]
     results = {idx: {} for idx in mapped}

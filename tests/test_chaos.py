@@ -7,11 +7,43 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import hermite_e
+from scipy import integrate
 from scipy.special import ndtr
 
 from subgauss import chaos, gausslin
 from subgauss.chaos import CatalogFn, GaussianBlockPair
 from subgauss.gausslin import SpecError
+
+E7_CATALOG = [
+    CatalogFn("exp", 0.7),
+    CatalogFn("exp", -0.4),
+    CatalogFn("indicator", 1.0),
+    CatalogFn("indicator", -0.5),
+    CatalogFn("poly", (0.0, 1.0, 0.5)),
+    CatalogFn("abs"),
+]
+
+
+def scalar_reference(f, K):
+    """c_k one at a time: scalar adaptive quad of f He_k / sqrt(k!) against
+    the normal density, on the panels of gaussian_expectation's plain rule."""
+    pts = sorted({-40.0, 40.0} | set(f.breakpoints()))
+    coeffs = []
+    for k in range(K + 1):
+        he = np.zeros(k + 1)
+        he[k] = 1.0
+
+        def integrand(x):
+            return (float(f(x)) * hermite_e.hermeval(x, he)
+                    / math.sqrt(math.factorial(k))
+                    * math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi))
+
+        coeffs.append(sum(
+            integrate.quad(integrand, a, b, epsabs=1e-13, epsrel=1e-12,
+                           limit=200)[0]
+            for a, b in zip(pts[:-1], pts[1:])))
+    return np.array(coeffs)
 
 
 class TestHermiteExpand:
@@ -56,6 +88,29 @@ class TestHermiteExpand:
         second_moment = chaos.gaussian_expectation(lambda x: float(f(x)) ** 2)
         np.testing.assert_allclose(e.l2_norm() ** 2, second_moment, atol=1e-9)
 
+    @pytest.mark.parametrize("f", E7_CATALOG,
+                             ids=lambda f: f"{f.kind}{f.param}")
+    def test_matches_scalar_reference(self, f):
+        # one vector-valued pass gives every coefficient the scalar
+        # per-coefficient quadrature gives
+        got = chaos.hermite_expand(f, 12).coeffs
+        np.testing.assert_allclose(got, scalar_reference(f, 12), rtol=0,
+                                   atol=1e-14)
+
+    def test_rule_disagreement_names_coefficient(self, monkeypatch):
+        # the refined rule is off on coefficient 3 only
+        plain = chaos.gaussian_expectation
+
+        def skewed(fn, breakpoints=(), refine=False):
+            val = plain(fn, breakpoints, refine)
+            if refine:
+                val[3] += 1e-8
+            return val
+
+        monkeypatch.setattr(chaos, "gaussian_expectation", skewed)
+        with pytest.raises(SpecError, match=r"coefficient 3 .*delta=1\.00e-08"):
+            chaos.hermite_expand(CatalogFn("exp", 0.7), 6)
+
     def test_rejects_plain_callables(self):
         with pytest.raises(SpecError):
             chaos.hermite_expand(lambda x: x, 4)
@@ -63,6 +118,13 @@ class TestHermiteExpand:
     def test_rejects_large_order(self):
         with pytest.raises(SpecError):
             chaos.hermite_expand(CatalogFn("abs"), 61)
+
+
+@pytest.fixture(scope="module")
+def exp07():
+    """The K=20 expansion of exp(0.7 x), computed once: the property tests
+    that use it exercise the Mehler scaling, not the quadrature."""
+    return chaos.hermite_expand(CatalogFn("exp", 0.7), 20)
 
 
 class TestMehler:
@@ -84,8 +146,8 @@ class TestMehler:
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
-    def test_semigroup_and_monotone_variance(self, a, b):
-        e = chaos.hermite_expand(CatalogFn("exp", 0.7), 20)
+    def test_semigroup_and_monotone_variance(self, exp07, a, b):
+        e = exp07
         once = chaos.mehler_apply(chaos.mehler_apply(e, a), b)
         joint = chaos.mehler_apply(e, a * b)
         np.testing.assert_allclose(once.coeffs, joint.coeffs, atol=1e-12)

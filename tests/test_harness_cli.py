@@ -299,6 +299,20 @@ class TestCli:
         pytest.param({"analyses": [{"type": "pointproc", "r": 5, "p": 5,
                                     "m": 5}]}, [], "r must exceed",
                      id="pointproc-r-le-m"),
+        pytest.param({"analyses": [{"type": "runs", "m": 2000}]}, [],
+                     "field: m", id="runs-m-ge-n"),
+        pytest.param({"analyses": [{"type": "blocks", "b": 100}]}, [],
+                     "field: b", id="blocks-too-few"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 1990,
+                                    "p": 20}]}, [], "field: r, p",
+                     id="pointproc-segment-exceeds-n"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            "d": 2, "alpha": 1.0, "lags": [0, 0],
+            "a": [[[1.0, 0.0], [0.0, 1.0]]],
+            "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
+            "tau": [80.0, 80.0],
+            "analyses": [{"type": "scan", "levels": [1.5], "rho": 0.5}]},
+            [], "field: reps", id="scan-reps"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change, flags,
@@ -330,6 +344,23 @@ class TestCli:
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and "reps" in err
+        assert drawn == []
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param(["maxima", "--tau", "one"], "--tau", id="maxima-tau"),
+        pytest.param(["dprime", "--tau", "5.0", "--k-list", "2,x"], "--k-list",
+                     id="dprime-k-list"),
+    ])
+    def test_malformed_flag_value_exit_2_names_flag(self, tmp_path, capsys,
+                                                    monkeypatch, argv, flag):
+        drawn = []
+        monkeypatch.setattr(harness, "_build_generator", drawn.append)
+        spec = tmp_path / "m4.json"
+        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--spec", str(spec), "--n", "2000"])
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
         assert drawn == []
 
     def test_console_script_entrypoint(self):
@@ -374,5 +405,6 @@ class TestShippedConfigs:
         cfg = ExperimentConfig.from_json(path.read_text())
         drawn = []
         gen = harness._build_generator(cfg)
-        harness.check(gen._replace(path_fn=drawn.append), cfg.analyses)
+        harness.check(gen._replace(path_fn=drawn.append), cfg.analyses,
+                      cfg.reps)
         assert drawn == []
