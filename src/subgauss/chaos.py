@@ -78,37 +78,9 @@ def block_canonical_corr(
     if h < 1:
         raise SpecError("block separation h must be >= 1")
     blocklen = r + m
-    shift = h * (r + p_gap)
-    hmax = shift + blocklen - 1
-    d0 = coeffs.d0
-    if blocklen * d0 > 2000:
-        raise SpecError("stacked block dimension exceeds the 2000 budget")
-    # beyond lag L the truncated model's autocovariance is exactly zero
-    gam = np.zeros((hmax + 1, d0, d0))
-    have = min(hmax, coeffs.L)
-    gam[: have + 1] = gausslin.autocov_all(coeffs, have)
-
-    def cross(dt: int) -> np.ndarray:
-        # E X_{t+dt} X_t'
-        return gam[dt] if dt >= 0 else gam[-dt].T
-
-    def stack_cov(offset: int) -> np.ndarray:
-        big = np.empty((blocklen * d0, blocklen * d0))
-        for a in range(blocklen):
-            for b in range(blocklen):
-                big[a * d0 : (a + 1) * d0, b * d0 : (b + 1) * d0] = cross(
-                    (a - b)
-                )
-        return big
-
-    c11 = stack_cov(0)
-    c12 = np.empty((blocklen * d0, blocklen * d0))
-    for a in range(blocklen):
-        for b in range(blocklen):
-            c12[a * d0 : (a + 1) * d0, b * d0 : (b + 1) * d0] = cross(
-                a - (b + shift)
-            )
-    return canonical_correlation(GaussianBlockPair(c11, c11.copy(), c12))
+    c11 = gausslin.block_cov(coeffs, blocklen)
+    c12 = gausslin.block_cov(coeffs, blocklen, h * (r + p_gap))
+    return canonical_correlation(GaussianBlockPair(c11, c11, c12))
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,11 @@ def _cmd_dprime(args) -> int:
 
 def _cmd_gauss_tools(args) -> int:
     table = _load_coeffs(args.spec)
+    if args.nblock < 1:
+        raise SpecError(f"--nblock {args.nblock} must be >= 1 (field: nblock)")
+    if args.berman_hmax and not 2 <= args.berman_hmax <= table.L:
+        raise SpecError(f"--berman-hmax {args.berman_hmax} must be 0 (off) or "
+                        f"lie in [2, L={table.L}] (field: berman-hmax)")
     report = gausslin.check_decay(table)
     payload = {
         "tail_decreasing": report.tail_decreasing,
@@ -196,11 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True, reps=False):
+    def common(p, seed=True):
         if seed:
             p.add_argument("--seed", type=int, default=None)
-        if reps:
-            p.add_argument("--reps", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
 
-from subgauss import chaos
+from subgauss import chaos, gausslin
 from subgauss.gausslin import SeriesMatrix, SpecError
 from subgauss.m4 import ThresholdVector
 
@@ -117,8 +116,10 @@ def blocks_theta(Y, u, b: int) -> EstimatorReport:
 def dprime_ks(k_list) -> list:
     """The distinct k of an anti-clustering k_list, ascending."""
     ks = sorted(set(int(k) for k in k_list))
-    if not ks or ks[0] < 1:
-        raise SpecError("k_list must hold at least one k >= 1 (field: k_list)")
+    if not ks or ks[0] < 2:
+        # k = 1 would reach lag n, which has no pairs in a path of length n
+        raise SpecError("k_list must hold at least one k, each >= 2 "
+                        "(field: k_list)")
     return ks
 
 
@@ -132,10 +133,9 @@ def dprime_path(Y, u_level: float, k_list) -> tuple:
     ks = dprime_ks(k_list)
     jmax = n // ks[0]
     e = (v > u_level).astype(float)
-    # counts_j = sum_k e_k e_{k+j} for all lags at once
-    c = fftconvolve(e, e[::-1])
-    counts = c[n - 1 : n - 1 + jmax + 1]  # lag 0..jmax
-    counts = np.round(counts).astype(int)
+    # counts_j = sum_k e_k e_{k+j} for lags j = 0..jmax
+    counts = np.round(gausslin.lag_products(e[:, None, None], jmax)[:, 0, 0])
+    counts = counts.astype(int)
     lags = np.arange(1, jmax + 1)
     p_hat = counts[1:] / (n - lags)
     csum = np.concatenate([[0.0], np.cumsum(p_hat)])

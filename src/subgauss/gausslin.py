@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft
-from scipy.signal import fftconvolve
 
 GENERATOR_ID = "philox4x64-numpy"
 
@@ -286,33 +285,64 @@ def autocov(coeffs: CoeffTable, h: int) -> tuple[np.ndarray, float]:
     return gamma, _tail_bound(coeffs, h)
 
 
+def lag_products(x: np.ndarray, hmax: int) -> np.ndarray:
+    """sum_l x_l x_{l+h}' for h = 0..hmax over a (T, p, q) array; shape
+    (hmax+1, p, p).
+
+    One real FFT of length N >= T + min(hmax, T-1) along time, one
+    frequency-domain product and one inverse FFT: the circular products
+    wrap only onto lags above that minimum, which are not kept. Lags past
+    T-1 have no pairs and are exactly zero.
+    """
+    T = x.shape[0]
+    have = min(hmax, T - 1)
+    N = fft.next_fast_len(T + have, real=True)
+    X = fft.rfft(x, n=N, axis=0)
+    prod = fft.irfft(np.einsum("fij,fkj->fik", X.conj(), X), n=N, axis=0)
+    out = np.zeros((hmax + 1,) + prod.shape[1:])
+    out[: have + 1] = prod[: have + 1]
+    return out
+
+
 def autocov_all(coeffs: CoeffTable, hmax: int) -> np.ndarray:
-    """All of Gamma(0..hmax) at once via FFT cross-correlation of the
-    coefficient sequences; shape (hmax+1, d0, d0)."""
+    """All of Gamma(0..hmax) at once; shape (hmax+1, d0, d0)."""
     if hmax < 0 or hmax > coeffs.L:
         raise SpecError(f"hmax={hmax} outside [0, L={coeffs.L}]")
-    psi = coeffs.psi
-    d0 = coeffs.d0
-    out = np.empty((hmax + 1, d0, d0))
-    for i in range(d0):
-        for k in range(d0):
-            acc = np.zeros(hmax + 1)
-            for j in range(d0):
-                # sum_l psi_{ij,l} psi_{kj,l+h}: correlate column sequences
-                c = fftconvolve(psi[:, i, j][::-1], psi[:, k, j])
-                acc += c[coeffs.L : coeffs.L + hmax + 1]
-            out[:, i, k] = acc
-    return out
+    return lag_products(coeffs.psi, hmax)
 
 
 def berman_profile(coeffs: CoeffTable, hmax: int) -> np.ndarray:
     """max_ij |Gamma_ij(h)| * log(h) for h = 2..hmax."""
-    if hmax > coeffs.L:
-        raise SpecError("hmax must not exceed L")
+    if not 2 <= hmax <= coeffs.L:
+        raise SpecError(f"hmax={hmax} outside [2, L={coeffs.L}]")
     gam = autocov_all(coeffs, hmax)
     h = np.arange(2, hmax + 1)
     amp = np.max(np.abs(gam[2:]), axis=(1, 2))
     return amp * np.log(h)
+
+
+def block_cov(coeffs: CoeffTable, blocklen: int, shift: int = 0) -> np.ndarray:
+    """Cov(X_a, X_{b+shift}) for a, b in [0, blocklen) as one
+    (blocklen*d0)^2 matrix: block (a, b) is Gamma(b + shift - a), with
+    Gamma(h) = Cov(X_t, X_{t+h}) and Gamma(-h) = Gamma(h)'.
+
+    Gamma(h) = 0 past L, exactly, in the truncated model, so any shift is
+    legal. The dense matrix is limited to 2000 rows.
+    """
+    d0 = coeffs.d0
+    if blocklen < 1 or shift < 0:
+        raise SpecError(f"blocklen={blocklen} must be >= 1 and shift={shift} "
+                        ">= 0")
+    if blocklen * d0 > 2000:
+        raise SpecError(f"blocklen * d0 = {blocklen * d0} exceeds the dense "
+                        "budget (2000)")
+    hmax = shift + blocklen - 1
+    gam = lag_products(coeffs.psi, hmax)
+    # lag k - hmax at index k, for lags -hmax..hmax
+    both = np.concatenate([gam[:0:-1].transpose(0, 2, 1), gam])
+    a = np.arange(blocklen)
+    blocks = both[hmax + shift + a[None, :] - a[:, None]]  # [a, b, i, k]
+    return blocks.transpose(0, 2, 1, 3).reshape(blocklen * d0, blocklen * d0)
 
 
 def block_toeplitz_min_eig(coeffs: CoeffTable, nblock: int) -> float:
@@ -320,18 +350,7 @@ def block_toeplitz_min_eig(coeffs: CoeffTable, nblock: int) -> float:
 
     Returned even if <= 0; the caller decides what nonpositivity means.
     """
-    d0 = coeffs.d0
-    if nblock * d0 > 2000:
-        raise SpecError("nblock * d0 exceeds the dense eigensolve budget (2000)")
-    gam = autocov_all(coeffs, nblock - 1) if nblock > 1 else autocov_all(coeffs, 0)
-    big = np.empty((nblock * d0, nblock * d0))
-    for i in range(nblock):
-        for j in range(nblock):
-            # Cov(X_i, X_j) = E X_i X_j' = Gamma(i - j)
-            h = i - j
-            blk = gam[h] if h >= 0 else gam[-h].T
-            big[i * d0 : (i + 1) * d0, j * d0 : (j + 1) * d0] = blk
-    return float(np.linalg.eigvalsh(big)[0])
+    return float(np.linalg.eigvalsh(block_cov(coeffs, nblock))[0])
 
 
 def full_rank_check(coeffs: CoeffTable) -> bool:

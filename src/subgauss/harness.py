@@ -94,6 +94,8 @@ def _check_scan(a, gen, reps):
 def _check_gauss_tools(a, gen, reps):
     if not isinstance(gen.spec, GaussSource):
         raise SpecError("needs a gauss generator (field: kind)")
+    if a.get("nblock", 10) < 1:
+        raise SpecError(f"nblock={a['nblock']} must be >= 1 (field: nblock)")
 
 
 # Summarize steps: (analysis, {replication: per-path result} or None for an

@@ -103,16 +103,6 @@ class M4Spec:
     def lag_values(self) -> np.ndarray:
         return np.arange(self.r_lo, self.r_hi + 1)
 
-    def restricted(self, m_trunc: int) -> "M4Spec":
-        """Spec with lags clipped to |r| <= m_trunc (used by build)."""
-        lo = max(self.r_lo, -m_trunc)
-        hi = min(self.r_hi, m_trunc)
-        sel = (self.lag_values() >= lo) & (self.lag_values() <= hi)
-        return M4Spec(
-            d=self.d, alpha=self.alpha, lags=(lo, hi), a=self.a[sel],
-            innovation=self.innovation,
-        )
-
     def to_json(self) -> str:
         if isinstance(self.innovation, IidPareto):
             inn = {"kind": "iid_pareto", "alpha": self.innovation.alpha}
@@ -300,9 +290,7 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
         for i in range(spec.d):
             for j in range(spec.d):
                 np.maximum(out[:, i], Wseg[:, j] * spec.a[ri, i, j], out=out[:, i])
-    meta = dict(W.meta)
-    meta["m4"] = {"lags": list(spec.lags), "m_trunc": m_trunc}
-    return SeriesMatrix(values=out, meta=meta)
+    return SeriesMatrix(values=out, meta=W.meta)
 
 
 def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:

@@ -132,9 +132,7 @@ def apply(X: SeriesMatrix, t: WindowTransform) -> SeriesMatrix:
             [X.values[t.m - l : t.m - l + n_out, part.coord] for l in range(t.m + 1)]
         )
         out[:, i] = part.evaluate(window)
-    meta = dict(X.meta)
-    meta["transform"] = t.to_json()
-    return SeriesMatrix(values=out, meta=meta)
+    return SeriesMatrix(values=out, meta=X.meta)
 
 
 def marginal_tail(part: Part, u: float) -> float:

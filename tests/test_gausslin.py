@@ -26,6 +26,26 @@ def poly_spec(beta=1.0, L=3, d0=1, b=1.0):
     )
 
 
+def random_custom(d0, L, seed):
+    """A table with asymmetric Gamma(h): psi drawn i.i.d. normal."""
+    psi = np.random.default_rng(seed).normal(size=(L + 1, d0, d0))
+    return make_coeffs(LinearProcessSpec(d0=d0, family=Custom(psi), L=L))
+
+
+def dense_cov(table, times):
+    """Covariance of (X_t for t in times), stacked, from the moving-average
+    form X_t = sum_l Psi_l eps_{t-l}: one row block per t over the
+    innovations eps_s, s = min(times)-L..max(times)."""
+    L, d0 = table.L, table.d0
+    first = min(times) - L
+    A = np.zeros((len(times) * d0, (max(times) - first + 1) * d0))
+    for row, t in enumerate(times):
+        for l in range(L + 1):
+            col = (t - l - first) * d0
+            A[row * d0 : (row + 1) * d0, col : col + d0] = table.psi[l]
+    return A @ A.T
+
+
 class TestMakeCoeffs:
     def test_polynomial_values(self):
         # psi_l = B (l+1)^(-beta)
@@ -108,11 +128,14 @@ class TestAutocov:
         assert err <= bound
 
     def test_all_lags_matches_single_lag(self):
-        t = make_coeffs(poly_spec(beta=0.8, L=64, d0=2, b=0.9))
-        gam = gausslin.autocov_all(t, 9)
-        for h in range(10):
-            g, _ = gausslin.autocov(t, h)
-            np.testing.assert_allclose(gam[h], g, atol=1e-12)
+        poly = make_coeffs(poly_spec(beta=0.8, L=64, d0=2, b=0.9))
+        asym = random_custom(d0=3, L=20, seed=5)
+        for t, hmax in ((poly, 9), (asym, 13), (poly, poly.L)):
+            gam = gausslin.autocov_all(t, hmax)
+            assert gam.shape == (hmax + 1, t.d0, t.d0)
+            for h in range(hmax + 1):
+                g, _ = gausslin.autocov(t, h)
+                np.testing.assert_allclose(gam[h], g, rtol=0, atol=1e-12)
 
     def test_asymmetric_matrix_orientation(self):
         # Gamma(h)_{ik} = sum_l psi_{i., l} . psi_{k., l+h} -- the transpose
@@ -130,6 +153,49 @@ class TestAutocov:
         g, _ = gausslin.autocov(t, 1)
         np.testing.assert_allclose(g, want, atol=1e-14)
         np.testing.assert_allclose(gausslin.autocov_all(t, 1)[1], want, atol=1e-14)
+
+
+class TestLagProducts:
+    @pytest.mark.parametrize("T, hmax", [(1, 0), (1, 3), (7, 4), (7, 6),
+                                         (7, 20)])
+    def test_matches_direct_sum(self, T, hmax):
+        # sum_l x_l x_{l+h}' over a (T, p, q) array; no pairs past T-1
+        x = np.random.default_rng(T + hmax).normal(size=(T, 2, 3))
+        got = gausslin.lag_products(x, hmax)
+        assert got.shape == (hmax + 1, 2, 2)
+        for h in range(hmax + 1):
+            want = sum((x[l] @ x[l + h].T for l in range(T - h)),
+                       np.zeros((2, 2)))
+            np.testing.assert_allclose(got[h], want, rtol=0, atol=1e-12)
+        assert np.all(got[T:] == 0.0)
+
+
+class TestBlockCov:
+    @pytest.mark.parametrize("shift", [0, 1, 3, 12])
+    def test_matches_moving_average_reference(self, shift):
+        # blocks of 7 > L+1 = 5 times, so Gamma(h) past L enters; shift 12
+        # puts the two blocks farther apart than L
+        t = random_custom(d0=2, L=4, seed=3)
+        blocklen = 7
+        times = list(range(blocklen)) + list(range(shift, shift + blocklen))
+        ref = dense_cov(t, times)
+        k = blocklen * t.d0
+        np.testing.assert_allclose(gausslin.block_cov(t, blocklen), ref[:k, :k],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gausslin.block_cov(t, blocklen, shift),
+                                   ref[:k, k:], rtol=0, atol=1e-12)
+
+    def test_min_eig_past_the_table(self):
+        t = random_custom(d0=2, L=4, seed=3)
+        want = np.linalg.eigvalsh(dense_cov(t, list(range(9))))[0]
+        np.testing.assert_allclose(gausslin.block_toeplitz_min_eig(t, 9), want,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("blocklen, shift", [(0, 0), (-3, 0), (2, -1)])
+    def test_rejects_bad_geometry(self, blocklen, shift):
+        t = random_custom(d0=2, L=4, seed=3)
+        with pytest.raises(SpecError):
+            gausslin.block_cov(t, blocklen, shift)
 
 
 class TestDecayAndRank:
@@ -155,6 +221,12 @@ class TestDecayAndRank:
         assert len(prof) == 99  # h = 2..100
         g2, _ = gausslin.autocov(t, 2)
         np.testing.assert_allclose(prof[0], abs(g2[0, 0]) * np.log(2.0))
+
+    @pytest.mark.parametrize("hmax", [-1, 0, 1, 2001])
+    def test_berman_profile_rejects_hmax(self, hmax):
+        t = make_coeffs(poly_spec(beta=1.0, L=2000))
+        with pytest.raises(SpecError, match="hmax"):
+            gausslin.berman_profile(t, hmax)
 
     def test_block_toeplitz_two_blocks(self):
         # 2x2 Toeplitz [[g0, g1], [g1, g0]]: min eig = g0 - |g1|

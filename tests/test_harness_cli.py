@@ -288,6 +288,8 @@ class TestCli:
                      id="scan-univariate"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": []}]}, [],
                      "field: k_list", id="dprime-k_list-empty"),
+        pytest.param({"analyses": [{"type": "dprime", "k_list": [1, 2]}]}, [],
+                     "field: k_list", id="dprime-k-one"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             "d": 2, "alpha": 1.0, "lags": [0, 0],
             "a": [[[1.0, 0.0], [0.0, 1.0]]],
@@ -296,6 +298,10 @@ class TestCli:
             [], "field: d", id="dprime-bivariate"),
         pytest.param({"analyses": [{"type": "gauss-tools"}]}, [], "field: kind",
                      id="gauss-tools-m4"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
+            "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": 0}]},
+            [], "field: nblock", id="gauss-tools-nblock"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 5, "p": 5,
                                     "m": 5}]}, [], "r must exceed",
                      id="pointproc-r-le-m"),
@@ -371,6 +377,97 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+
+class TestCovarianceCli:
+    """`acf` and `gauss-tools` against per-lag `autocov` and a dense
+    eigensolve built from it; values, not bytes, since the FFT kernel may
+    move the last bit."""
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        psi = np.random.default_rng(2).normal(size=(9, 2, 2))
+        table = gausslin.make_coeffs(gausslin.LinearProcessSpec(
+            d0=2, family=gausslin.Custom(psi), L=8))
+        f = tmp_path / "lin.json"
+        f.write_text(table.to_json())
+        return f, table
+
+    @staticmethod
+    def dense_min_eig(table, nblock):
+        def gamma(h):  # Cov(X_a, X_{a+h}); zero past L
+            if abs(h) > table.L:
+                return np.zeros((table.d0, table.d0))
+            g = gausslin.autocov(table, abs(h))[0]
+            return g if h >= 0 else g.T
+        big = np.block([[gamma(b - a) for b in range(nblock)]
+                        for a in range(nblock)])
+        return np.linalg.eigvalsh(big)[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_acf_matches_autocov(self, tmp_path, spec, fmt):
+        f, table = spec
+        out = tmp_path / f"acf.{fmt}"
+        argv = ["acf", "--spec", str(f), "--hmax", "8", "--format", fmt,
+                "--out", str(out)]
+        assert cli_main(argv) == 0
+        if fmt == "csv":
+            lines = out.read_text().splitlines()
+            assert lines[0] == "h,g00,g01,g10,g11"
+            got = np.array([[float(v) for v in line.split(",")[1:]]
+                            for line in lines[1:]]).reshape(9, 2, 2)
+        else:
+            obj = json.loads(out.read_text())
+            got = np.array(obj["gamma"])
+            assert obj["tail_bound"] == gausslin.autocov(table, 8)[1]
+        want = np.array([gausslin.autocov(table, h)[0] for h in range(9)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_gauss_tools_matches_dense_reference(self, tmp_path, spec):
+        f, table = spec
+        out = tmp_path / "tools.json"
+        argv = ["gauss-tools", "--spec", str(f), "--nblock", "12",
+                "--berman-hmax", "8", "--out", str(out)]
+        assert cli_main(argv) == 0
+        rep = json.loads(out.read_text())
+        np.testing.assert_allclose(rep["block_toeplitz_min_eig"],
+                                   self.dense_min_eig(table, 12),
+                                   rtol=0, atol=1e-14)
+        g8 = gausslin.autocov(table, 8)[0]
+        np.testing.assert_allclose(rep["berman_last"],
+                                   np.max(np.abs(g8)) * np.log(8.0),
+                                   rtol=0, atol=1e-14)
+        assert rep["full_rank"] == gausslin.full_rank_check(table)
+        assert rep["tail_decreasing"] == gausslin.check_decay(table).tail_decreasing
+
+    def test_default_nblock_past_the_table(self, tmp_path, spec, capsys):
+        # --nblock 10 needs Gamma(9) on an L=8 table: exactly zero
+        f, table = spec
+        assert cli_main(["gauss-tools", "--spec", str(f)]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(rep["block_toeplitz_min_eig"],
+                                   self.dense_min_eig(table, 10),
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("flags, field", [
+        pytest.param(["--nblock", "0"], "field: nblock", id="nblock-zero"),
+        pytest.param(["--nblock", "-3"], "field: nblock", id="nblock-negative"),
+        pytest.param(["--berman-hmax", "1"], "field: berman-hmax",
+                     id="berman-hmax-one"),
+        pytest.param(["--berman-hmax", "-4"], "field: berman-hmax",
+                     id="berman-hmax-negative"),
+        pytest.param(["--berman-hmax", "9"], "field: berman-hmax",
+                     id="berman-hmax-past-L"),
+    ])
+    def test_bad_input_exit_2_names_field(self, spec, capsys, monkeypatch,
+                                          flags, field):
+        f, _ = spec
+        computed = []
+        monkeypatch.setattr(gausslin, "lag_products", computed.append)
+        assert cli_main(["gauss-tools", "--spec", str(f)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+        assert computed == []
 
 
 class TestCliGolden:
