@@ -121,6 +121,10 @@ class CatalogFn:
             return (self.param[0],)
         if self.kind == "abs":
             return (0.0,)
+        if self.kind == "poly":
+            # |f|^p has kinks at the real roots
+            roots = np.polynomial.polynomial.polyroots(np.asarray(self.param))
+            return tuple(float(r) for r in np.unique(roots.real[roots.imag == 0]))
         return ()
 
 
@@ -143,32 +147,129 @@ class HermiteExpansion:
 
 _PDF = lambda x: np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
+# Gauss-Kronrod G10/K21 rule on [-1, 1] (QUADPACK qk21): the 21 Kronrod
+# nodes, their weights, and the weights of the 10 Gauss nodes, which are the
+# odd-indexed Kronrod nodes. Each table lists one half, mirrored below.
+_GK21_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_GK21_X = np.concatenate([_GK21_X, -_GK21_X[-2::-1]])
+_K21_W = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_K21_W = np.concatenate([_K21_W, _K21_W[-2::-1]])
+_G10_W = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_G10_W = np.concatenate([_G10_W, _G10_W[::-1]])
+
+
+def _gk21(fn, lo, hi):
+    """The G10/K21 rule on every panel [lo_i, hi_i] of fn(x) phi(x), from one
+    call of fn on all their nodes. Returns the Kronrod integrals (panels, m),
+    and per panel the error estimate and the rounding-error bound in the max
+    norm, scaled as QUADPACK does."""
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + half[:, None] * _GK21_X
+    y = np.asarray(fn(x.ravel()), dtype=float)
+    fx = y.reshape(x.shape + (-1,)) * _PDF(x)[..., None]
+    kron = np.einsum("j,pjm->pm", _K21_W, fx)
+    gauss = np.einsum("j,pjm->pm", _G10_W, fx[:, 1::2])
+    k_abs = np.einsum("j,pjm->pm", _K21_W, np.abs(fx))
+    k_dev = np.einsum("j,pjm->pm", _K21_W, np.abs(fx - 0.5 * kron[:, None]))
+    h = half[:, None]
+    err = np.max(np.abs((kron - gauss) * h), axis=1)
+    dev = np.max(k_dev * h, axis=1)
+    scale = (err != 0) & (dev != 0)
+    err[scale] = dev[scale] * np.minimum(
+        1.0, (200.0 * err[scale] / dev[scale]) ** 1.5)
+    rnd = np.max(50.0 * np.finfo(float).eps * h * k_abs, axis=1)
+    err = np.where(rnd > np.finfo(float).tiny, np.maximum(err, rnd), err)
+    return (kron * h).reshape(lo.shape + y.shape[1:]), err, rnd
+
 
 def gaussian_expectation(fn, breakpoints=(), refine=False):
-    """E[fn(Z)] for standard normal Z by adaptive quadrature, splitting the
-    axis at the supplied breakpoints so kinks and jumps are respected.
+    """E[fn(Z)] for standard normal Z by batched adaptive Gauss-Kronrod
+    (G10/K21) quadrature on [-40, 40], split into panels at the supplied
+    breakpoints so kinks and jumps are respected.
 
-    fn may return a scalar or a vector; the result is a float or an array of
-    the same shape. Each panel is one adaptive pass (`quad_vec`) that
-    subdivides for all components at once, its error measured in the max
-    norm. With refine=True, extra panel boundaries force a different
-    subdivision; agreement between the two rules certifies convergence.
+    fn takes a 1-D array of nodes and returns one value per node, shape
+    (nodes,), or one vector per node, shape (nodes, m); the result is a
+    float or an array of shape (m,). Each panel is refined as
+    `scipy.integrate.quad_vec(norm="max")` refines it: every round halves,
+    in each unconverged panel, its subintervals of largest error until the
+    rest is below tol/8, where tol = max(1e-13, 1e-12 max|panel integral|),
+    and the panel stops when its error sum is below tol/8 (or below the
+    accumulated rounding error). All halves of a round, over all panels, go
+    to fn in one call. A panel that reaches 200 subintervals unconverged,
+    or a non-finite error, raises SpecError. With refine=True, extra panel
+    boundaries at -3, -1, 1, 3 force a different subdivision; agreement
+    between the two rules certifies convergence.
     """
     # The density underflows to zero beyond |x| ~ 39; finite limits keep
     # adaptive quadrature from probing points where fn itself overflows.
-    cut = 40.0
+    cut, epsabs, epsrel, limit = 40.0, 1e-13, 1e-12, 200
     pts = {-cut, cut} | {float(b) for b in breakpoints if abs(b) < cut}
     if refine:
         pts |= {-3.0, -1.0, 1.0, 3.0}
-    pts = sorted(pts)
+    pts = np.array(sorted(pts))
+    lo, hi, owner = pts[:-1], pts[1:], np.arange(len(pts) - 1)
+    val, err, rnd = _gk21(fn, lo, hi)
+    rounding = rnd.copy()  # per panel, summed over every rule applied
+    active = list(owner)
+    while True:
+        split = []
+        for p in list(active):
+            mine = np.flatnonzero(owner == p)
+            total = err[mine].sum()
+            tol = max(epsabs, epsrel * np.max(np.abs(val[mine].sum(axis=0))))
+            if not (np.isfinite(total) and np.isfinite(rounding[p])):
+                raise SpecError(f"quadrature on [{pts[p]:g}, {pts[p + 1]:g}] "
+                                "met a non-finite value")
+            if len(mine) >= 2 and (total < tol / 8 or total < rounding[p]):
+                active.remove(p)
+                continue
+            if len(mine) >= limit:
+                raise SpecError(f"quadrature on [{pts[p]:g}, {pts[p + 1]:g}] "
+                                f"did not converge within {limit} subintervals")
+            worst = mine[np.lexsort((lo[mine], -err[mine]))]
+            # halve the worst subinterval, and the next ones while the error
+            # left behind exceeds tol/8 (at most 128 per round)
+            spent = np.cumsum(err[worst])[:127]
+            split.append(worst[: 1 + np.count_nonzero(
+                spent[: len(worst) - 1] <= total - tol / 8)])
+        if not split:
+            break
+        split = np.concatenate(split)
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate([lo[split], mid])
+        new_hi = np.concatenate([mid, hi[split]])
+        new_val, new_err, new_rnd = _gk21(fn, new_lo, new_hi)
+        n = len(split)
+        np.add.at(rounding, owner[split], new_rnd[:n] + new_rnd[n:])
+        keep = np.ones(len(lo), dtype=bool)
+        keep[split] = False
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        owner = np.concatenate([owner[keep], owner[split], owner[split]])
+        val = np.concatenate([val[keep], new_val])
+        err = np.concatenate([err[keep], new_err])
     total = 0.0
-    for a, b in zip(pts[:-1], pts[1:]):
-        val, _ = integrate.quad_vec(
-            lambda x: fn(x) * _PDF(x), a, b, epsabs=1e-13, epsrel=1e-12,
-            limit=200, norm="max",
-        )
-        total += val
-    return total
+    for p in range(len(pts) - 1):
+        total = total + val[owner == p].sum(axis=0)
+    return total if np.ndim(total) else float(total)
 
 
 def hermite_expand(f: CatalogFn, K: int) -> HermiteExpansion:
@@ -183,11 +284,14 @@ def hermite_expand(f: CatalogFn, K: int) -> HermiteExpansion:
 
     def integrand(x):
         # orthonormal h_k = He_k(x) / sqrt(k!) by the three-term recurrence
-        # h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1)
-        h = [1.0, x][: K + 1]
+        # h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), one row per k
+        h = np.empty((K + 1, x.size))
+        h[0] = 1.0
+        if K:
+            h[1] = x
         for k in range(1, K):
-            h.append((x * h[k] - root[k] * h[k - 1]) / root[k + 1])
-        return float(f(x)) * np.array(h)
+            h[k + 1] = (x * h[k] - root[k] * h[k - 1]) / root[k + 1]
+        return (f(x) * h).T
 
     bp = f.breakpoints()
     coeffs = gaussian_expectation(integrand, bp)
@@ -225,9 +329,9 @@ def hypercontractivity_check(f: CatalogFn, a: float, K: int = 40):
     lhs = scaled.l2_norm()
     p = 1.0 + a * a
     bp = f.breakpoints()
-    moment = gaussian_expectation(lambda x: abs(float(f(x))) ** p, bp)
+    moment = gaussian_expectation(lambda x: np.abs(f(x)) ** p, bp)
     moment_check = gaussian_expectation(
-        lambda x: abs(float(f(x))) ** p, bp, refine=True
+        lambda x: np.abs(f(x)) ** p, bp, refine=True
     )
     if abs(moment - moment_check) > 1e-8:
         raise SpecError("norm quadrature did not converge")

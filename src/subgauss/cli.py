@@ -162,11 +162,7 @@ def _cmd_dprime(args) -> int:
 
 def _cmd_gauss_tools(args) -> int:
     table = _load_coeffs(args.spec)
-    if args.nblock < 1:
-        raise SpecError(f"--nblock {args.nblock} must be >= 1 (field: nblock)")
-    if args.berman_hmax and not 2 <= args.berman_hmax <= table.L:
-        raise SpecError(f"--berman-hmax {args.berman_hmax} must be 0 (off) or "
-                        f"lie in [2, L={table.L}] (field: berman-hmax)")
+    harness.check_gauss_tools(table, args.nblock, args.berman_hmax)
     report = gausslin.check_decay(table)
     payload = {
         "tail_decreasing": report.tail_decreasing,

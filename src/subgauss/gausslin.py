@@ -19,6 +19,7 @@ GENERATOR_ID = "philox4x64-numpy"
 
 # Relative eigenvalue floor below which a covariance is treated as singular.
 RANK_TOL = 1e-10
+DENSE_ROWS = 2000  # largest dense block covariance, in rows
 
 
 class SpecError(ValueError):
@@ -327,15 +328,15 @@ def block_cov(coeffs: CoeffTable, blocklen: int, shift: int = 0) -> np.ndarray:
     Gamma(h) = Cov(X_t, X_{t+h}) and Gamma(-h) = Gamma(h)'.
 
     Gamma(h) = 0 past L, exactly, in the truncated model, so any shift is
-    legal. The dense matrix is limited to 2000 rows.
+    legal. The dense matrix is limited to DENSE_ROWS rows.
     """
     d0 = coeffs.d0
     if blocklen < 1 or shift < 0:
         raise SpecError(f"blocklen={blocklen} must be >= 1 and shift={shift} "
                         ">= 0")
-    if blocklen * d0 > 2000:
+    if blocklen * d0 > DENSE_ROWS:
         raise SpecError(f"blocklen * d0 = {blocklen * d0} exceeds the dense "
-                        "budget (2000)")
+                        f"budget ({DENSE_ROWS})")
     hmax = shift + blocklen - 1
     gam = lag_products(coeffs.psi, hmax)
     # lag k - hmax at index k, for lags -hmax..hmax

@@ -91,11 +91,27 @@ def _check_scan(a, gen, reps):
                         f"1, not {reps} (field: reps)")
 
 
+def check_gauss_tools(table: gausslin.CoeffTable, nblock: int,
+                      berman_hmax: int = 0) -> None:
+    """The inputs of a gauss-tools report (`subgauss gauss-tools` and the
+    config analysis), checked before any lag product is computed."""
+    if table.L < 8:
+        raise SpecError(f"check_decay needs a table with L >= 8, not "
+                        f"L={table.L} (field: L)")
+    most = gausslin.DENSE_ROWS // table.d0
+    if not 1 <= nblock <= most:
+        raise SpecError(f"nblock={nblock} must lie in [1, {most}], the dense "
+                        f"budget nblock * d0 <= {gausslin.DENSE_ROWS} "
+                        "(field: nblock)")
+    if berman_hmax and not 2 <= berman_hmax <= table.L:
+        raise SpecError(f"berman-hmax={berman_hmax} must be 0 (off) or lie in "
+                        f"[2, L={table.L}] (field: berman-hmax)")
+
+
 def _check_gauss_tools(a, gen, reps):
     if not isinstance(gen.spec, GaussSource):
         raise SpecError("needs a gauss generator (field: kind)")
-    if a.get("nblock", 10) < 1:
-        raise SpecError(f"nblock={a['nblock']} must be >= 1 (field: nblock)")
+    check_gauss_tools(gen.spec.table, a.get("nblock", 10))
 
 
 # Summarize steps: (analysis, {replication: per-path result} or None for an

@@ -85,8 +85,74 @@ class TestHermiteExpand:
     def test_parseval(self):
         f = CatalogFn("exp", 0.6)
         e = chaos.hermite_expand(f, 40)
-        second_moment = chaos.gaussian_expectation(lambda x: float(f(x)) ** 2)
+        second_moment = chaos.gaussian_expectation(lambda x: f(x) ** 2)
         np.testing.assert_allclose(e.l2_norm() ** 2, second_moment, atol=1e-9)
+
+    @pytest.mark.parametrize("f", E7_CATALOG[:4],
+                             ids=lambda f: f"{f.kind}{f.param}")
+    def test_closed_forms_at_k40(self, f):
+        # exp: c_k = e^{t^2/2} t^k / sqrt(k!); indicator 1{x > c}:
+        # c_0 = P(Z > c), c_k = phi(c) h_{k-1}(c) / sqrt(k)
+        K, t = 40, f.param[0]
+        k = np.arange(K + 1)
+        fact = np.array([math.factorial(j) for j in k], dtype=float)
+        if f.kind == "exp":
+            want = math.exp(t * t / 2) * t**k / np.sqrt(fact)
+        else:
+            h = hermite_e.hermevander(np.array([t]), K - 1)[0] / np.sqrt(fact[:K])
+            phi = math.exp(-t * t / 2) / math.sqrt(2 * math.pi)
+            want = np.concatenate([[ndtr(-t)], phi * h / np.sqrt(k[1:])])
+        got = chaos.hermite_expand(f, K).coeffs
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_integrand_runs_once_per_panel_set(self, monkeypatch):
+        # one expansion is a handful of batched calls over all active
+        # panels, not one call per node
+        sizes = []
+        plain = chaos.gaussian_expectation
+
+        def counting(fn, breakpoints=(), refine=False):
+            def wrapped(x):
+                sizes.append(np.size(x))
+                return fn(x)
+            return plain(wrapped, breakpoints, refine)
+
+        monkeypatch.setattr(chaos, "gaussian_expectation", counting)
+        chaos.hermite_expand(CatalogFn("abs"), 40)
+        assert 2 <= len(sizes) <= 60
+        assert all(n % 21 == 0 for n in sizes) and sum(sizes) > 1000
+
+    def test_scalar_and_vector_integrands(self):
+        got = chaos.gaussian_expectation(lambda x: x * x)
+        assert isinstance(got, float)
+        np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-14)
+        vec = chaos.gaussian_expectation(lambda x: np.stack([x, x * x, x**4], 1))
+        assert vec.shape == (3,)
+        np.testing.assert_allclose(vec, [0.0, 1.0, 3.0], rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("c", [0.123, 1 / 3])
+    def test_kink_inside_a_panel(self, c):
+        # E|Z - c| = 2 phi(c) + c (2 Phi(c) - 1); no breakpoint at c, so
+        # only adaptive subdivision to the full tolerance gets it
+        phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
+        got = chaos.gaussian_expectation(lambda x: np.abs(x - c))
+        np.testing.assert_allclose(got, 2 * phi + c * (2 * ndtr(c) - 1),
+                                   rtol=0, atol=1e-14)
+
+    def test_panel_budget_exhausted_raises(self):
+        with pytest.raises(SpecError, match="200 subintervals"):
+            chaos.gaussian_expectation(lambda x: np.sin(1e4 * x))
+
+    def test_non_finite_integrand_raises(self):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SpecError, match="non-finite"):
+            chaos.gaussian_expectation(lambda x: np.exp(30.0 * x))
+
+    def test_poly_breakpoints_are_real_roots(self):
+        assert CatalogFn("poly", (0.0, 1.0, 0.5)).breakpoints() == (-2.0, 0.0)
+        assert CatalogFn("poly", (2.0, -3.0, 1.0)).breakpoints() == (1.0, 2.0)
+        assert CatalogFn("poly", (1.0, 0.0, 1.0)).breakpoints() == ()
+        assert CatalogFn("poly", (1.0,)).breakpoints() == ()
 
     @pytest.mark.parametrize("f", E7_CATALOG,
                              ids=lambda f: f"{f.kind}{f.param}")

@@ -302,6 +302,14 @@ class TestCli:
             "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": 0}]},
             [], "field: nblock", id="gauss-tools-nblock"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
+            "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": 2001}]},
+            [], "field: nblock", id="gauss-tools-dense-budget"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 4}}, "tau": [],
+            "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: L", id="gauss-tools-short-table"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 5, "p": 5,
                                     "m": 5}]}, [], "r must exceed",
                      id="pointproc-r-le-m"),
@@ -452,6 +460,8 @@ class TestCovarianceCli:
     @pytest.mark.parametrize("flags, field", [
         pytest.param(["--nblock", "0"], "field: nblock", id="nblock-zero"),
         pytest.param(["--nblock", "-3"], "field: nblock", id="nblock-negative"),
+        pytest.param(["--nblock", "1001"], "field: nblock",
+                     id="nblock-over-dense-budget"),
         pytest.param(["--berman-hmax", "1"], "field: berman-hmax",
                      id="berman-hmax-one"),
         pytest.param(["--berman-hmax", "-4"], "field: berman-hmax",
@@ -467,6 +477,19 @@ class TestCovarianceCli:
         assert cli_main(["gauss-tools", "--spec", str(f)] + flags) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
+        assert computed == []
+
+    def test_short_table_exit_2_names_L(self, tmp_path, capsys, monkeypatch):
+        # check_decay needs L >= 8
+        table = gausslin.make_coeffs(gausslin.LinearProcessSpec(
+            d0=1, family=gausslin.Polynomial(beta=1.0, B=np.eye(1)), L=4))
+        f = tmp_path / "short.json"
+        f.write_text(table.to_json())
+        computed = []
+        monkeypatch.setattr(gausslin, "lag_products", computed.append)
+        assert cli_main(["gauss-tools", "--spec", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "field: L" in err
         assert computed == []
 
 

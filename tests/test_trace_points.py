@@ -1,20 +1,26 @@
-"""The benchmark's trace points resolve in the package.
+"""The benchmark's trace points and calls resolve in the package.
 
 `bench/run.py --trace 1` wraps every (module, attribute) pair of
 `bench/session.py`'s TRACE_POINTS with getattr, so deleting or renaming one
 of those attributes breaks the traced benchmark run, which this suite does
-not start. This test reads the list without changing `bench/`.
+not start. `bench/workloads.py` calls the chaos oracles with positional
+arguments, and `session._expand_info` keys every `hermite_expand` span by
+its (f, K). These tests read `bench/` without changing it.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+from subgauss import chaos
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def test_every_trace_point_resolves(monkeypatch):
+def load_session(monkeypatch):
     # session.py imports its siblings `tracer` and `workloads` by name
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location("bench_session",
@@ -25,8 +31,50 @@ def test_every_trace_point_resolves(monkeypatch):
     finally:
         for name in ("tracer", "workloads"):
             sys.modules.pop(name, None)
+    return session
+
+
+def test_every_trace_point_resolves(monkeypatch):
+    session = load_session(monkeypatch)
     points = [(module, attr) for module, attr, *_ in session.TRACE_POINTS]
     missing = [(module, attr) for module, attr in points
                if not hasattr(importlib.import_module(f"subgauss.{module}"),
                               attr)]
     assert points and missing == []
+
+
+def test_benchmark_chaos_calls_bind(monkeypatch):
+    # every chaos.<name>(...) call in workloads.py without *args binds to
+    # the signature
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id == "chaos"
+             and not any(isinstance(arg, ast.Starred) for arg in node.args)]
+    names = {call.func.attr for call in calls}
+    assert "hypercontractivity_check" in names
+    for call in calls:
+        inspect.signature(getattr(chaos, call.func.attr)).bind(
+            *range(len(call.args)), **{kw.arg: None for kw in call.keywords})
+    hyper = [c for c in calls if c.func.attr == "hypercontractivity_check"]
+    assert [len(c.args) for c in hyper] == [3]
+    params = list(inspect.signature(chaos.hypercontractivity_check).parameters)
+    assert params[:3] == ["f", "a", "K"]
+
+    # _expand_info reads (f, K) from positions 0, 1 or the names f, K, and
+    # sees the K that hypercontractivity_check was given
+    session = load_session(monkeypatch)
+    assert list(inspect.signature(chaos.hermite_expand).parameters)[:2] == \
+        ["f", "K"]
+    f = chaos.CatalogFn("exp", 0.7)
+    keys = []
+    expand = chaos.hermite_expand
+
+    def recording(*args, **kwargs):
+        keys.append(session._expand_info(args, kwargs)["key"])
+        return expand(*args, **kwargs)
+
+    monkeypatch.setattr(chaos, "hermite_expand", recording)
+    chaos.hypercontractivity_check(f, 0.5, 8)
+    assert keys == [repr((f, 8))]
