@@ -161,18 +161,9 @@ def _cmd_dprime(args) -> int:
 
 
 def _cmd_gauss_tools(args) -> int:
-    table = _load_coeffs(args.spec)
-    harness.check_gauss_tools(table, args.nblock, args.berman_hmax)
-    report = gausslin.check_decay(table)
-    payload = {
-        "tail_decreasing": report.tail_decreasing,
-        "full_rank": gausslin.full_rank_check(table),
-        "block_toeplitz_min_eig": gausslin.block_toeplitz_min_eig(table, args.nblock),
-    }
-    if args.berman_hmax:
-        profile = gausslin.berman_profile(table, args.berman_hmax)
-        payload["berman_last"] = float(profile[-1])
-    _write(json.dumps(payload) + "\n", args.out)
+    report = harness.gauss_tools(_load_coeffs(args.spec), args.nblock,
+                                 args.berman_hmax)
+    _write(json.dumps(report) + "\n", args.out)
     return 0
 
 

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from subgauss import evt, gausslin, m4, pointproc, subordinate
-from subgauss.gausslin import SeriesMatrix, SpecError
+from subgauss.gausslin import SpecError
 
 ENV_SEED = "SUBGAUSS_SEED"
 
@@ -28,15 +28,8 @@ class Generator(NamedTuple):
     """A path generator and what the analyses may use of it."""
 
     path_fn: Callable    # seed -> SeriesMatrix
-    spec: object = None  # M4Spec, GaussSource, or None for a bare path_fn
+    spec: object = None  # M4Spec, GaussianSource, or None for a bare path_fn
     u: object = None     # ThresholdVector, or None without thresholds
-
-
-class GaussSource(NamedTuple):
-    """The spec of a gauss generator."""
-
-    table: gausslin.CoeffTable
-    d: int               # columns of each path, after the transform
 
 
 # Registry checks raise SpecError naming the config field at fault; they see
@@ -109,14 +102,33 @@ def check_gauss_tools(table: gausslin.CoeffTable, nblock: int,
 
 
 def _check_gauss_tools(a, gen, reps):
-    if not isinstance(gen.spec, GaussSource):
+    if not isinstance(gen.spec, subordinate.GaussianSource):
         raise SpecError("needs a gauss generator (field: kind)")
     check_gauss_tools(gen.spec.table, a.get("nblock", 10))
 
 
+def gauss_tools(table: gausslin.CoeffTable, nblock: int,
+                berman_hmax: int = 0) -> dict:
+    """The gauss-tools report (`subgauss gauss-tools` and the config
+    analysis): tail decay, full rank and the smallest eigenvalue of the
+    nblock-block covariance, plus the last Berman profile value when
+    berman_hmax is nonzero."""
+    check_gauss_tools(table, nblock, berman_hmax)
+    report = {
+        "tail_decreasing": gausslin.check_decay(table).tail_decreasing,
+        "full_rank": gausslin.full_rank_check(table),
+        "block_toeplitz_min_eig": gausslin.block_toeplitz_min_eig(table,
+                                                                  nblock),
+    }
+    if berman_hmax:
+        profile = gausslin.berman_profile(table, berman_hmax)
+        report["berman_last"] = float(profile[-1])
+    return report
+
+
 # Summarize steps: (analysis, {replication: per-path result} or None for an
-# analysis without a per-path map, generator, base_seed) -> (summary entry,
-# CSV artifact or None).
+# analysis without a per-path map, generator) -> (summary entry, CSV artifact
+# or None).
 
 def _nonexceed(a, results, *_):
     ok = len(results)
@@ -161,24 +173,15 @@ def _dprime(a, results, *_):
             "wide_ci": joint < 10}, None
 
 
-def _scan(a, results, gen, base_seed):
-    y = gen.path_fn(base_seed)
-    rows = evt.extremal_independence_scan(
-        y.values[:, 0], y.values[:, 1], a["levels"], a["rho"],
-    )
+def _scan(a, results, *_):
+    (rows,) = results.values()  # reps == 1
     csv = [evt.ScanRow.CSV_HEADER] + [r.to_csv_row() for r in rows]
     return ([json.loads(json.dumps(r.__dict__)) for r in rows],
             "\n".join(csv) + "\n")
 
 
-def _gauss_tools(a, results, gen, base_seed):
-    table = gen.spec.table
-    return {
-        "tail_decreasing": gausslin.check_decay(table).tail_decreasing,
-        "full_rank": gausslin.full_rank_check(table),
-        "block_toeplitz_min_eig": gausslin.block_toeplitz_min_eig(
-            table, a.get("nblock", 10)),
-    }, None
+def _gauss_tools(a, results, gen):
+    return gauss_tools(gen.spec.table, a.get("nblock", 10)), None
 
 
 class Analysis(NamedTuple):
@@ -206,7 +209,10 @@ REGISTRY = {
     "dprime": Analysis(
         ("k_list",), _check_dprime,
         lambda a, Y, u: evt.dprime_path(Y, float(u.u[0]), a["k_list"]), _dprime),
-    "scan": Analysis(("levels", "rho"), _check_scan, None, _scan),
+    "scan": Analysis(
+        ("levels", "rho"), _check_scan,
+        lambda a, Y, u: evt.extremal_independence_scan(
+            Y.values[:, 0], Y.values[:, 1], a["levels"], a["rho"]), _scan),
     "gauss-tools": Analysis((), _check_gauss_tools, None, _gauss_tools),
 }
 
@@ -257,42 +263,34 @@ class ExperimentConfig:
             raise SpecError(f"config missing field {exc.args[0]!r}") from exc
 
 
+# The keys each generator kind allows; any other key is a config error.
+GENERATOR_KEYS = {"m4": {"kind", "spec"}, "gauss": {"kind", "lin", "transform"}}
+
+
 def _build_generator(cfg: ExperimentConfig) -> Generator:
     """The config's generator; its path_fn(seed) -> SeriesMatrix of length
     cfg.n."""
     gen = cfg.generator
     kind = gen.get("kind")
+    if kind not in GENERATOR_KEYS:
+        raise SpecError(f"unknown generator kind {kind!r} (field: kind)")
+    unknown = sorted(set(gen) - GENERATOR_KEYS[kind])
+    if unknown:
+        raise SpecError(f"a {kind} generator takes only "
+                        f"{', '.join(sorted(GENERATOR_KEYS[kind]))} "
+                        f"(field: {', '.join(unknown)})")
     if kind == "m4":
         spec = m4.M4Spec.from_json(json.dumps(gen["spec"]))
-        span = spec.r_hi - spec.r_lo
         u = m4.thresholds(spec, cfg.n, cfg.tau) if cfg.tau else None
-
-        def path_fn(seed, spec=spec, span=span):
-            W = m4.innovations(spec, cfg.n + span, seed)
-            return m4.build(W, spec)
-
-        return Generator(path_fn, spec, u)
-    if kind == "gauss":
-        table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
-        transform = (
-            subordinate.WindowTransform.from_json(json.dumps(gen["transform"]))
-            if gen.get("transform")
-            else None
-        )
-        standardize = bool(gen.get("standardize", True))
-        gamma0, _ = gausslin.autocov(table, 0)
-        sd = np.sqrt(np.diag(gamma0))
-
-        def path_fn(seed, table=table, transform=transform):
-            extra = transform.m if transform else 0
-            X = gausslin.simulate(table, cfg.n + extra, seed)
-            if standardize:
-                X = SeriesMatrix(values=X.values / sd, meta=X.meta)
-            return subordinate.apply(X, transform) if transform else X
-
-        d = transform.d if transform else table.d0
-        return Generator(path_fn, GaussSource(table, d))
-    raise SpecError(f"unknown generator kind {kind!r}")
+        return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
+    table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
+    transform = (
+        subordinate.WindowTransform.from_json(json.dumps(gen["transform"]))
+        if gen.get("transform")
+        else None
+    )
+    source = subordinate.GaussianSource(table, transform)
+    return Generator(lambda seed: source.path(cfg.n, seed), source)
 
 
 def check(gen: Generator, analyses, reps: int) -> None:
@@ -334,7 +332,7 @@ def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     entries, artifacts = {}, {}
     for idx, (a, kind) in enumerate(zip(analyses, kinds)):
         key = f"{idx}:{a['type']}"
-        entries[key], csv = kind.summarize(a, results.get(idx), gen, base_seed)
+        entries[key], csv = kind.summarize(a, results.get(idx), gen)
         if csv is not None:
             artifacts[key] = csv
     return entries, artifacts, failures

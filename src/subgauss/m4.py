@@ -34,25 +34,27 @@ class SubGauss:
     h the (folded) Pareto probability integral transform; the marginal is
     exact Pareto(alpha) while temporal/cross dependence is inherited from X.
 
-    The coefficient table of `lin` and the marginal sd of X (from Gamma(0))
-    are resolved once, at construction, as `coeffs` and `sd`; every path
-    drawn through `innovations` reuses them.
+    The standardized Gaussian source of `lin` (its coefficient table and
+    marginal sd) is resolved once, at construction, as `source`; every path
+    drawn through `innovations` reuses it.
     """
 
     lin: LinearProcessSpec
     transform: str = "pareto"  # or "folded_pareto"
-    coeffs: gausslin.CoeffTable = field(init=False, repr=False, compare=False)
-    sd: np.ndarray = field(init=False, repr=False, compare=False)
+    source: subordinate.GaussianSource = field(init=False, repr=False,
+                                               compare=False)
 
     kind = "subgauss"
 
     def __post_init__(self):
         if self.transform not in ("pareto", "folded_pareto"):
             raise SpecError("SubGauss transform must be pareto or folded_pareto")
-        coeffs = gausslin.make_coeffs(self.lin)
-        gamma0, _ = gausslin.autocov(coeffs, 0)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "sd", np.sqrt(np.diag(gamma0)))
+        object.__setattr__(self, "source", subordinate.GaussianSource(
+            gausslin.make_coeffs(self.lin)))
+
+    @property
+    def coeffs(self) -> gausslin.CoeffTable:
+        return self.source.table
 
 
 @dataclass(frozen=True)
@@ -296,11 +298,8 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
 def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
     """Draw the innovation path W; marginal exact Pareto(alpha) in both modes.
 
-    SubGauss mode simulates the Gaussian linear process, standardizes each
-    column by its exact (truncated-model) marginal sd, and applies the
-    (folded) Pareto transform columnwise. The coefficient table and the sd
-    come from the SubGauss state resolved at construction, so a replication
-    does only its own simulation and transform.
+    SubGauss mode draws a standardized path from the innovation's Gaussian
+    source and applies the (folded) Pareto transform columnwise.
     """
     inn = spec.innovation
     if inn is None:
@@ -314,8 +313,6 @@ def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
             meta={"seed": seed, "generator": gausslin.GENERATOR_ID,
                   "innovation": "iid_pareto"},
         )
-    X = gausslin.simulate(inn.coeffs, n, seed)
-    Z = SeriesMatrix(values=X.values / inn.sd, meta=X.meta)
     t = WindowTransform(
         m=0,
         parts=tuple(
@@ -323,4 +320,15 @@ def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
             for j in range(spec.d)
         ),
     )
-    return subordinate.apply(Z, t)
+    return subordinate.apply(inn.source.path(n, seed), t)
+
+
+def path(spec: M4Spec, n: int, seed: int,
+         m_trunc: int | None = None) -> SeriesMatrix:
+    """An M4 path of n rows: `build` over the n + span innovations of seed.
+
+    Full and truncated builds of one seed share their innovations (common
+    random numbers).
+    """
+    return build(innovations(spec, n + spec.r_hi - spec.r_lo, seed), spec,
+                 m_trunc)

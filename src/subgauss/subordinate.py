@@ -1,4 +1,5 @@
-"""Moving-window transforms of Gaussian paths.
+"""Moving-window transforms of Gaussian paths, and the subordinated Gaussian
+source that draws them.
 
 The transform catalog is closed: every entry has an analytically known
 marginal law under standard normal input, so thresholds and tail oracles
@@ -8,11 +9,12 @@ downstream stay exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
 
+from subgauss import gausslin
 from subgauss.gausslin import SeriesMatrix, SpecError
 
 
@@ -133,6 +135,37 @@ def apply(X: SeriesMatrix, t: WindowTransform) -> SeriesMatrix:
         )
         out[:, i] = part.evaluate(window)
     return SeriesMatrix(values=out, meta=X.meta)
+
+
+@dataclass(frozen=True)
+class GaussianSource:
+    """A subordinated Gaussian: the linear process of `table`, each column
+    standardized by its exact (truncated-model) marginal sd, then pushed
+    through `transform` when there is one.
+
+    The sd comes from Gamma(0) once, at construction; every path reuses it.
+    """
+
+    table: gausslin.CoeffTable
+    transform: WindowTransform | None = None
+    sd: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        gamma0, _ = gausslin.autocov(self.table, 0)
+        object.__setattr__(self, "sd", np.sqrt(np.diag(gamma0)))
+
+    @property
+    def d(self) -> int:
+        """Columns of each path."""
+        return self.transform.d if self.transform else self.table.d0
+
+    def path(self, n: int, seed: int) -> SeriesMatrix:
+        """A path of n rows; the transform's window m costs n + m Gaussian
+        rows."""
+        m = self.transform.m if self.transform else 0
+        X = gausslin.simulate(self.table, n + m, seed)
+        Z = SeriesMatrix(values=X.values / self.sd, meta=X.meta)
+        return apply(Z, self.transform) if self.transform else Z
 
 
 def marginal_tail(part: Part, u: float) -> float:

@@ -6,6 +6,7 @@ E1-E5 run the shipped configs in configs/ through the replication engine.
 """
 
 import dataclasses
+import functools
 import math
 from pathlib import Path
 
@@ -32,7 +33,11 @@ def _emit(capsys, name, ok, detail):
 @pytest.fixture(scope="module")
 def e2_theta_hats():
     """runs_theta(m=0..3) averaged over the e2_runs replications; reused by
-    E2 (m=3 entry) and E5 (plug-in intensities)."""
+    E2 (m=3 entry) and E5 (plug-in intensities).
+
+    e2_runs estimates at tau=500: the extremal index does not depend on tau
+    in one dimension, and tau=1 would leave ~1 exceedance per path.
+    """
     summary = harness.run(_cfg("e2_runs"))
     return [summary["analyses"][f"{m}:runs"]["estimate"] for m in range(4)]
 
@@ -75,20 +80,16 @@ def test_e4_truncation(capsys):
     cfg = _cfg("e4")
     gen = harness._build_generator(cfg)
     spec = gen.spec
-    span = spec.r_hi - spec.r_lo
 
-    def trunc_fn(seed):
-        W = m4.innovations(spec, cfg.n + span, seed)
-        return m4.build(W, spec, m_trunc=1)
-
-    def nonexceed(path_fn):
+    def nonexceed(m_trunc):
         # common random numbers: both builds share the base seed
+        path_fn = functools.partial(m4.path, spec, cfg.n, m_trunc=m_trunc)
         entries, _, _ = harness.replicate(gen._replace(path_fn=path_fn),
                                           cfg.analyses, cfg.reps, cfg.base_seed)
         return entries["0:nonexceed"]["p_hat"], entries["0:nonexceed"]["ci_halfwidth"]
 
-    p_f, ci_f = nonexceed(gen.path_fn)
-    p_t, ci_t = nonexceed(trunc_fn)
+    p_f, ci_f = nonexceed(None)
+    p_t, ci_t = nonexceed(1)
     gap = abs(p_f - p_t)
     tol = 0.02 + 2 * math.sqrt(ci_f**2 + ci_t**2)
     # hand values for the truncated extremal index (full normalizer kept)
@@ -217,18 +218,11 @@ def test_e8_anticlustering(capsys):
         d0=1, family=gausslin.LogBoundary(q=2.0, B=np.eye(1)), L=5000
     )
     table = gausslin.make_coeffs(spec)
-    sd = math.sqrt(gausslin.autocov(table, 0)[0][0, 0])
-
-    def ident_fn(seed):
-        X = gausslin.simulate(table, n, seed)
-        return gausslin.SeriesMatrix(values=X.values / sd, meta=X.meta)
-
     tr = subordinate.WindowTransform(
         m=0, parts=(subordinate.Part(kind="pareto", coord=0, alpha=1.0),)
     )
-
-    def par_fn(seed):
-        return subordinate.apply(ident_fn(seed), tr)
+    gauss = subordinate.GaussianSource(table)
+    pareto = subordinate.GaussianSource(table, tr)
 
     def iid_fn(seed):
         rng = np.random.Generator(np.random.Philox(key=seed))
@@ -246,8 +240,8 @@ def test_e8_anticlustering(capsys):
     u_g = float(ndtri(1 - tau / n))
     u_p = n / tau
     mono_ok = True
-    for fn, u in ((ident_fn, u_g), (par_fn, u_p)):
-        vals, ses = dprime(fn, u)
+    for source, u in ((gauss, u_g), (pareto, u_p)):
+        vals, ses = dprime(functools.partial(source.path, n), u)
         for (a, sa), (b, sb) in zip(zip(vals, ses), zip(vals[1:], ses[1:])):
             mono_ok = mono_ok and a >= b - 2 * math.hypot(sa, sb)
     vals, ses = dprime(iid_fn, u_g)

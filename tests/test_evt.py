@@ -29,11 +29,6 @@ def equal_spec(nlags=4):
     )
 
 
-def _m4_path(spec, n, seed):
-    span = spec.r_hi - spec.r_lo
-    return m4.build(m4.innovations(spec, n + span, seed), spec)
-
-
 def replicate(path_fn, u, analysis, reps, base_seed):
     """Summary entry and failures of one analysis over reps paths."""
     entries, _, failures = harness.replicate(
@@ -81,7 +76,7 @@ class TestEmpiricalNonexceed:
 
 class TestRunsAndBlocks:
     def test_theta0_is_one_by_convention(self):
-        Y = _m4_path(equal_spec(), 50_000, 1)
+        Y = m4.path(equal_spec(), 50_000, 1)
         u = m4.thresholds(equal_spec(), 50_000, (200.0,))
         rep = evt.runs_theta(Y, u, 0)
         assert rep.estimate == 1.0
@@ -108,7 +103,7 @@ class TestRunsAndBlocks:
     def test_moving_maxima_quarter(self):
         spec = equal_spec()
         n = 200_000
-        Y = _m4_path(spec, n, 11)
+        Y = m4.path(spec, n, 11)
         u = m4.thresholds(spec, n, (800.0,))
         rep = evt.runs_theta(Y, u, 3)
         assert abs(rep.estimate - 0.25) < 0.03
@@ -117,14 +112,14 @@ class TestRunsAndBlocks:
 
     def test_insufficient_exceedances(self):
         spec = equal_spec()
-        Y = _m4_path(spec, 1000, 1)
+        Y = m4.path(spec, 1000, 1)
         u = m4.thresholds(spec, 1000, (1.0,))
         with pytest.raises(evt.InsufficientExceedances):
             evt.runs_theta(Y, u, 3)
 
     def test_blocks_needs_enough_blocks(self):
         spec = equal_spec()
-        Y = _m4_path(spec, 1000, 1)
+        Y = m4.path(spec, 1000, 1)
         u = m4.thresholds(spec, 1000, (100.0,))
         with pytest.raises(SpecError):
             evt.blocks_theta(Y, u, 500)

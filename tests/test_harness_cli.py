@@ -167,6 +167,30 @@ class TestRun:
         row = summary["analyses"]["0:scan"][0]
         assert row["joint_exceed"] <= row["bound"] + 4 * row["joint_stderr"]
 
+    def test_single_replication_draws_its_path_once(self, monkeypatch):
+        # scan maps over the engine's path like every other analysis
+        drawn = []
+        build = harness._build_generator
+
+        def recording(cfg):
+            gen = build(cfg)
+            return gen._replace(
+                path_fn=lambda seed: drawn.append(seed) or gen.path_fn(seed))
+
+        monkeypatch.setattr(harness, "_build_generator", recording)
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            generator={"kind": "m4", "spec": {
+                "d": 2, "alpha": 1.0, "lags": [0, 0],
+                "a": [[[1.0, 0.0], [0.0, 1.0]]],
+                "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
+            tau=[80.0, 80.0], reps=1, base_seed=3,
+            analyses=[{"type": "nonexceed"},
+                      {"type": "scan", "levels": [5.0], "rho": 0.0}],
+        )))
+        summary = harness.run(cfg)
+        assert drawn == [3]
+        assert set(summary["analyses"]) == {"0:nonexceed", "1:scan"}
+
 
 class TestSeedPrecedence:
     def test_env_beats_all(self, monkeypatch):
@@ -327,6 +351,13 @@ class TestCli:
             "tau": [80.0, 80.0],
             "analyses": [{"type": "scan", "levels": [1.5], "rho": 0.5}]},
             [], "field: reps", id="scan-reps"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8},
+            "standardize": False}, "tau": [], "reps": 1,
+            "analyses": [{"type": "gauss-tools"}]},
+            [], "field: standardize", id="gauss-unknown-key"),
+        pytest.param({"generator": {**tiny_config()["generator"], "m_trunc": 1}},
+                     [], "field: m_trunc", id="m4-unknown-key"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change, flags,
@@ -522,7 +553,11 @@ class TestShippedConfigs:
         "path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem
     )
     def test_config_validates_and_builds(self, path):
-        cfg = ExperimentConfig.from_json(path.read_text())
+        # configs are edited by hand; each keeps the one canonical layout
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2,
+                                  sort_keys=True) + "\n"
+        cfg = ExperimentConfig.from_json(text)
         drawn = []
         gen = harness._build_generator(cfg)
         harness.check(gen._replace(path_fn=drawn.append), cfg.analyses,

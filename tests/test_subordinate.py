@@ -105,6 +105,37 @@ class TestApply:
         assert WindowTransform.from_json(t.to_json()) == t
 
 
+class TestGaussianSource:
+    @pytest.fixture
+    def table(self):
+        return gausslin.make_coeffs(gausslin.LinearProcessSpec(
+            d0=2, family=gausslin.Polynomial(beta=1.0, B=np.eye(2)), L=16))
+
+    @pytest.mark.parametrize("transform", [
+        None,
+        WindowTransform(m=2, parts=(
+            Part(kind="window_max", coord=0, lags=(0, 2)),
+            Part(kind="pareto", coord=1, alpha=1.5),
+            Part(kind="abs", coord=0),
+        )),
+    ], ids=["no-transform", "window-m2"])
+    def test_path_equals_reference(self, table, transform):
+        # simulate n + m rows, divide by the Gamma(0) sd, apply the window
+        n, seed = 300, 5
+        m = transform.m if transform else 0
+        X = gausslin.simulate(table, n + m, seed)
+        sd = np.sqrt(np.diag(gausslin.autocov(table, 0)[0]))
+        want = SeriesMatrix(values=X.values / sd, meta=X.meta)
+        if transform:
+            want = subordinate.apply(want, transform)
+        source = subordinate.GaussianSource(table, transform)
+        got = source.path(n, seed)
+        assert got.values.shape == (n, source.d)
+        assert source.d == (3 if transform else 2)
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.meta == want.meta
+
+
 class TestMarginalTail:
     def test_exact_pareto_tail(self):
         part = Part(kind="pareto", alpha=2.0)
