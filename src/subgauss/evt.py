@@ -3,6 +3,13 @@ anti-clustering statistic, and extremal-independence scans.
 
 Every function here reads one path (a SeriesMatrix or a bare array); the
 replication engine in `harness` owns seeding and the loop over paths.
+
+The runs and blocks estimators and the gapped-block point process all read
+the per-time exceedance indicator 1{Y_k not <= u}, one strict comparison per
+column OR-ed together; an M4 path is a column-major (n, d) view, so each
+comparison reads one contiguous column. The runs estimator (Smith & Weissman
+1994) tests "some exceedance in the next m steps" by prefix counts, in O(n)
+for any m.
 """
 
 from __future__ import annotations
@@ -10,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from subgauss import chaos, gausslin
 from subgauss.gausslin import SeriesMatrix, SpecError
@@ -59,12 +65,21 @@ def cmax(Y) -> np.ndarray:
 
 
 def _exceed_indicator(Y, u) -> np.ndarray:
-    """Boolean per time: Y_k not <= u (some component strictly above)."""
+    """Boolean per time: Y_k not <= u (some component strictly above).
+
+    One comparison per column, OR-ed together; u is a ThresholdVector, a
+    vector of d levels or one level for every column.
+    """
     v = _values(Y)
     if v.ndim == 1:
         v = v[:, None]
-    uu = np.asarray(u.u if isinstance(u, ThresholdVector) else u, dtype=float)
-    return np.any(v > uu[None, :], axis=1)
+    uu = np.broadcast_to(
+        np.asarray(u.u if isinstance(u, ThresholdVector) else u, dtype=float),
+        v.shape[1:])
+    e = v[:, 0] > uu[0]
+    for j in range(1, v.shape[1]):
+        e |= v[:, j] > uu[j]
+    return e
 
 
 def runs_theta(Y, u, m: int) -> EstimatorReport:
@@ -79,17 +94,21 @@ def runs_theta(Y, u, m: int) -> EstimatorReport:
         raise SpecError("m must be >= 0")
     if n <= m:
         raise SpecError("path shorter than the run length m")
-    total = int(np.sum(e))
+    total = int(np.count_nonzero(e))
     if total < MIN_EXCEEDANCES:
         raise InsufficientExceedances(total)
     if m == 0:
         return EstimatorReport(1.0, 0.0, total, "runs(0)")
     base = e[: n - m]
-    following = np.any(sliding_window_view(e[1:], m), axis=1)
-    denom = int(np.sum(base))
+    # following[k]: some exceedance among e[k+1..k+m], from the prefix
+    # counts c[t] = e[1] + ... + e[t] (exact in int32 below 2**31 steps)
+    c = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
+    np.cumsum(e[1:], dtype=c.dtype, out=c[1:])
+    following = c[m:n] > c[: n - m]
+    denom = int(np.count_nonzero(base))
     if denom < MIN_EXCEEDANCES:
         raise InsufficientExceedances(denom)
-    num = int(np.sum(base & ~following))
+    num = int(np.count_nonzero(base & ~following))
     est = num / denom
     stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / denom))
     return EstimatorReport(est, stderr, denom, f"runs({m})")
@@ -104,10 +123,10 @@ def blocks_theta(Y, u, b: int) -> EstimatorReport:
         raise SpecError("need n/b >= 50 blocks")
     nb = n // b
     ee = e[: nb * b].reshape(nb, b)
-    total = int(np.sum(ee))
+    total = int(np.count_nonzero(ee))
     if total < MIN_EXCEEDANCES:
         raise InsufficientExceedances(total)
-    occupied = int(np.sum(np.any(ee, axis=1)))
+    occupied = int(np.count_nonzero(np.any(ee, axis=1)))
     est = min(occupied / total, 1.0)
     stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / total))
     return EstimatorReport(est, stderr, total, f"blocks({b})")

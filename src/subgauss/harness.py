@@ -252,15 +252,44 @@ class ExperimentConfig:
             return ExperimentConfig(
                 name=obj["name"],
                 generator=obj["generator"],
-                n=int(obj["n"]),
-                tau=tuple(obj.get("tau", [])),
-                reps=int(obj["reps"]),
-                base_seed=int(obj.get("base_seed", 0)),
-                analyses=tuple(obj["analyses"]),
+                n=_integer("n", obj["n"]),
+                tau=_numbers("tau", obj.get("tau", [])),
+                reps=_integer("reps", obj["reps"]),
+                base_seed=_integer("base_seed", obj.get("base_seed", 0)),
+                analyses=tuple(_list("analyses", obj["analyses"])),
                 out=obj.get("out"),
             )
         except KeyError as exc:
             raise SpecError(f"config missing field {exc.args[0]!r}") from exc
+
+
+# Config fields are checked for their JSON type, so a wrong type is a config
+# error naming the field.
+
+def _integer(name: str, value) -> int:
+    """A JSON number with no fractional part, as an int."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise SpecError(f"{name} must be an integer, not {value!r} "
+                        f"(field: {name})")
+    return int(value)
+
+
+def _list(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise SpecError(f"{name} must be a list, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
+def _numbers(name: str, value) -> tuple:
+    """A JSON array of numbers, as a tuple."""
+    if any(isinstance(x, bool) or not isinstance(x, (int, float))
+           for x in _list(name, value)):
+        raise SpecError(f"{name} must hold numbers only, not {value!r} "
+                        f"(field: {name})")
+    return tuple(value)
 
 
 # The keys each generator kind allows; any other key is a config error.
@@ -271,6 +300,9 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
     """The config's generator; its path_fn(seed) -> SeriesMatrix of length
     cfg.n."""
     gen = cfg.generator
+    if not isinstance(gen, dict):
+        raise SpecError(f"generator must be an object, not {gen!r} "
+                        "(field: generator)")
     kind = gen.get("kind")
     if kind not in GENERATOR_KEYS:
         raise SpecError(f"unknown generator kind {kind!r} (field: kind)")

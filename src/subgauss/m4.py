@@ -273,6 +273,8 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
 
     The output time range is trimmed by the full lag window at both ends
     regardless of truncation, so truncated and full builds align elementwise.
+    The result is an (n, d) view of a (d, n) array: each output component is
+    one contiguous column.
     """
     if W.d != spec.d:
         raise SpecError(f"innovation path has d={W.d}, spec needs {spec.d}")
@@ -280,19 +282,20 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
     if W.n <= span:
         raise SpecError("innovation path shorter than the lag window")
     n_out = W.n - span
-    out = np.zeros((n_out, spec.d))
-    lagvals = spec.lag_values()
-    for ri, r in enumerate(lagvals):
+    out = np.zeros((spec.d, n_out))
+    buf = np.empty(n_out)
+    for ri, r in enumerate(spec.lag_values()):
         if m_trunc is not None and abs(r) > m_trunc:
             continue
         # output time k corresponds to absolute time k + r_hi;
         # W_{k + r_hi - r} sits at row (r_hi - r) + k
         off = spec.r_hi - r
-        Wseg = W.values[off : off + n_out]  # (n_out, d) over j
-        for i in range(spec.d):
-            for j in range(spec.d):
-                np.maximum(out[:, i], Wseg[:, j] * spec.a[ri, i, j], out=out[:, i])
-    return SeriesMatrix(values=out, meta=W.meta)
+        for j in range(spec.d):
+            w = W.values[off : off + n_out, j]  # strided view, no copy
+            for i in range(spec.d):
+                np.multiply(w, spec.a[ri, i, j], out=buf)
+                np.maximum(out[i], buf, out=out[i])
+    return SeriesMatrix(values=out.T, meta=W.meta)
 
 
 def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:

@@ -143,6 +143,78 @@ class TestRunsAndBlocks:
         assert len(row.split(",")) == 5
 
 
+def runs_reference(e, m):
+    """(clear, base): exceedances at k < n - m, and those of them with no
+    exceedance at k+1..k+m, counted one time step at a time."""
+    n = len(e)
+    base = [k for k in range(n - m) if e[k]]
+    clear = [k for k in base if not any(e[k + 1 : k + m + 1])]
+    return len(clear), len(base)
+
+
+class TestKernels:
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_exceed_indicator_equals_reference(self, d, order):
+        # small integer values put many samples exactly at a level
+        rng = np.random.default_rng(d)
+        v = np.asarray(rng.integers(0, 5, size=(500, d)), dtype=float,
+                       order=order)
+        u = np.arange(1.0, d + 1.0)
+        want = np.any(v > u[None, :], axis=1)
+        uvec = m4.ThresholdVector(n=500, tau=np.ones(d), u=u)
+        for Y in (v, SeriesMatrix(values=v)):
+            np.testing.assert_array_equal(evt._exceed_indicator(Y, uvec), want)
+            np.testing.assert_array_equal(evt._exceed_indicator(Y, u), want)
+        # a scalar level holds for every column
+        np.testing.assert_array_equal(evt._exceed_indicator(v, 2.0),
+                                      np.any(v > 2.0, axis=1))
+
+    def test_exceed_indicator_one_dimensional_path(self):
+        v = np.array([0.5, 2.0, 2.5, 1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(
+            evt._exceed_indicator(v, 2.0),
+            [False, False, True, False, False, True])
+        np.testing.assert_array_equal(evt._exceed_indicator(v, [2.0]),
+                                      v > 2.0)
+
+    def test_ties_do_not_exceed(self):
+        u = np.array([3.0, 4.0])
+        v = np.asfortranarray(np.tile(u, (10, 1)))
+        assert not np.any(evt._exceed_indicator(v, u))
+        v[4, 1] = np.nextafter(4.0, 5.0)
+        np.testing.assert_array_equal(np.flatnonzero(
+            evt._exceed_indicator(v, u)), [4])
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_runs_equals_loop_reference(self, m):
+        # about one step in five exceeds, in runs of varied length
+        rng = np.random.default_rng(20 + m)
+        v = np.asfortranarray(rng.random((600, 2)) ** 4)
+        u = np.array([0.6, 0.7])
+        rep = evt.runs_theta(v, u, m)
+        clear, base = runs_reference(np.any(v > u, axis=1), m)
+        if m == 0:
+            assert (rep.estimate, rep.count_exceed) == (1.0, base)
+        else:
+            assert 0 < clear < base
+            assert (rep.estimate, rep.count_exceed) == (clear / base, base)
+        assert rep.method == f"runs({m})"
+
+    @pytest.mark.parametrize("later", [False, True])
+    def test_runs_run_length_n_minus_one(self, monkeypatch, later):
+        # m = n - 1 leaves one base time; with the minimum count lowered its
+        # one exceedance is clear unless any later step exceeds
+        monkeypatch.setattr(evt, "MIN_EXCEEDANCES", 1)
+        n = 50
+        v = np.zeros(n)
+        v[0] = 2.0
+        v[n - 1] = 2.0 if later else 0.0
+        clear, base = runs_reference(v > 1.0, n - 1)
+        assert (clear, base) == (0 if later else 1, 1)
+        assert evt.runs_theta(v, 1.0, n - 1).estimate == clear / base
+
+
 class TestDPrime:
     def test_iid_matches_tau_sq_over_k(self):
         n, tau = 20_000, 5.0
@@ -214,15 +286,22 @@ class TestScan:
     u_shift=st.floats(0.0, 2.0),
     m=st.integers(0, 6),
     seed=st.integers(0, 2**16),
+    d=st.sampled_from([1, 2]),
 )
 @settings(max_examples=20, deadline=None)
-def test_runs_estimate_in_unit_interval(u_shift, m, seed):
-    Y = iid_fn(5000)(seed)
+def test_runs_estimate_in_unit_interval(u_shift, m, seed, d):
+    # a d = 2 path is column-major, as m4.build makes it
+    Y = iid_fn(5000, d)(seed)
+    Y = SeriesMatrix(values=np.asfortranarray(Y.values))
     u = m4.ThresholdVector(
-        n=5000, tau=(1.0,), u=np.array([5.0 + u_shift]), mode="analytic_pareto"
+        n=5000, tau=(1.0,) * d, u=np.full(d, 5.0 + u_shift),
+        mode="analytic_pareto"
     )
     try:
         rep = evt.runs_theta(Y, u, m)
     except evt.InsufficientExceedances:
         return
     assert 0.0 <= rep.estimate <= 1.0
+    if m:
+        clear, base = runs_reference(np.any(Y.values > u.u, axis=1), m)
+        assert (rep.estimate, rep.count_exceed) == (clear / base, base)

@@ -358,6 +358,17 @@ class TestCli:
             [], "field: standardize", id="gauss-unknown-key"),
         pytest.param({"generator": {**tiny_config()["generator"], "m_trunc": 1}},
                      [], "field: m_trunc", id="m4-unknown-key"),
+        # a field of the wrong JSON type
+        pytest.param({"generator": "m4"}, [], "field: generator",
+                     id="generator-not-object"),
+        pytest.param({"n": "many"}, [], "field: n", id="n-string"),
+        pytest.param({"tau": 1.0}, [], "field: tau", id="tau-number"),
+        pytest.param({"tau": ["80"]}, [], "field: tau", id="tau-string-entry"),
+        pytest.param({"reps": 2.5}, [], "field: reps", id="reps-fraction"),
+        pytest.param({"base_seed": True}, [], "field: base_seed",
+                     id="base-seed-bool"),
+        pytest.param({"analyses": {"type": "nonexceed"}}, [],
+                     "field: analyses", id="analyses-object"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change, flags,

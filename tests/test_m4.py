@@ -222,6 +222,8 @@ class TestBuildAndInnovations:
         W = m4.innovations(spec, 2000, 6)
         got = m4.build(W, spec, m_trunc=m_trunc).values
         np.testing.assert_array_equal(got, build_reference(W, spec, m_trunc))
+        # one contiguous column per output component
+        assert got.flags.f_contiguous
 
     def test_subgauss_custom_family(self):
         # a Custom table holds an ndarray: the spec is unhashable, and its

@@ -12,10 +12,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
-from subgauss import chaos
+from subgauss import chaos, evt, harness, pointproc
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -78,3 +79,35 @@ def test_benchmark_chaos_calls_bind(monkeypatch):
     monkeypatch.setattr(chaos, "hermite_expand", recording)
     chaos.hypercontractivity_check(f, 0.5, 8)
     assert keys == [repr((f, 8))]
+
+
+def test_six_exceedance_indicators_per_replication(monkeypatch):
+    # bench/test_smoke.py pins evt.exceed_indicator.calls_per_unit at 6.0 on
+    # pareto_estimators: runs m=0..3, blocks and pointproc each compute
+    # their own indicator, through evt or through pointproc's binding
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+        config = workloads.pareto_inputs(1, "tiny")["config"]
+    finally:
+        sys.modules.pop("workloads", None)
+    assert [a["type"] for a in config["analyses"]] == \
+        ["runs"] * 4 + ["blocks", "pointproc"]
+    reps = 3
+    calls = []
+
+    def counted(module):
+        fn = module._exceed_indicator
+
+        def wrapper(*args, **kwargs):
+            calls.append(module.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (evt, pointproc):
+        monkeypatch.setattr(module, "_exceed_indicator", counted(module))
+    summary = harness.run(harness.ExperimentConfig.from_json(
+        json.dumps({**config, "reps": reps})))
+    assert summary["failures"] == []
+    assert len(calls) == 6 * reps
+    assert calls.count("subgauss.pointproc") == reps
