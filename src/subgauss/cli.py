@@ -64,7 +64,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_acf(args) -> int:
     table = _load_coeffs(args.spec)
     gammas = gausslin.autocov_all(table, args.hmax)
-    _, tail = gausslin.autocov(table, args.hmax)
+    tail = gausslin.tail_bound(table, args.hmax)
     if args.format == "csv":
         lines = ["h," + ",".join(f"g{i}{k}" for i in range(table.spec.d0)
                                  for k in range(table.spec.d0))]
@@ -155,7 +155,8 @@ def _cmd_pointproc(args) -> int:
 
 
 def _cmd_dprime(args) -> int:
-    _, entry, _ = _replicate(args, {"type": "dprime", "k_list": args.k_list})
+    _, entry, _ = _replicate(args, {"type": "dprime",
+                                    "k_list": list(args.k_list)})
     _write(json.dumps(entry) + "\n", args.out)
     return 0
 
@@ -188,11 +189,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    # --format only on the commands that can write CSV as well as JSON
+    def common(p, seed=True, fmt=True):
         if seed:
             p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("simulate", help="sample a Gaussian linear process path")
     p.add_argument("--spec", required=True)
@@ -218,13 +221,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--tau", type=_list_of(float), required=True)
     p.add_argument("--m-trunc", type=int, default=None)
-    common(p, seed=False)
+    common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("m4-verify", help="cross-check the limit identities")
     p.add_argument("--spec", required=True)
     p.add_argument("--tau", type=_list_of(float), required=True)
-    common(p, seed=False)
+    common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_m4_verify)
 
     p = sub.add_parser("pointproc", help="gapped-block exceedance point process")
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--tau", type=_list_of(float), required=True)
     p.add_argument("--k-list", type=_list_of(int), required=True)
-    common(p)
+    common(p, fmt=False)
     p.add_argument("--reps", type=int, default=50)
     p.set_defaults(func=_cmd_dprime)
 
@@ -251,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--nblock", type=int, default=10)
     p.add_argument("--berman-hmax", type=int, default=0)
-    common(p, seed=False)
+    common(p, seed=False, fmt=False)
     p.set_defaults(func=_cmd_gauss_tools)
 
     p = sub.add_parser("run", help="execute an experiment config")
@@ -269,8 +272,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SpecError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (SpecError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except KeyError as exc:  # a key missing from a spec or config object
+        print(f"config error: missing key {exc} (field: {exc.args[0]})",
+              file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001
         print(f"runtime error: {exc}", file=sys.stderr)

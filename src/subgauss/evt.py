@@ -178,13 +178,12 @@ class ScanRow:
 
 
 def extremal_independence_scan(y1: np.ndarray, y2: np.ndarray, levels,
-                               rho: float, marginal_tail=None) -> list:
+                               rho: float) -> list:
     """Empirical conditional/joint exceedance over levels, against the
     hypercontractive bound at canonical correlation rho.
 
     Both samples must share the marginal by construction (catalog
-    transforms); marginal_tail maps a level to the exact F-bar, defaulting
-    to the pooled empirical tail.
+    transforms); F-bar at a level is the pooled empirical tail.
     """
     y1 = np.asarray(y1).ravel()
     y2 = np.asarray(y2).ravel()
@@ -193,10 +192,7 @@ def extremal_independence_scan(y1: np.ndarray, y2: np.ndarray, levels,
     nsamp = len(y1)
     rows = []
     for x in levels:
-        if marginal_tail is not None:
-            fbar = float(marginal_tail(x))
-        else:
-            fbar = float((np.sum(y1 > x) + np.sum(y2 > x)) / (2 * nsamp))
+        fbar = float((np.sum(y1 > x) + np.sum(y2 > x)) / (2 * nsamp))
         exceed2 = y2 > x
         n2 = int(np.sum(exceed2))
         joint = int(np.sum((y1 > x) & exceed2))

@@ -19,6 +19,7 @@ GENERATOR_ID = "philox4x64-numpy"
 
 # Relative eigenvalue floor below which a covariance is treated as singular.
 RANK_TOL = 1e-10
+DECAY_TOL = 1e-12  # rounding noise allowed in a nonincreasing decay tail
 DENSE_ROWS = 2000  # largest dense block covariance, in rows
 
 
@@ -246,7 +247,7 @@ class DecayReport:
     tail_decreasing: bool
 
 
-def check_decay(coeffs: CoeffTable, tol: float = 1e-12) -> DecayReport:
+def check_decay(coeffs: CoeffTable) -> DecayReport:
     L = coeffs.L
     if L < 8:
         raise SpecError("check_decay requires L >= 8")
@@ -254,11 +255,11 @@ def check_decay(coeffs: CoeffTable, tol: float = 1e-12) -> DecayReport:
     amp = np.max(np.abs(coeffs.psi[2:]), axis=(1, 2))
     s = amp * np.sqrt(lags) * np.log(lags)
     tail = s[len(s) // 2:]
-    flag = bool(np.all(np.diff(tail) <= tol))
+    flag = bool(np.all(np.diff(tail) <= DECAY_TOL))
     return DecayReport(lags=lags, s=s, tail_decreasing=flag)
 
 
-def _tail_bound(coeffs: CoeffTable, h: int) -> float:
+def tail_bound(coeffs: CoeffTable, h: int) -> float:
     """Entrywise bound on sum_{j > L-h} Psi_j Psi_{j+h}' for analytic families."""
     fam = coeffs.spec.family
     J = coeffs.L - h
@@ -283,7 +284,7 @@ def autocov(coeffs: CoeffTable, h: int) -> tuple[np.ndarray, float]:
         raise SpecError(f"lag h={h} outside [0, L={coeffs.L}]")
     psi = coeffs.psi
     gamma = np.einsum("lij,lkj->ik", psi[: coeffs.L - h + 1], psi[h:])
-    return gamma, _tail_bound(coeffs, h)
+    return gamma, tail_bound(coeffs, h)
 
 
 def lag_products(x: np.ndarray, hmax: int) -> np.ndarray:

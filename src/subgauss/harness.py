@@ -111,8 +111,8 @@ def gauss_tools(table: gausslin.CoeffTable, nblock: int,
                 berman_hmax: int = 0) -> dict:
     """The gauss-tools report (`subgauss gauss-tools` and the config
     analysis): tail decay, full rank and the smallest eigenvalue of the
-    nblock-block covariance, plus the last Berman profile value when
-    berman_hmax is nonzero."""
+    nblock-block covariance, plus, when berman_hmax is nonzero, the Berman
+    profile's last value max_ij |Gamma_ij(h)| * log(h) at h = berman_hmax."""
     check_gauss_tools(table, nblock, berman_hmax)
     report = {
         "tail_decreasing": gausslin.check_decay(table).tail_decreasing,
@@ -121,8 +121,9 @@ def gauss_tools(table: gausslin.CoeffTable, nblock: int,
                                                                   nblock),
     }
     if berman_hmax:
-        profile = gausslin.berman_profile(table, berman_hmax)
-        report["berman_last"] = float(profile[-1])
+        gamma, _ = gausslin.autocov(table, berman_hmax)
+        report["berman_last"] = float(np.max(np.abs(gamma))
+                                      * np.log(berman_hmax))
     return report
 
 
@@ -149,11 +150,9 @@ def _estimates(a, results, *_):
 def _poisson(a, results, *_):
     pats = list(results.values())
     mean = float(np.mean([p.count for p in pats]))
-    lam = a.get("lambda_target")
-    if lam is None:
-        lam = mean
+    lam = a.get("lambda_target", mean)
     if len(pats) >= 200:
-        rep = pointproc.poisson_diagnostics(pats, lam, a.get("bins", 10))
+        rep = pointproc.poisson_diagnostics(pats, lam)
         entry = json.loads(rep.to_json())
     else:
         entry = {"mean_count": mean,
@@ -184,8 +183,61 @@ def _gauss_tools(a, results, gen):
     return gauss_tools(gen.spec.table, a.get("nblock", 10)), None
 
 
+# Config fields are checked for their JSON type, so a wrong type is a config
+# error naming the field.
+
+def _integer(name: str, value) -> int:
+    """A JSON number with no fractional part, as an int."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise SpecError(f"{name} must be an integer, not {value!r} "
+                        f"(field: {name})")
+    return int(value)
+
+
+def _number(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be a number, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
+def _list(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise SpecError(f"{name} must be a list, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
+def _numbers(name: str, value) -> list:
+    return [_number(name, x) for x in _list(name, value)]
+
+
+def _integers(name: str, value) -> list:
+    return [_integer(name, x) for x in _list(name, value)]
+
+
+def _object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{name} must be an object, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
+def _keys(name: str, value, allowed) -> dict:
+    """A JSON object whose every key is in `allowed`: a key that nothing
+    reads is a config error, never silently ignored."""
+    unknown = sorted(set(_object(name, value)) - set(allowed))
+    if unknown:
+        raise SpecError(f"{name} takes only {', '.join(sorted(allowed))} "
+                        f"(field: {', '.join(unknown)})")
+    return value
+
+
 class Analysis(NamedTuple):
-    fields: tuple                # required config fields
+    fields: dict                 # required config field -> its JSON type
+    optional: dict               # optional config field -> its JSON type
     check: Callable              # (a, gen, reps): what it needs of the run
     per_path: Callable | None    # (a, path, u) -> result for one replication
     summarize: Callable          # see the summarize steps above
@@ -195,26 +247,51 @@ class Analysis(NamedTuple):
 # module attribute is the one that runs.
 REGISTRY = {
     "nonexceed": Analysis(
-        (), _needs_thresholds,
+        {}, {}, _needs_thresholds,
         lambda a, Y, u: bool(np.all(evt.cmax(Y) <= u.u)), _nonexceed),
     "runs": Analysis(
-        ("m",), _check_runs,
+        {"m": _integer}, {}, _check_runs,
         lambda a, Y, u: evt.runs_theta(Y, u, a["m"]), _estimates),
     "blocks": Analysis(
-        ("b",), _check_blocks,
+        {"b": _integer}, {}, _check_blocks,
         lambda a, Y, u: evt.blocks_theta(Y, u, a["b"]), _estimates),
     "pointproc": Analysis(
-        ("r", "p"), _check_pointproc,
+        {"r": _integer, "p": _integer},
+        {"m": _integer, "lambda_target": _number}, _check_pointproc,
         lambda a, Y, u: pointproc.gapped_blocks(Y, u, _gap_config(a)), _poisson),
     "dprime": Analysis(
-        ("k_list",), _check_dprime,
+        {"k_list": _integers}, {}, _check_dprime,
         lambda a, Y, u: evt.dprime_path(Y, float(u.u[0]), a["k_list"]), _dprime),
     "scan": Analysis(
-        ("levels", "rho"), _check_scan,
+        {"levels": _numbers, "rho": _number}, {}, _check_scan,
         lambda a, Y, u: evt.extremal_independence_scan(
             Y.values[:, 0], Y.values[:, 1], a["levels"], a["rho"]), _scan),
-    "gauss-tools": Analysis((), _check_gauss_tools, None, _gauss_tools),
+    "gauss-tools": Analysis({}, {"nblock": _integer}, _check_gauss_tools, None,
+                            _gauss_tools),
 }
+
+
+def _analysis(a) -> dict:
+    """An analyses entry of a registered type, with its required fields and
+    no key its type does not read, each field of its JSON type."""
+    kind = a.get("type") if isinstance(a, dict) else None
+    if kind not in REGISTRY:
+        raise SpecError(f"unknown analysis type {kind!r} (field: type)")
+    entry = REGISTRY[kind]
+    for name in entry.fields:
+        if name not in a:
+            raise SpecError(f"{kind} needs field {name!r} (field: {name})")
+    types = {**entry.fields, **entry.optional}
+    _keys(f"a {kind} analysis", a, {"type", *types})
+    return {key: value if key == "type" else types[key](key, value)
+            for key, value in a.items()}
+
+
+# The keys a config and each generator kind allow; any other key is a config
+# error.
+CONFIG_KEYS = {"name", "generator", "n", "tau", "reps", "base_seed",
+               "analyses", "out"}
+GENERATOR_KEYS = {"m4": {"kind", "spec"}, "gauss": {"kind", "lin", "transform"}}
 
 
 @dataclass(frozen=True)
@@ -233,92 +310,57 @@ class ExperimentConfig:
             raise SpecError("reps must be >= 1")
         if self.n < 1:
             raise SpecError("n must be >= 1")
+        analyses = []
         for idx, a in enumerate(self.analyses):
-            kind = a.get("type") if isinstance(a, dict) else None
-            if kind not in REGISTRY:
-                raise SpecError(
-                    f"analyses[{idx}]: unknown analysis type {kind!r} (field: type)"
-                )
-            for name in REGISTRY[kind].fields:
-                if name not in a:
-                    raise SpecError(
-                        f"analyses[{idx}] ({kind}) missing field {name!r}"
-                    )
+            try:
+                analyses.append(_analysis(a))
+            except SpecError as exc:
+                raise SpecError(f"analyses[{idx}]: {exc}") from None
+        object.__setattr__(self, "analyses", tuple(analyses))
 
     @staticmethod
     def from_json(text: str) -> "ExperimentConfig":
-        obj = json.loads(text)
+        obj = _keys("config", json.loads(text), CONFIG_KEYS)
         try:
             return ExperimentConfig(
                 name=obj["name"],
                 generator=obj["generator"],
                 n=_integer("n", obj["n"]),
-                tau=_numbers("tau", obj.get("tau", [])),
+                tau=tuple(_numbers("tau", obj.get("tau", []))),
                 reps=_integer("reps", obj["reps"]),
                 base_seed=_integer("base_seed", obj.get("base_seed", 0)),
                 analyses=tuple(_list("analyses", obj["analyses"])),
                 out=obj.get("out"),
             )
         except KeyError as exc:
-            raise SpecError(f"config missing field {exc.args[0]!r}") from exc
-
-
-# Config fields are checked for their JSON type, so a wrong type is a config
-# error naming the field.
-
-def _integer(name: str, value) -> int:
-    """A JSON number with no fractional part, as an int."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise SpecError(f"{name} must be an integer, not {value!r} "
-                        f"(field: {name})")
-    return int(value)
-
-
-def _list(name: str, value) -> list:
-    if not isinstance(value, list):
-        raise SpecError(f"{name} must be a list, not {value!r} "
-                        f"(field: {name})")
-    return value
-
-
-def _numbers(name: str, value) -> tuple:
-    """A JSON array of numbers, as a tuple."""
-    if any(isinstance(x, bool) or not isinstance(x, (int, float))
-           for x in _list(name, value)):
-        raise SpecError(f"{name} must hold numbers only, not {value!r} "
-                        f"(field: {name})")
-    return tuple(value)
-
-
-# The keys each generator kind allows; any other key is a config error.
-GENERATOR_KEYS = {"m4": {"kind", "spec"}, "gauss": {"kind", "lin", "transform"}}
+            name = exc.args[0]
+            raise SpecError(f"config missing field {name!r} "
+                            f"(field: {name})") from exc
 
 
 def _build_generator(cfg: ExperimentConfig) -> Generator:
     """The config's generator; its path_fn(seed) -> SeriesMatrix of length
     cfg.n."""
-    gen = cfg.generator
-    if not isinstance(gen, dict):
-        raise SpecError(f"generator must be an object, not {gen!r} "
-                        "(field: generator)")
+    gen = _object("generator", cfg.generator)
     kind = gen.get("kind")
     if kind not in GENERATOR_KEYS:
         raise SpecError(f"unknown generator kind {kind!r} (field: kind)")
-    unknown = sorted(set(gen) - GENERATOR_KEYS[kind])
-    if unknown:
-        raise SpecError(f"a {kind} generator takes only "
-                        f"{', '.join(sorted(GENERATOR_KEYS[kind]))} "
-                        f"(field: {', '.join(unknown)})")
+    _keys(f"a {kind} generator", gen, GENERATOR_KEYS[kind])
     if kind == "m4":
-        spec = m4.M4Spec.from_json(json.dumps(gen["spec"]))
+        raw = _object("spec", gen["spec"])
+        spec = m4.M4Spec.from_json(json.dumps({
+            **raw, "d": _integer("d", raw["d"]),
+            "alpha": _number("alpha", raw["alpha"])}))
         u = m4.thresholds(spec, cfg.n, cfg.tau) if cfg.tau else None
         return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
-    table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
+    if cfg.tau:
+        raise SpecError("a gauss generator has no thresholds, so tau must be "
+                        "empty (field: tau)")
+    table = gausslin.CoeffTable.from_json(json.dumps(_object("lin", gen["lin"])))
     transform = (
-        subordinate.WindowTransform.from_json(json.dumps(gen["transform"]))
-        if gen.get("transform")
+        subordinate.WindowTransform.from_json(
+            json.dumps(_object("transform", gen["transform"])))
+        if gen.get("transform") is not None
         else None
     )
     source = subordinate.GaussianSource(table, transform)

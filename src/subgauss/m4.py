@@ -157,7 +157,6 @@ class ThresholdVector:
     n: int
     tau: np.ndarray
     u: np.ndarray
-    mode: str = "analytic_pareto"
 
     def __post_init__(self):
         if np.any(np.asarray(self.u) <= 0):
@@ -260,7 +259,7 @@ def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
     if spec.innovation is None:
         raise SpecError("spec has no innovation mode")
     u = (A_vec(spec) * n / tau) ** (1.0 / spec.alpha)
-    return ThresholdVector(n=n, tau=tau, u=u, mode="analytic_pareto")
+    return ThresholdVector(n=n, tau=tau, u=u)
 
 
 # ---------------------------------------------------------------------------

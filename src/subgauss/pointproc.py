@@ -17,6 +17,8 @@ from subgauss.evt import _exceed_indicator
 from subgauss.gausslin import SpecError
 from subgauss.m4 import ThresholdVector
 
+BINS = 10  # equal-width bins of [0, 1] in the chi-square count diagnostic
+
 
 @dataclass(frozen=True)
 class GapConfig:
@@ -33,16 +35,15 @@ class GapConfig:
 
 @dataclass(frozen=True)
 class PointPattern:
-    """Sorted exceedance-block points (normalized time, mark 1) on [0, T]."""
+    """Sorted exceedance-block points (normalized time, mark 1) on [0, 1]."""
 
     times: np.ndarray
-    horizon: float = 1.0
     blocks: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] > self.horizon):
-            raise SpecError("times must be strictly increasing within [0, T]")
+        if t.size and (np.any(np.diff(t) <= 0) or t[0] < 0 or t[-1] > 1.0):
+            raise SpecError("times must be strictly increasing within [0, 1]")
         if self.blocks is None:
             object.__setattr__(self, "blocks", np.arange(1, len(t) + 1))
 
@@ -69,7 +70,7 @@ def gapped_blocks(Y, u: ThresholdVector, cfg: GapConfig) -> PointPattern:
     hit = np.any(trimmed[:, :r], axis=1)
     j = np.nonzero(hit)[0] + 1
     times = j * (r + p) / n
-    return PointPattern(times=times, horizon=1.0, blocks=j)
+    return PointPattern(times=times, blocks=j)
 
 
 def lambda_rp(theta_list, theta_m: float, G: float, cfg: GapConfig) -> float:
@@ -114,8 +115,7 @@ class PoissonReport:
         )
 
 
-def poisson_diagnostics(patterns, lambda_target: float,
-                        bins: int = 10) -> PoissonReport:
+def poisson_diagnostics(patterns, lambda_target: float) -> PoissonReport:
     """Poisson goodness diagnostics over replicated patterns on [0, 1]."""
     patterns = list(patterns)
     if len(patterns) < 200:
@@ -129,19 +129,19 @@ def poisson_diagnostics(patterns, lambda_target: float,
     # Concatenate the replications onto one long timeline: independent
     # Poisson paths glued end to end form a single Poisson process, so the
     # pooled gaps are exactly exponential under the null. Per-path gaps
-    # would be right-censored by the horizon and biased small.
+    # would be right-censored at 1 and biased small.
     pooled = np.concatenate(
-        [i * p.horizon + p.times for i, p in enumerate(patterns) if p.count]
+        [i + p.times for i, p in enumerate(patterns) if p.count]
     )
     inter = np.diff(np.concatenate([[0.0], pooled]))
     ks = float(stats.kstest(inter, "expon",
                             args=(0.0, 1.0 / lambda_target)).statistic)
 
     # per-bin occupancy counts pooled over replications vs Poisson(lam*binwidth)
-    binwidth = 1.0 / bins
+    binwidth = 1.0 / BINS
     per_bin = np.concatenate(
-        [np.bincount(np.minimum((p.times / binwidth).astype(int), bins - 1),
-                     minlength=bins) for p in patterns]
+        [np.bincount(np.minimum((p.times / binwidth).astype(int), BINS - 1),
+                     minlength=BINS) for p in patterns]
     )
     lam_bin = lambda_target * binwidth
     kmax = int(stats.poisson.ppf(1.0 - 1e-6, lam_bin)) + 1

@@ -265,16 +265,6 @@ class TestScan:
             # at these mild levels the bound holds with room to spare
             assert r.joint_exceed <= r.bound + 4 * r.joint_stderr
 
-    def test_exact_marginal_tail_override(self):
-        rows = evt.extremal_independence_scan(
-            np.array([1.0, 2.0, 3.0]),
-            np.array([3.0, 2.0, 1.0]),
-            [2.5],
-            0.0,
-            marginal_tail=lambda x: x**-1.0,
-        )
-        np.testing.assert_allclose(rows[0].Fbar, 0.4)
-
     def test_length_mismatch(self):
         with pytest.raises(SpecError):
             evt.extremal_independence_scan(
@@ -293,10 +283,8 @@ def test_runs_estimate_in_unit_interval(u_shift, m, seed, d):
     # a d = 2 path is column-major, as m4.build makes it
     Y = iid_fn(5000, d)(seed)
     Y = SeriesMatrix(values=np.asfortranarray(Y.values))
-    u = m4.ThresholdVector(
-        n=5000, tau=(1.0,) * d, u=np.full(d, 5.0 + u_shift),
-        mode="analytic_pareto"
-    )
+    u = m4.ThresholdVector(n=5000, tau=(1.0,) * d,
+                           u=np.full(d, 5.0 + u_shift))
     try:
         rep = evt.runs_theta(Y, u, m)
     except evt.InsufficientExceedances:

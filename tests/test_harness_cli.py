@@ -369,6 +369,59 @@ class TestCli:
                      id="base-seed-bool"),
         pytest.param({"analyses": {"type": "nonexceed"}}, [],
                      "field: analyses", id="analyses-object"),
+        # a key that nothing reads
+        pytest.param({"base_sed": 1001}, [], "field: base_sed",
+                     id="base-seed-typo"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 5,
+                                    "bins": 10}]}, [], "field: bins",
+                     id="pointproc-bins"),
+        pytest.param({"analyses": [{"type": "runs", "m": 1, "mm": 2}]}, [],
+                     "field: mm", id="runs-unknown-key"),
+        pytest.param({**json.loads((CONFIGS / "e7.json").read_text()),
+                      "tau": [1.0, 1.0]}, [], "field: tau", id="e7-gauss-tau"),
+        # a nested field of the wrong JSON type, or missing
+        pytest.param({"generator": {"kind": "m4", "spec": "x"}}, [],
+                     "field: spec", id="spec-string"),
+        pytest.param({"generator": {"kind": "gauss", "lin": "x"}, "tau": []},
+                     [], "field: lin", id="lin-string"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": "x"},
+            "tau": []}, [], "field: transform", id="transform-string"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "alpha": "one"}}}, [],
+            "field: alpha", id="spec-alpha-string"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "d": 1.5}}}, [],
+            "field: d", id="spec-d-fraction"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"],
+            "innovation": {"kind": "iid_pareto"}}}}, [], "field: alpha",
+            id="innovation-missing-alpha"),
+        pytest.param({"analyses": [{"type": "runs", "m": "3"}]}, [],
+                     "field: m", id="runs-m-string"),
+        pytest.param({"analyses": [{"type": "blocks", "b": 1.5}]}, [],
+                     "field: b", id="blocks-b-fraction"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": "50", "p": 5}]},
+                     [], "field: r", id="pointproc-r-string"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": None}]},
+                     [], "field: p", id="pointproc-p-null"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 5,
+                                    "lambda_target": "2"}]}, [],
+                     "field: lambda_target", id="pointproc-lambda-string"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
+            "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": "50"}]},
+            [], "field: nblock", id="gauss-tools-nblock-string"),
+        pytest.param({"analyses": [{"type": "dprime", "k_list": "2"}]}, [],
+                     "field: k_list", id="dprime-k_list-string"),
+        pytest.param({"analyses": [{"type": "dprime", "k_list": [2, 2.5]}]},
+                     [], "field: k_list", id="dprime-k_list-fraction"),
+        pytest.param({"analyses": [{"type": "scan", "levels": "2",
+                                    "rho": 0.5}]}, [], "field: levels",
+                     id="scan-levels-string"),
+        pytest.param({"analyses": [{"type": "scan", "levels": [2.0],
+                                    "rho": "0.5"}]}, [], "field: rho",
+                     id="scan-rho-string"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change, flags,
@@ -418,6 +471,51 @@ class TestCli:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert drawn == []
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["theta", "--tau", "1.0"], id="theta"),
+        pytest.param(["m4-verify", "--tau", "1.0"], id="m4-verify"),
+        pytest.param(["dprime", "--n", "2000", "--tau", "5.0", "--k-list", "2"],
+                     id="dprime"),
+        pytest.param(["gauss-tools"], id="gauss-tools"),
+    ])
+    def test_format_on_json_only_command_exit_2(self, tmp_path, capsys,
+                                                monkeypatch, argv):
+        # these commands always write JSON, so they take no --format
+        drawn = []
+        monkeypatch.setattr(harness, "_build_generator", drawn.append)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--spec", str(spec), "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert drawn == []
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["simulate", "--n", "10"], id="simulate"),
+        pytest.param(["acf", "--hmax", "4"], id="acf"),
+        pytest.param(["maxima", "--n", "2000", "--tau", "1.0", "--reps", "100"],
+                     id="maxima"),
+        pytest.param(["pointproc", "--n", "2000", "--tau", "5.0", "--r", "50",
+                      "--p", "5", "--reps", "200"], id="pointproc"),
+    ])
+    def test_format_changes_output(self, tmp_path, argv):
+        # every command that takes --format reads it
+        if argv[0] in ("simulate", "acf"):
+            spec = gausslin.make_coeffs(gausslin.LinearProcessSpec(
+                d0=1, family=gausslin.Polynomial(beta=1.0, B=np.eye(1)),
+                L=4)).to_json()
+        else:
+            spec = json.dumps(tiny_config()["generator"]["spec"])
+        (tmp_path / "spec.json").write_text(spec)
+        written = {}
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"out.{fmt}"
+            assert cli_main(argv + ["--spec", str(tmp_path / "spec.json"),
+                                    "--format", fmt, "--out", str(out)]) == 0
+            written[fmt] = out.read_bytes()
+        assert written["csv"] != written["json"]
 
     def test_console_script_entrypoint(self):
         proc = subprocess.run(
@@ -489,6 +587,20 @@ class TestCovarianceCli:
                                    rtol=0, atol=1e-14)
         assert rep["full_rank"] == gausslin.full_rank_check(table)
         assert rep["tail_decreasing"] == gausslin.check_decay(table).tail_decreasing
+
+    def test_berman_last_forms_no_lag_products(self, spec, capsys,
+                                              monkeypatch):
+        # berman_last reads Gamma(berman_hmax) alone; the one lag_products
+        # call is the block covariance's, over lags 0..nblock-1
+        f, _ = spec
+        lags = []
+        lag_products = gausslin.lag_products
+        monkeypatch.setattr(gausslin, "lag_products", lambda x, hmax: (
+            lags.append(hmax) or lag_products(x, hmax)))
+        assert cli_main(["gauss-tools", "--spec", str(f), "--nblock", "3",
+                         "--berman-hmax", "8"]) == 0
+        assert lags == [2]
+        assert "berman_last" in json.loads(capsys.readouterr().out)
 
     def test_default_nblock_past_the_table(self, tmp_path, spec, capsys):
         # --nblock 10 needs Gamma(9) on an L=8 table: exactly zero

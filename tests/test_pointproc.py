@@ -47,8 +47,7 @@ class TestGappedBlocks:
         vals[6, 0] = 9.0   # block 1, gap part -> no point
         vals[9, 0] = 9.0   # block 2, scanned part -> point
         Y = SeriesMatrix(values=vals, meta={})
-        u = m4.ThresholdVector(n=12, tau=(1.0,), u=np.array([5.0]),
-                               mode="analytic_pareto")
+        u = m4.ThresholdVector(n=12, tau=(1.0,), u=np.array([5.0]))
         pat = pointproc.gapped_blocks(Y, u, GapConfig(r=2, p=2, m=0))
         # points are stamped at the end of the hit block; indices are 1-based
         np.testing.assert_allclose(pat.times, [4.0 / 12.0, 1.0])
@@ -58,8 +57,7 @@ class TestGappedBlocks:
         vals = np.zeros((10, 1))
         vals[9, 0] = 9.0  # inside the incomplete final block
         Y = SeriesMatrix(values=vals, meta={})
-        u = m4.ThresholdVector(n=10, tau=(1.0,), u=np.array([5.0]),
-                               mode="analytic_pareto")
+        u = m4.ThresholdVector(n=10, tau=(1.0,), u=np.array([5.0]))
         pat = pointproc.gapped_blocks(Y, u, GapConfig(r=2, p=2, m=0))
         assert pat.count == 0
 
@@ -67,8 +65,7 @@ class TestGappedBlocks:
         rng = np.random.default_rng(0)
         vals = rng.pareto(1.0, size=(800, 1)) + 1.0
         Y = SeriesMatrix(values=vals, meta={})
-        u = m4.ThresholdVector(n=800, tau=(1.0,), u=np.array([30.0]),
-                               mode="analytic_pareto")
+        u = m4.ThresholdVector(n=800, tau=(1.0,), u=np.array([30.0]))
         cfg = GapConfig(r=6, p=2, m=0)
         base = pointproc.gapped_blocks(Y, u, cfg)
         jammed = vals.copy().reshape(100, 8, 1)
@@ -180,8 +177,7 @@ def test_pattern_times_valid(seed, r, p):
     n = 40 * (r + p)
     vals = rng.pareto(1.0, size=(n, 1)) + 1.0
     Y = SeriesMatrix(values=vals, meta={})
-    u = m4.ThresholdVector(n=n, tau=(1.0,), u=np.array([15.0]),
-                           mode="analytic_pareto")
+    u = m4.ThresholdVector(n=n, tau=(1.0,), u=np.array([15.0]))
     pat = pointproc.gapped_blocks(Y, u, GapConfig(r=r, p=p, m=0))
     assert np.all(np.diff(pat.times) > 0)
     assert np.all((pat.times >= 0) & (pat.times <= 1.0))

@@ -111,3 +111,49 @@ def test_six_exceedance_indicators_per_replication(monkeypatch):
     assert summary["failures"] == []
     assert len(calls) == 6 * reps
     assert calls.count("subgauss.pointproc") == reps
+
+
+class _Clock:
+    def mark(self):
+        pass
+
+    def finish(self):
+        pass
+
+
+def test_benchmark_inputs_pass_the_config_checks(monkeypatch, tmp_path):
+    # every benchmark run starts from these configs and this gauss-tools
+    # argv; a check that rejected one would fail each run of its workload
+    from subgauss import chaos, cli, gausslin
+
+    monkeypatch.syspath_prepend(str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.modules.pop("workloads", None)
+    # quad_session's units, with the oracles stubbed and its argv captured
+    argvs = []
+    monkeypatch.setattr(cli, "main", argvs.append)
+    for name in ("hypercontractivity_check", "bvn_joint_tail",
+                 "block_canonical_corr"):
+        monkeypatch.setattr(chaos, name, lambda *args: (0.0, 0.0))
+    for size in workloads.SIZES:
+        for inputs in (workloads.mc_inputs, workloads.pareto_inputs):
+            cfg = harness.ExperimentConfig.from_json(
+                json.dumps(inputs(1, size)["config"]))
+            drawn = []
+            gen = harness._build_generator(cfg)._replace(path_fn=drawn.append)
+            harness.check(gen, cfg.analyses, cfg.reps)
+            assert drawn == []
+
+        inputs = workloads.quad_inputs(1, size)
+        sdir = tmp_path / size / "session"
+        sdir.mkdir(parents=True)
+        argvs.clear()
+        workloads.quad_session(inputs, sdir, _Clock())
+        (argv,) = argvs
+        args = cli.build_parser().parse_args(argv)
+        assert args.func is cli._cmd_gauss_tools
+        table = gausslin.CoeffTable.from_json(
+            json.dumps(inputs["gauss_tools"]["lin"]))
+        harness.check_gauss_tools(table, args.nblock, args.berman_hmax)
