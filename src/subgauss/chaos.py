@@ -62,7 +62,11 @@ def canonical_correlation(pair: GaussianBlockPair) -> float:
     """
     w1 = _inv_sqrt(pair.cov11, "cov11")
     w2 = _inv_sqrt(pair.cov22, "cov22")
-    s = np.linalg.svd(w1 @ pair.cov12 @ w2, compute_uv=False)
+    return _top_singular_value(w1 @ pair.cov12 @ w2)
+
+
+def _top_singular_value(m: np.ndarray) -> float:
+    s = np.linalg.svd(m, compute_uv=False)
     return float(np.clip(s[0], 0.0, 1.0))
 
 
@@ -77,10 +81,11 @@ def block_canonical_corr(
     """
     if h < 1:
         raise SpecError("block separation h must be >= 1")
-    blocklen = r + m
-    c11 = gausslin.block_cov(coeffs, blocklen)
-    c12 = gausslin.block_cov(coeffs, blocklen, h * (r + p_gap))
-    return canonical_correlation(GaussianBlockPair(c11, c11, c12))
+    # both blocks have covariance c11, so one inverse square root whitens
+    # either side
+    c11, c12 = gausslin.block_covs(coeffs, r + m, (0, h * (r + p_gap)))
+    w = _inv_sqrt(c11, "cov11")
+    return _top_singular_value(w @ c12 @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -200,82 +205,115 @@ def _gk21(fn, lo, hi):
     return (kron * h).reshape(lo.shape + y.shape[1:]), err, rnd
 
 
-def gaussian_expectation(fn, breakpoints=(), refine=False):
-    """E[fn(Z)] for standard normal Z by batched adaptive Gauss-Kronrod
-    (G10/K21) quadrature on [-40, 40], split into panels at the supplied
-    breakpoints so kinks and jumps are respected.
+def _panel_sums(x, owner, rank, start, width):
+    """x[owner == p].sum(axis=0) for every panel p, bit for bit, where x is
+    sorted by panel, each panel in its own order, and rank is the position
+    within the panel. numpy sums a vector (or a single column) pairwise from
+    0.0, and the rows of a wider array one after another."""
+    panels = len(start)
+    if x.ndim == 1 or x.shape[1] == 1:
+        # reduceat adds the rest of a slice pairwise to its first entry, so
+        # a zero ahead of each panel repeats the panel's own sum
+        z = np.zeros((len(x) + panels,) + x.shape[1:])
+        z[start[owner] + owner + rank + 1] = x
+        return np.add.reduceat(z, start + np.arange(panels))
+    # rows after a panel's last are zeros, which leave a row sum unchanged
+    pad = np.zeros((panels, width, x.shape[1]))
+    pad[owner, rank] = x
+    return np.add.reduce(pad, axis=1)
 
-    fn takes a 1-D array of nodes and returns one value per node, shape
-    (nodes,), or one vector per node, shape (nodes, m); the result is a
-    float or an array of shape (m,). Each panel is refined as
-    `scipy.integrate.quad_vec(norm="max")` refines it: every round halves,
-    in each unconverged panel, its subintervals of largest error until the
-    rest is below tol/8, where tol = max(1e-13, 1e-12 max|panel integral|),
-    and the panel stops when its error sum is below tol/8 (or below the
-    accumulated rounding error). All halves of a round, over all panels, go
+
+def gaussian_expectation(fn, breakpoints=()):
+    """E[fn(Z)] for standard normal Z by two batched adaptive Gauss-Kronrod
+    (G10/K21) rules on [-40, 40]; returns (plain, refined).
+
+    The plain rule splits [-40, 40] into panels at the supplied breakpoints,
+    so kinks and jumps are respected; the refined rule adds panel
+    boundaries at -3, -1, 1, 3, which force a different subdivision, and
+    agreement between the two values certifies convergence. fn takes a 1-D
+    array of nodes and returns one value per node, shape (nodes,), or one
+    vector per node, shape (nodes, m); each value is a float or an array of
+    shape (m,).
+
+    Each panel is refined as `scipy.integrate.quad_vec(norm="max")` refines
+    it: every round halves, in each unconverged panel, its subintervals of
+    largest error until the rest is below tol/8, where tol = max(1e-13,
+    1e-12 max|panel integral|), and the panel stops when its error sum is
+    below tol/8 (or below the accumulated rounding error). Both rules run
+    in one loop: all halves of a round, over every panel of both rules, go
     to fn in one call. A panel that reaches 200 subintervals unconverged,
-    or a non-finite error, raises SpecError. With refine=True, extra panel
-    boundaries at -3, -1, 1, 3 force a different subdivision; agreement
-    between the two rules certifies convergence.
+    or a non-finite error, raises SpecError.
     """
     # The density underflows to zero beyond |x| ~ 39; finite limits keep
     # adaptive quadrature from probing points where fn itself overflows.
     cut, epsabs, epsrel, limit = 40.0, 1e-13, 1e-12, 200
     pts = {-cut, cut} | {float(b) for b in breakpoints if abs(b) < cut}
-    if refine:
-        pts |= {-3.0, -1.0, 1.0, 3.0}
-    pts = np.array(sorted(pts))
-    lo, hi, owner = pts[:-1], pts[1:], np.arange(len(pts) - 1)
+    rules = [np.array(sorted(pts)), np.array(sorted(pts | {-3.0, -1.0, 1.0, 3.0}))]
+    edges = np.concatenate([np.stack([r[:-1], r[1:]], 1) for r in rules])
+    panels, plain = len(edges), len(rules[0]) - 1
+    # subintervals stay sorted by panel; each panel keeps the order in
+    # which it made them, which its sums depend on
+    lo, hi, owner = edges[:, 0], edges[:, 1], np.arange(panels)
     val, err, rnd = _gk21(fn, lo, hi)
     rounding = rnd.copy()  # per panel, summed over every rule applied
-    active = list(owner)
+    count = np.ones(panels, dtype=int)
     while True:
-        split = []
-        for p in list(active):
-            mine = np.flatnonzero(owner == p)
-            total = err[mine].sum()
-            tol = max(epsabs, epsrel * np.max(np.abs(val[mine].sum(axis=0))))
-            if not (np.isfinite(total) and np.isfinite(rounding[p])):
-                raise SpecError(f"quadrature on [{pts[p]:g}, {pts[p + 1]:g}] "
-                                "met a non-finite value")
-            if len(mine) >= 2 and (total < tol / 8 or total < rounding[p]):
-                active.remove(p)
-                continue
-            if len(mine) >= limit:
-                raise SpecError(f"quadrature on [{pts[p]:g}, {pts[p + 1]:g}] "
-                                f"did not converge within {limit} subintervals")
-            worst = mine[np.lexsort((lo[mine], -err[mine]))]
-            # halve the worst subinterval, and the next ones while the error
-            # left behind exceeds tol/8 (at most 128 per round)
-            spent = np.cumsum(err[worst])[:127]
-            split.append(worst[: 1 + np.count_nonzero(
-                spent[: len(worst) - 1] <= total - tol / 8)])
-        if not split:
+        start = np.add.accumulate(count) - count
+        rank = np.arange(len(owner)) - start[owner]
+        width = count.max()
+        total = _panel_sums(err, owner, rank, start, width)
+        sums = _panel_sums(val, owner, rank, start, width)
+        tol = np.maximum(epsabs, epsrel * np.maximum.reduce(
+            np.abs(sums).reshape(panels, -1), axis=1))
+        done = (count >= 2) & ((total < tol / 8) | (total < rounding))
+        bad = ~(np.isfinite(total) & np.isfinite(rounding))
+        stuck = bad | ((count >= limit) & ~done)
+        if stuck.any():
+            p = stuck.argmax()
+            why = ("met a non-finite value" if bad[p] else
+                   f"did not converge within {limit} subintervals")
+            raise SpecError(f"quadrature on [{edges[p, 0]:g}, {edges[p, 1]:g}] {why}")
+        if done.all():
             break
-        split = np.concatenate(split)
+        # in each unconverged panel, halve the subinterval of largest error
+        # (the leftmost on a tie), and the next ones while the error left
+        # behind exceeds tol/8 (at most 128 per round). Sorting keeps each
+        # panel where it was, so rank is also the position in worst; the
+        # running error sums never decrease, so the ones that fit are a
+        # prefix.
+        worst = np.lexsort((lo, -err, owner))
+        spent = np.zeros((panels, width))
+        spent[owner, rank] = err[worst]
+        fits = np.add.reduce(np.add.accumulate(spent, axis=1)
+                             <= (total - tol / 8)[:, None], axis=1)
+        halve = np.where(done, 0, 1 + np.minimum(np.minimum(fits, count - 1), 127))
+        split = worst[rank < halve[owner]]
+        count += halve
         mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate([lo[split], mid])
-        new_hi = np.concatenate([mid, hi[split]])
-        new_val, new_err, new_rnd = _gk21(fn, new_lo, new_hi)
+        new_val, new_err, new_rnd = _gk21(fn, np.concatenate([lo[split], mid]),
+                                          np.concatenate([mid, hi[split]]))
         n = len(split)
         np.add.at(rounding, owner[split], new_rnd[:n] + new_rnd[n:])
         keep = np.ones(len(lo), dtype=bool)
         keep[split] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
+        # stable, so a panel's kept subintervals come first, then its left
+        # halves, then its right halves
         owner = np.concatenate([owner[keep], owner[split], owner[split]])
-        val = np.concatenate([val[keep], new_val])
-        err = np.concatenate([err[keep], new_err])
-    total = 0.0
-    for p in range(len(pts) - 1):
-        total = total + val[owner == p].sum(axis=0)
-    return total if np.ndim(total) else float(total)
+        order = owner.argsort(kind="stable")
+        owner = owner[order]
+        lo = np.concatenate([lo[keep], lo[split], mid])[order]
+        hi = np.concatenate([hi[keep], mid, hi[split]])[order]
+        val = np.concatenate([val[keep], new_val])[order]
+        err = np.concatenate([err[keep], new_err])[order]
+    # each rule adds its panel sums in panel order
+    both = (np.cumsum(sums[:plain], axis=0)[-1], np.cumsum(sums[plain:], axis=0)[-1])
+    return tuple(v if np.ndim(v) else float(v) for v in both)
 
 
 def hermite_expand(f: CatalogFn, K: int) -> HermiteExpansion:
     """c_k = E[f(Z) He_k(Z)] / sqrt(k!) for k = 0..K, all from one adaptive
-    pass per rule, split at the catalog function's breakpoints. The plain
-    and the refined rule must agree to 1e-10 on every coefficient."""
+    pass of both rules, split at the catalog function's breakpoints. The
+    plain and the refined rule must agree to 1e-10 on every coefficient."""
     if not isinstance(f, CatalogFn):
         raise SpecError("hermite_expand accepts catalog functions only")
     if not 0 <= K <= 60:
@@ -293,9 +331,8 @@ def hermite_expand(f: CatalogFn, K: int) -> HermiteExpansion:
             h[k + 1] = (x * h[k] - root[k] * h[k - 1]) / root[k + 1]
         return (f(x) * h).T
 
-    bp = f.breakpoints()
-    coeffs = gaussian_expectation(integrand, bp)
-    delta = np.abs(coeffs - gaussian_expectation(integrand, bp, refine=True))
+    coeffs, check = gaussian_expectation(integrand, f.breakpoints())
+    delta = np.abs(coeffs - check)
     worst = int(np.argmax(delta))
     if not delta[worst] <= 1e-10:
         raise SpecError(
@@ -328,13 +365,11 @@ def hypercontractivity_check(f: CatalogFn, a: float, K: int = 40):
     scaled = mehler_apply(exp, a)
     lhs = scaled.l2_norm()
     p = 1.0 + a * a
-    bp = f.breakpoints()
-    moment = gaussian_expectation(lambda x: np.abs(f(x)) ** p, bp)
-    moment_check = gaussian_expectation(
-        lambda x: np.abs(f(x)) ** p, bp, refine=True
-    )
-    if abs(moment - moment_check) > 1e-8:
-        raise SpecError("norm quadrature did not converge")
+    moment, check = gaussian_expectation(lambda x: np.abs(f(x)) ** p,
+                                         f.breakpoints())
+    delta = abs(moment - check)
+    if not delta <= 1e-8:
+        raise SpecError(f"norm quadrature did not converge (delta={delta:.2e})")
     rhs = moment ** (1.0 / p)
     return lhs, rhs
 

@@ -27,6 +27,65 @@ class SpecError(ValueError):
     """Invalid process specification."""
 
 
+# Spec and config fields are checked for their JSON type, so a wrong type is
+# a config error naming the field. Every parser of JSON input uses these.
+
+def _integer(name: str, value) -> int:
+    """A JSON number with no fractional part, as an int."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int)
+            or isinstance(value, float) and value.is_integer()):
+        raise SpecError(f"{name} must be an integer, not {value!r} "
+                        f"(field: {name})")
+    return int(value)
+
+
+def _number(name: str, value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be a number, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
+def _list(name: str, value) -> list:
+    if not isinstance(value, list):
+        raise SpecError(f"{name} must be a list, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
+def _numbers(name: str, value) -> list:
+    return [_number(name, x) for x in _list(name, value)]
+
+
+def _integers(name: str, value) -> list:
+    return [_integer(name, x) for x in _list(name, value)]
+
+
+def _object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{name} must be an object, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
+def _keys(name: str, value, allowed) -> dict:
+    """A JSON object whose every key is in `allowed`: a key that nothing
+    reads is a config error, never silently ignored."""
+    unknown = sorted(set(_object(name, value)) - set(allowed))
+    if unknown:
+        raise SpecError(f"{name} takes only {', '.join(sorted(allowed))} "
+                        f"(field: {', '.join(unknown)})")
+    return value
+
+
+def _nested(name: str, value):
+    """A number or a nested list of numbers, as nested tuples."""
+    if isinstance(value, list):
+        return tuple(_nested(name, x) for x in value)
+    return _number(name, value)
+
+
 # ---------------------------------------------------------------------------
 # Coefficient families
 # ---------------------------------------------------------------------------
@@ -137,25 +196,27 @@ class CoeffTable:
 
     @staticmethod
     def from_json(text: str) -> "CoeffTable":
-        obj = json.loads(text)
-        name, params = obj["family"], obj["params"]
+        obj = _keys("lin", json.loads(text), {"d0", "family", "params", "L"})
+        name = obj["family"]
+        if name not in FAMILY_PARAMS:
+            raise SpecError(f"unknown family {name!r} (field: family)")
+        params = _keys(f"{name} params", obj["params"], FAMILY_PARAMS[name])
         if name == "polynomial":
-            fam = Polynomial(params["beta"], _to_tuple(params["B"]))
+            fam = Polynomial(_number("beta", params["beta"]),
+                             _nested("B", params["B"]))
         elif name == "log_boundary":
-            fam = LogBoundary(params["q"], _to_tuple(params["B"]))
+            fam = LogBoundary(_number("q", params["q"]), _nested("B", params["B"]))
         elif name == "iid":
             fam = Iid()
-        elif name == "custom":
-            fam = Custom(_to_tuple(params["table"]))
         else:
-            raise SpecError(f"unknown family {name!r}")
-        return make_coeffs(LinearProcessSpec(obj["d0"], fam, obj["L"]))
+            fam = Custom(_nested("table", params["table"]))
+        return make_coeffs(LinearProcessSpec(
+            _integer("d0", obj["d0"]), fam, _integer("L", obj["L"])))
 
 
-def _to_tuple(nested):
-    if isinstance(nested, (list, tuple)):
-        return tuple(_to_tuple(x) for x in nested)
-    return nested
+# The params each family reads.
+FAMILY_PARAMS = {"polynomial": {"beta", "B"}, "log_boundary": {"q", "B"},
+                 "iid": set(), "custom": {"table"}}
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +392,27 @@ def block_cov(coeffs: CoeffTable, blocklen: int, shift: int = 0) -> np.ndarray:
     Gamma(h) = 0 past L, exactly, in the truncated model, so any shift is
     legal. The dense matrix is limited to DENSE_ROWS rows.
     """
+    return block_covs(coeffs, blocklen, (shift,))[0]
+
+
+def block_covs(coeffs: CoeffTable, blocklen: int, shifts) -> list:
+    """block_cov at each shift, all from one lag_products call over the
+    lags of the largest."""
     d0 = coeffs.d0
-    if blocklen < 1 or shift < 0:
-        raise SpecError(f"blocklen={blocklen} must be >= 1 and shift={shift} "
-                        ">= 0")
+    if blocklen < 1 or min(shifts) < 0:
+        raise SpecError(f"blocklen={blocklen} must be >= 1 and shift="
+                        f"{min(shifts)} >= 0")
     if blocklen * d0 > DENSE_ROWS:
         raise SpecError(f"blocklen * d0 = {blocklen * d0} exceeds the dense "
                         f"budget ({DENSE_ROWS})")
-    hmax = shift + blocklen - 1
+    hmax = max(shifts) + blocklen - 1
     gam = lag_products(coeffs.psi, hmax)
     # lag k - hmax at index k, for lags -hmax..hmax
     both = np.concatenate([gam[:0:-1].transpose(0, 2, 1), gam])
     a = np.arange(blocklen)
-    blocks = both[hmax + shift + a[None, :] - a[:, None]]  # [a, b, i, k]
-    return blocks.transpose(0, 2, 1, 3).reshape(blocklen * d0, blocklen * d0)
+    return [both[hmax + shift + a[None, :] - a[:, None]]  # [a, b, i, k]
+            .transpose(0, 2, 1, 3).reshape(blocklen * d0, blocklen * d0)
+            for shift in shifts]
 
 
 def block_toeplitz_min_eig(coeffs: CoeffTable, nblock: int) -> float:

@@ -19,7 +19,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from subgauss import evt, gausslin, m4, pointproc, subordinate
-from subgauss.gausslin import SpecError
+from subgauss.gausslin import (SpecError, _integer, _integers, _keys, _list,
+                               _number, _numbers, _object)
 
 ENV_SEED = "SUBGAUSS_SEED"
 
@@ -183,58 +184,6 @@ def _gauss_tools(a, results, gen):
     return gauss_tools(gen.spec.table, a.get("nblock", 10)), None
 
 
-# Config fields are checked for their JSON type, so a wrong type is a config
-# error naming the field.
-
-def _integer(name: str, value) -> int:
-    """A JSON number with no fractional part, as an int."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int)
-            or isinstance(value, float) and value.is_integer()):
-        raise SpecError(f"{name} must be an integer, not {value!r} "
-                        f"(field: {name})")
-    return int(value)
-
-
-def _number(name: str, value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{name} must be a number, not {value!r} "
-                        f"(field: {name})")
-    return value
-
-
-def _list(name: str, value) -> list:
-    if not isinstance(value, list):
-        raise SpecError(f"{name} must be a list, not {value!r} "
-                        f"(field: {name})")
-    return value
-
-
-def _numbers(name: str, value) -> list:
-    return [_number(name, x) for x in _list(name, value)]
-
-
-def _integers(name: str, value) -> list:
-    return [_integer(name, x) for x in _list(name, value)]
-
-
-def _object(name: str, value) -> dict:
-    if not isinstance(value, dict):
-        raise SpecError(f"{name} must be an object, not {value!r} "
-                        f"(field: {name})")
-    return value
-
-
-def _keys(name: str, value, allowed) -> dict:
-    """A JSON object whose every key is in `allowed`: a key that nothing
-    reads is a config error, never silently ignored."""
-    unknown = sorted(set(_object(name, value)) - set(allowed))
-    if unknown:
-        raise SpecError(f"{name} takes only {', '.join(sorted(allowed))} "
-                        f"(field: {', '.join(unknown)})")
-    return value
-
-
 class Analysis(NamedTuple):
     fields: dict                 # required config field -> its JSON type
     optional: dict               # optional config field -> its JSON type
@@ -347,19 +296,15 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
         raise SpecError(f"unknown generator kind {kind!r} (field: kind)")
     _keys(f"a {kind} generator", gen, GENERATOR_KEYS[kind])
     if kind == "m4":
-        raw = _object("spec", gen["spec"])
-        spec = m4.M4Spec.from_json(json.dumps({
-            **raw, "d": _integer("d", raw["d"]),
-            "alpha": _number("alpha", raw["alpha"])}))
+        spec = m4.M4Spec.from_json(json.dumps(gen["spec"]))
         u = m4.thresholds(spec, cfg.n, cfg.tau) if cfg.tau else None
         return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
     if cfg.tau:
         raise SpecError("a gauss generator has no thresholds, so tau must be "
                         "empty (field: tau)")
-    table = gausslin.CoeffTable.from_json(json.dumps(_object("lin", gen["lin"])))
+    table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
     transform = (
-        subordinate.WindowTransform.from_json(
-            json.dumps(_object("transform", gen["transform"])))
+        subordinate.WindowTransform.from_json(json.dumps(gen["transform"]))
         if gen.get("transform") is not None
         else None
     )

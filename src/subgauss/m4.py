@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from subgauss import gausslin, subordinate
-from subgauss.gausslin import LinearProcessSpec, SeriesMatrix, SpecError
+from subgauss.gausslin import (LinearProcessSpec, SeriesMatrix, SpecError,
+                               _integer, _integers, _keys, _nested, _number,
+                               _object)
 from subgauss.subordinate import Part, WindowTransform
 
 
@@ -26,6 +28,11 @@ class IidPareto:
     alpha: float
 
     kind = "iid_pareto"
+
+    def __post_init__(self):
+        if not self.alpha > 0:
+            raise SpecError(f"iid_pareto alpha={self.alpha} must be > 0 "
+                            "(field: alpha)")
 
 
 @dataclass(frozen=True)
@@ -48,7 +55,8 @@ class SubGauss:
 
     def __post_init__(self):
         if self.transform not in ("pareto", "folded_pareto"):
-            raise SpecError("SubGauss transform must be pareto or folded_pareto")
+            raise SpecError("SubGauss transform must be pareto or "
+                            "folded_pareto (field: transform)")
         object.__setattr__(self, "source", subordinate.GaussianSource(
             gausslin.make_coeffs(self.lin)))
 
@@ -128,26 +136,39 @@ class M4Spec:
 
     @staticmethod
     def from_json(text: str) -> "M4Spec":
-        obj = json.loads(text)
+        obj = _keys("spec", json.loads(text),
+                    {"d", "alpha", "lags", "a", "innovation"})
         inn = obj.get("innovation")
         innovation = None
         if inn is not None:
-            if inn["kind"] == "iid_pareto":
-                innovation = IidPareto(alpha=inn["alpha"])
-            elif inn["kind"] == "subgauss":
+            kind = _object("innovation", inn)["kind"]
+            if kind not in INNOVATION_KEYS:
+                raise SpecError(f"unknown innovation kind {kind!r} "
+                                "(field: kind)")
+            _keys(f"the {kind} innovation", inn, INNOVATION_KEYS[kind])
+            if kind == "iid_pareto":
+                innovation = IidPareto(alpha=_number("alpha", inn["alpha"]))
+            else:
                 table = gausslin.CoeffTable.from_json(json.dumps(inn["lin"]))
                 innovation = SubGauss(
                     lin=table.spec, transform=inn.get("transform", "pareto")
                 )
-            else:
-                raise SpecError(f"unknown innovation kind {inn['kind']!r}")
+        lags = tuple(_integers("lags", obj["lags"]))
+        if len(lags) != 2:
+            raise SpecError(f"lags must be [r_lo, r_hi], not {list(lags)} "
+                            "(field: lags)")
         return M4Spec(
-            d=obj["d"],
-            alpha=obj["alpha"],
-            lags=tuple(obj["lags"]),
-            a=np.asarray(obj["a"], dtype=float),
+            d=_integer("d", obj["d"]),
+            alpha=_number("alpha", obj["alpha"]),
+            lags=lags,
+            a=np.asarray(_nested("a", obj["a"]), dtype=float),
             innovation=innovation,
         )
+
+
+# The keys each innovation kind reads.
+INNOVATION_KEYS = {"iid_pareto": {"kind", "alpha"},
+                   "subgauss": {"kind", "lin", "transform"}}
 
 
 @dataclass(frozen=True)

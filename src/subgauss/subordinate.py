@@ -15,7 +15,8 @@ import numpy as np
 from scipy.special import ndtr
 
 from subgauss import gausslin
-from subgauss.gausslin import SeriesMatrix, SpecError
+from subgauss.gausslin import (SeriesMatrix, SpecError, _integer, _integers, _keys,
+                               _list, _number)
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,7 @@ class Part:
             "identity", "abs", "square", "pareto", "folded_pareto",
             "window_max",
         ):
-            raise SpecError(f"unknown transform kind {self.kind!r}")
+            raise SpecError(f"unknown transform kind {self.kind!r} (field: kind)")
         if self.kind in ("pareto", "folded_pareto"):
             if self.alpha is None or self.alpha <= 0:
                 raise SpecError(f"{self.kind} requires alpha > 0")
@@ -100,17 +101,18 @@ class WindowTransform:
 
     @staticmethod
     def from_json(text: str) -> "WindowTransform":
-        obj = json.loads(text)
-        parts = tuple(
-            Part(
+        obj = _keys("transform", json.loads(text), {"m", "parts"})
+        parts = []
+        for p in _list("parts", obj["parts"]):
+            _keys("a transform part", p, {"kind", "coord", "alpha", "lags"})
+            alpha = p.get("alpha")
+            parts.append(Part(
                 kind=p["kind"],
-                coord=p.get("coord", 0),
-                alpha=p.get("alpha"),
-                lags=tuple(p.get("lags", [0])),
-            )
-            for p in obj["parts"]
-        )
-        return WindowTransform(m=obj["m"], parts=parts)
+                coord=_integer("coord", p.get("coord", 0)),
+                alpha=None if alpha is None else _number("alpha", alpha),
+                lags=tuple(_integers("lags", p.get("lags", [0]))),
+            ))
+        return WindowTransform(m=_integer("m", obj["m"]), parts=tuple(parts))
 
 
 def apply(X: SeriesMatrix, t: WindowTransform) -> SeriesMatrix:

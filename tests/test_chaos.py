@@ -1,7 +1,9 @@
 """Hermite expansions, Mehler scaling, hypercontractive and joint-tail
 bounds, and canonical correlations of Gaussian blocks."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from scipy.special import ndtr
 from subgauss import chaos, gausslin
 from subgauss.chaos import CatalogFn, GaussianBlockPair
 from subgauss.gausslin import SpecError
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "e7_quadrature.json"
 
 E7_CATALOG = [
     CatalogFn("exp", 0.7),
@@ -85,7 +89,7 @@ class TestHermiteExpand:
     def test_parseval(self):
         f = CatalogFn("exp", 0.6)
         e = chaos.hermite_expand(f, 40)
-        second_moment = chaos.gaussian_expectation(lambda x: f(x) ** 2)
+        second_moment, _ = chaos.gaussian_expectation(lambda x: f(x) ** 2)
         np.testing.assert_allclose(e.l2_norm() ** 2, second_moment, atol=1e-9)
 
     @pytest.mark.parametrize("f", E7_CATALOG[:4],
@@ -106,29 +110,39 @@ class TestHermiteExpand:
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
     def test_integrand_runs_once_per_panel_set(self, monkeypatch):
-        # one expansion is a handful of batched calls over all active
-        # panels, not one call per node
-        sizes = []
-        plain = chaos.gaussian_expectation
+        # one expansion is one adaptive loop over both rules: a handful of
+        # batched calls over all active panels, not one call per node, and
+        # the first call holds the 21 nodes of every panel of both rules
+        loops, sizes = [], []
+        joint = chaos.gaussian_expectation
 
-        def counting(fn, breakpoints=(), refine=False):
+        def counting(fn, breakpoints=()):
+            loops.append(breakpoints)
+
             def wrapped(x):
                 sizes.append(np.size(x))
                 return fn(x)
-            return plain(wrapped, breakpoints, refine)
+            return joint(wrapped, breakpoints)
 
         monkeypatch.setattr(chaos, "gaussian_expectation", counting)
         chaos.hermite_expand(CatalogFn("abs"), 40)
-        assert 2 <= len(sizes) <= 60
+        # plain panels split at 0; refined ones also at -3, -1, 1, 3
+        assert loops == [(0.0,)]
+        assert sizes[0] == 21 * (2 + 6)
+        # each rule takes 6 rounds, which took 12 calls when each rule ran
+        # its own loop; one loop takes as many rounds as the slower rule
+        assert len(sizes) == 6
         assert all(n % 21 == 0 for n in sizes) and sum(sizes) > 1000
 
     def test_scalar_and_vector_integrands(self):
+        # one value per rule: (plain, refined)
         got = chaos.gaussian_expectation(lambda x: x * x)
-        assert isinstance(got, float)
-        np.testing.assert_allclose(got, 1.0, rtol=0, atol=1e-14)
+        assert len(got) == 2 and all(isinstance(v, float) for v in got)
+        np.testing.assert_allclose(got, [1.0, 1.0], rtol=0, atol=1e-14)
         vec = chaos.gaussian_expectation(lambda x: np.stack([x, x * x, x**4], 1))
-        assert vec.shape == (3,)
-        np.testing.assert_allclose(vec, [0.0, 1.0, 3.0], rtol=0, atol=1e-13)
+        assert len(vec) == 2 and all(v.shape == (3,) for v in vec)
+        np.testing.assert_allclose(vec, [[0.0, 1.0, 3.0]] * 2, rtol=0,
+                                   atol=1e-13)
 
     @pytest.mark.parametrize("c", [0.123, 1 / 3])
     def test_kink_inside_a_panel(self, c):
@@ -136,7 +150,7 @@ class TestHermiteExpand:
         # only adaptive subdivision to the full tolerance gets it
         phi = math.exp(-c * c / 2) / math.sqrt(2 * math.pi)
         got = chaos.gaussian_expectation(lambda x: np.abs(x - c))
-        np.testing.assert_allclose(got, 2 * phi + c * (2 * ndtr(c) - 1),
+        np.testing.assert_allclose(got, [2 * phi + c * (2 * ndtr(c) - 1)] * 2,
                                    rtol=0, atol=1e-14)
 
     def test_panel_budget_exhausted_raises(self):
@@ -164,18 +178,45 @@ class TestHermiteExpand:
                                    atol=1e-14)
 
     def test_rule_disagreement_names_coefficient(self, monkeypatch):
-        # the refined rule is off on coefficient 3 only
-        plain = chaos.gaussian_expectation
+        # the refined half of the pair is off on coefficient 3 only
+        joint = chaos.gaussian_expectation
 
-        def skewed(fn, breakpoints=(), refine=False):
-            val = plain(fn, breakpoints, refine)
-            if refine:
-                val[3] += 1e-8
-            return val
+        def skewed(fn, breakpoints=()):
+            plain, refined = joint(fn, breakpoints)
+            refined = refined.copy()
+            refined[3] += 1e-8
+            return plain, refined
 
         monkeypatch.setattr(chaos, "gaussian_expectation", skewed)
         with pytest.raises(SpecError, match=r"coefficient 3 .*delta=1\.00e-08"):
             chaos.hermite_expand(CatalogFn("exp", 0.7), 6)
+
+    @pytest.mark.parametrize("m", [0, 1, 3, 41], ids=lambda m: f"m={m}")
+    def test_panel_sums_repeat_numpy_sums(self, m):
+        # every per-panel reduction of the adaptive loop must equal the sum
+        # numpy forms over that panel alone, bit for bit, or the loop would
+        # stop or split panels differently from one rule at a time
+        rng = np.random.default_rng(m)
+        for _ in range(200):
+            count = rng.integers(1, 201, rng.integers(1, 9))  # limit 200
+            owner = np.repeat(np.arange(len(count)), count)
+            start = np.cumsum(count) - count
+            rank = np.arange(len(owner)) - start[owner]
+            shape = (len(owner),) + ((m,) if m else ())
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-16, 3, shape)
+            got = chaos._panel_sums(x, owner, rank, start, count.max())
+            for p in range(len(count)):
+                want = x[owner == p].sum(axis=0)
+                assert np.array_equal(got[p], want), (m, count[p])
+
+    def test_matches_golden(self):
+        # the K=40 coefficients of E7's catalog, as recorded when each rule
+        # ran its own adaptive loop; every value must be equal, not close
+        golden = json.loads(GOLDEN.read_text())
+        for entry in golden["coeffs"]:
+            f = CatalogFn(entry["kind"], tuple(entry["param"]))
+            got = chaos.hermite_expand(f, golden["K"]).coeffs.tolist()
+            assert got == entry["coeffs"], f
 
     def test_rejects_plain_callables(self):
         with pytest.raises(SpecError):
@@ -236,6 +277,28 @@ class TestHypercontractivity:
     def test_bound_holds(self, f, a):
         lhs, rhs = chaos.hypercontractivity_check(f, a)
         assert lhs <= rhs + 1e-9
+
+    def test_matches_golden(self):
+        # (lhs, rhs) for the benchmark's 12 (f, a) pairs at seed 1, as
+        # recorded when each rule ran its own adaptive loop
+        golden = json.loads(GOLDEN.read_text())
+        for entry in golden["hyper"]:
+            f = CatalogFn(entry["kind"], tuple(entry["param"]))
+            got = chaos.hypercontractivity_check(f, entry["a"], golden["K"])
+            assert list(got) == entry["lhs_rhs"], (f, entry["a"])
+
+    def test_moment_disagreement_raises_with_delta(self, monkeypatch):
+        # the refined rule is off on the norm moment only
+        joint = chaos.gaussian_expectation
+
+        def skewed(fn, breakpoints=()):
+            plain, refined = joint(fn, breakpoints)
+            return plain, refined + (1e-7 if np.ndim(refined) == 0 else 0.0)
+
+        monkeypatch.setattr(chaos, "gaussian_expectation", skewed)
+        with pytest.raises(SpecError,
+                           match=r"norm quadrature .*delta=1\.00e-07"):
+            chaos.hypercontractivity_check(CatalogFn("exp", 0.7), 0.5, 8)
 
     def test_exp_is_extremal(self):
         # exponential functions achieve equality

@@ -225,6 +225,40 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         np.testing.assert_allclose(out["theta"], 0.5)
 
+    @pytest.mark.parametrize("command, path, value, field", [
+        pytest.param(["theta", "--tau", "1.0"], ["alpha"], "one",
+                     "field: alpha", id="theta-alpha-string"),
+        pytest.param(["m4-verify", "--tau", "1.0"], ["extra"], 1,
+                     "field: extra", id="m4-verify-unknown-key"),
+        pytest.param(["theta", "--tau", "1.0"], ["innovation", "alpha"], "one",
+                     "field: alpha", id="theta-innovation-alpha-string"),
+        pytest.param(["acf", "--hmax", "3"], ["params", "q"], "two",
+                     "field: q", id="acf-q-string"),
+        pytest.param(["simulate", "--n", "10"], ["family"], "fractal",
+                     "field: family", id="simulate-unknown-family"),
+        pytest.param(["gauss-tools"], ["params", "B0"], 1, "field: B0",
+                     id="gauss-tools-params-unknown-key"),
+    ])
+    def test_spec_error_exit_2_names_field(self, tmp_path, capsys, command,
+                                           path, value, field):
+        # the --spec commands parse their file with the checks that
+        # `subgauss run` applies to a config's spec and lin
+        if command[0] in ("theta", "m4-verify"):
+            spec = tiny_config()["generator"]["spec"]
+        else:
+            spec = json.loads(gausslin.make_coeffs(gausslin.LinearProcessSpec(
+                d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)),
+                L=16)).to_json())
+        node = spec
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        f = tmp_path / "spec.json"
+        f.write_text(json.dumps(spec))
+        assert cli_main(command + ["--spec", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and field in err
+
     def test_m4_verify(self, tmp_path, capsys):
         spec = tiny_config()["generator"]["spec"]
         f = tmp_path / "m4.json"
@@ -422,6 +456,62 @@ class TestCli:
         pytest.param({"analyses": [{"type": "scan", "levels": [2.0],
                                     "rho": "0.5"}]}, [], "field: rho",
                      id="scan-rho-string"),
+        # a key that nothing reads, or a field of the wrong JSON type, inside
+        # a spec, an innovation, a table (lin), its params or a transform part
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "extra": 1}}}, [],
+            "field: extra", id="spec-unknown-key"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"],
+            "innovation": {"kind": "iid_pareto", "alpha": 1.0, "beta": 2}}}},
+            [], "field: beta", id="innovation-unknown-key"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"],
+            "innovation": {"kind": "iid_pareto", "alpha": "one"}}}},
+            [], "field: alpha", id="innovation-alpha-string"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"],
+            "innovation": {"kind": "iid_pareto", "alpha": -1.0}}}},
+            [], "field: alpha", id="innovation-alpha-negative"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "lags": [0, "1"]}}}, [],
+            "field: lags", id="spec-lags-string"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "lags": [0, 1, 2]}}}, [],
+            "field: lags", id="spec-lags-three"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8, "Lmax": 9}},
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: Lmax", id="lin-unknown-key"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8.5}},
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: L", id="lin-L-fraction"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0]], "beta": 1.0}, "L": 8}},
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: beta", id="params-unknown-key"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": "two", "B": [[1.0]]}, "L": 8}},
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: q", id="params-q-string"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [["1"]]}, "L": 8}},
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: B", id="params-B-string"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
+            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "scale": 2}]}},
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: scale", id="parts-unknown-key"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
+            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": "0"}]}},
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+            [], "field: coord", id="parts-coord-string"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change, flags,

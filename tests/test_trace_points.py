@@ -35,6 +35,16 @@ def load_session(monkeypatch):
     return session
 
 
+def load_workloads():
+    """bench/workloads.py as a module, read from the file; it imports no
+    sibling, so nothing is left on sys.path."""
+    spec = importlib.util.spec_from_file_location("bench_workloads",
+                                                  BENCH / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
 def test_every_trace_point_resolves(monkeypatch):
     session = load_session(monkeypatch)
     points = [(module, attr) for module, attr, *_ in session.TRACE_POINTS]
@@ -85,12 +95,7 @@ def test_six_exceedance_indicators_per_replication(monkeypatch):
     # bench/test_smoke.py pins evt.exceed_indicator.calls_per_unit at 6.0 on
     # pareto_estimators: runs m=0..3, blocks and pointproc each compute
     # their own indicator, through evt or through pointproc's binding
-    monkeypatch.syspath_prepend(str(BENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-        config = workloads.pareto_inputs(1, "tiny")["config"]
-    finally:
-        sys.modules.pop("workloads", None)
+    config = load_workloads().pareto_inputs(1, "tiny")["config"]
     assert [a["type"] for a in config["analyses"]] == \
         ["runs"] * 4 + ["blocks", "pointproc"]
     reps = 3
@@ -124,13 +129,9 @@ class _Clock:
 def test_benchmark_inputs_pass_the_config_checks(monkeypatch, tmp_path):
     # every benchmark run starts from these configs and this gauss-tools
     # argv; a check that rejected one would fail each run of its workload
-    from subgauss import chaos, cli, gausslin
+    from subgauss import chaos, cli
 
-    monkeypatch.syspath_prepend(str(BENCH))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.modules.pop("workloads", None)
+    workloads = load_workloads()
     # quad_session's units, with the oracles stubbed and its argv captured
     argvs = []
     monkeypatch.setattr(cli, "main", argvs.append)
@@ -149,11 +150,26 @@ def test_benchmark_inputs_pass_the_config_checks(monkeypatch, tmp_path):
         inputs = workloads.quad_inputs(1, size)
         sdir = tmp_path / size / "session"
         sdir.mkdir(parents=True)
+        workloads.prepare(inputs, sdir.parent)
         argvs.clear()
         workloads.quad_session(inputs, sdir, _Clock())
         (argv,) = argvs
         args = cli.build_parser().parse_args(argv)
         assert args.func is cli._cmd_gauss_tools
-        table = gausslin.CoeffTable.from_json(
-            json.dumps(inputs["gauss_tools"]["lin"]))
+        # the spec file goes through the checks of every --spec command
+        table = cli._load_coeffs(args.spec)
         harness.check_gauss_tools(table, args.nblock, args.berman_hmax)
+
+
+def test_quadrature_benchmark_gate_passes(tmp_path):
+    # the quadrature_oracle workload at size tiny, with the real oracles,
+    # through the benchmark's own correctness gate
+    workloads = load_workloads()
+    inputs = workloads.quad_inputs(1, "tiny")
+    sdir = tmp_path / "session"
+    sdir.mkdir()
+    workloads.prepare(inputs, tmp_path)
+    result = workloads.quad_session(inputs, sdir, _Clock())
+    rows, failed = workloads.quad_check(inputs, sdir, result)
+    assert failed == 0, rows
+    assert all(ok for _, ok, _ in rows), rows
