@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from subgauss import gausslin
@@ -397,6 +396,9 @@ def bvn_joint_tail(rho: float, x: float) -> float:
         raise SpecError("rho must lie in (-1, 1)")
     if abs(x) > 8.0:
         raise SpecError("|x| must be <= 8")
+    # imported here, its only reader, so no other command loads scipy.integrate
+    from scipy import integrate
+
     s = math.sqrt(1.0 - rho * rho)
 
     def integrand(t):

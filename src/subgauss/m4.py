@@ -100,6 +100,12 @@ class M4Spec:
                 f"SubGauss innovation has lin.d0={inn.lin.d0}, "
                 f"spec needs d0 = d = {self.d} (field: d0)"
             )
+        # thresholds and theta read the spec's alpha, the draws inn.alpha
+        if isinstance(inn, IidPareto) and inn.alpha != self.alpha:
+            raise SpecError(
+                f"iid_pareto innovation has alpha={inn.alpha}, spec has "
+                f"alpha={self.alpha} (field: alpha)"
+            )
         object.__setattr__(self, "a", a)
 
     @property

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from subgauss.evt import _exceed_indicator
 from subgauss.gausslin import SpecError
@@ -133,9 +133,13 @@ def poisson_diagnostics(patterns, lambda_target: float) -> PoissonReport:
     pooled = np.concatenate(
         [i + p.times for i, p in enumerate(patterns) if p.count]
     )
-    inter = np.diff(np.concatenate([[0.0], pooled]))
-    ks = float(stats.kstest(inter, "expon",
-                            args=(0.0, 1.0 / lambda_target)).statistic)
+    inter = np.sort(np.diff(np.concatenate([[0.0], pooled])))
+    # Kolmogorov-Smirnov distance D = max(D+, D-) to Exp(lambda_target);
+    # the gaps are divided by the scale 1/lambda_target, as scipy.stats does
+    cdf = -special.expm1(-(inter / (1.0 / lambda_target)))
+    n = len(inter)
+    ks = float(max(np.max(np.arange(1.0, n + 1) / n - cdf),
+                   np.max(cdf - np.arange(0.0, n) / n)))
 
     # per-bin occupancy counts pooled over replications vs Poisson(lam*binwidth)
     binwidth = 1.0 / BINS
@@ -144,9 +148,15 @@ def poisson_diagnostics(patterns, lambda_target: float) -> PoissonReport:
                      minlength=BINS) for p in patterns]
     )
     lam_bin = lambda_target * binwidth
-    kmax = int(stats.poisson.ppf(1.0 - 1e-6, lam_bin)) + 1
+    # kmax - 1 is the Poisson(lam_bin) quantile at q: the least k with cdf >= q
+    q = 1.0 - 1e-6
+    k = np.ceil(special.pdtrik(q, lam_bin))
+    if special.pdtr(max(k - 1, 0), lam_bin) >= q:
+        k = max(k - 1, 0)
+    kmax = int(k) + 1
     obs = np.bincount(np.minimum(per_bin, kmax), minlength=kmax + 1).astype(float)
-    pmf = stats.poisson.pmf(np.arange(kmax), lam_bin)
+    j = np.arange(kmax)
+    pmf = np.exp(special.xlogy(j, lam_bin) - special.gammaln(j + 1) - lam_bin)
     expected = np.concatenate([pmf, [1.0 - pmf.sum()]]) * len(per_bin)
     # collapse sparse cells so the chi-square approximation is honest
     keep = expected > 5.0
@@ -155,7 +165,9 @@ def poisson_diagnostics(patterns, lambda_target: float) -> PoissonReport:
     if exp_c[-1] == 0.0:
         obs_c, exp_c = obs_c[:-1], exp_c[:-1]
     obs_c = obs_c * (exp_c.sum() / obs_c.sum())
-    chi2, pval = stats.chisquare(obs_c, exp_c)
+    # Pearson's statistic on len(exp_c) - 1 degrees of freedom
+    chi2 = np.sum((obs_c - exp_c) ** 2 / exp_c)
+    pval = special.chdtrc(len(exp_c) - 1, chi2)
     return PoissonReport(
         mean_count=mean,
         dispersion_index=dispersion,

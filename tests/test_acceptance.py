@@ -144,6 +144,24 @@ def test_e6_decay_profile(capsys):
           f"final/initial={ratio:.4f} < 0.5")
 
 
+# E7(c): correlation, marginal tail P(Y > level) and Monte Carlo sample size
+E7_RHO, E7_FBAR, E7_NSAMP = 0.5, 1e-3, 10_000_000
+
+
+def _e7_exact_joint(rho, fbar):
+    """P(|X1| > x, |X2| > x) at x = ndtri(1 - fbar/2): the joint tail of the
+    folded-Pareto transformed bivariate normal with correlation rho."""
+    x = float(ndtri(1.0 - fbar / 2.0))
+    return 2.0 * (chaos.bvn_joint_tail(rho, x) + chaos.bvn_joint_tail(-rho, x))
+
+
+def _e7_joint_gate(joint, exact, nsamp):
+    """Two-sided: the estimate lies within 4 se of the exact joint tail."""
+    se = math.sqrt(max(joint, 1e-12) * (1 - joint) / nsamp)
+    z = (joint - exact) / se
+    return abs(z) <= 4.0, z
+
+
 def test_e7_inequalities(capsys):
     # (a) hypercontractivity over the catalog x a-grid
     catalog = [
@@ -184,7 +202,7 @@ def test_e7_inequalities(capsys):
     cca_ok = worst <= 1e-4
 
     # (c) joint exceedance of the folded-pareto transformed bivariate normal
-    rho, fbar, nsamp = 0.5, 1e-3, 10_000_000
+    rho, fbar, nsamp = E7_RHO, E7_FBAR, E7_NSAMP
     psi0 = ((1.0, 0.0), (rho, math.sqrt(1 - rho**2)))
     table = gausslin.make_coeffs(
         gausslin.LinearProcessSpec(d0=2, family=gausslin.Custom((psi0,)), L=0)
@@ -204,11 +222,24 @@ def test_e7_inequalities(capsys):
     se = math.sqrt(max(joint, 1e-12) * (1 - joint) / nsamp)
     bound = chaos.joint_tail_bound(fbar, rho)
     tail_ok = joint <= bound + 4 * se
+    exact_ok, z = _e7_joint_gate(joint, _e7_exact_joint(rho, fbar), nsamp)
 
-    ok = hyper_ok and cca_ok and tail_ok
+    ok = hyper_ok and cca_ok and tail_ok and exact_ok
     _emit(capsys, "E7", ok,
           f"hypercontractivity holds={hyper_ok}; cca max gap={worst:.2e} "
-          f"≤ 1e-4; joint={joint:.2e} ≤ bound={bound:.2e}+4se")
+          f"≤ 1e-4; joint={joint:.2e} ≤ bound={bound:.2e}+4se; "
+          f"exact joint z={z:+.2f} (|z| ≤ 4)")
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_e7_exact_gate_rejects_weaker_dependence(rho):
+    # negative control, no paths drawn: the exact joint tail at a smaller
+    # correlation (rho = 0: independent columns) taken as the estimate
+    exact = _e7_exact_joint(E7_RHO, E7_FBAR)
+    weaker = _e7_exact_joint(rho, E7_FBAR)
+    assert weaker <= chaos.joint_tail_bound(E7_FBAR, E7_RHO)  # one-sided passes
+    assert not _e7_joint_gate(weaker, exact, E7_NSAMP)[0]
+    assert _e7_joint_gate(exact, exact, E7_NSAMP)[0]
 
 
 def test_e8_anticlustering(capsys):

@@ -232,6 +232,8 @@ class TestCli:
                      "field: extra", id="m4-verify-unknown-key"),
         pytest.param(["theta", "--tau", "1.0"], ["innovation", "alpha"], "one",
                      "field: alpha", id="theta-innovation-alpha-string"),
+        pytest.param(["theta", "--tau", "1.0"], ["innovation", "alpha"], 2.0,
+                     "field: alpha", id="theta-innovation-alpha-differs"),
         pytest.param(["acf", "--hmax", "3"], ["params", "q"], "two",
                      "field: q", id="acf-q-string"),
         pytest.param(["simulate", "--n", "10"], ["family"], "fractal",
@@ -473,6 +475,11 @@ class TestCli:
             **tiny_config()["generator"]["spec"],
             "innovation": {"kind": "iid_pareto", "alpha": -1.0}}}},
             [], "field: alpha", id="innovation-alpha-negative"),
+        # draws from one alpha against thresholds from another
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"],
+            "innovation": {"kind": "iid_pareto", "alpha": 2.0}}}},
+            [], "field: alpha", id="innovation-alpha-differs"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"], "lags": [0, "1"]}}}, [],
             "field: lags", id="spec-lags-string"),

@@ -135,6 +135,59 @@ class TestPoissonDiagnostics:
                 [PointPattern(times=np.empty(0))] * 100, 1.0
             )
 
+    @staticmethod
+    def _stats_report(patterns, lambda_target):
+        """The report as scipy.stats computes it: kstest, poisson.ppf and
+        poisson.pmf, and chisquare over the same gaps and binned counts."""
+        from scipy import stats
+
+        counts = np.array([p.count for p in patterns], dtype=float)
+        mean = float(np.mean(counts))
+        pooled = np.concatenate(
+            [i + p.times for i, p in enumerate(patterns) if p.count])
+        inter = np.diff(np.concatenate([[0.0], pooled]))
+        ks = float(stats.kstest(inter, "expon",
+                                args=(0.0, 1.0 / lambda_target)).statistic)
+        binwidth = 1.0 / pointproc.BINS
+        per_bin = np.concatenate(
+            [np.bincount(np.minimum((p.times / binwidth).astype(int),
+                                    pointproc.BINS - 1),
+                         minlength=pointproc.BINS) for p in patterns])
+        lam_bin = lambda_target * binwidth
+        kmax = int(stats.poisson.ppf(1.0 - 1e-6, lam_bin)) + 1
+        obs = np.bincount(np.minimum(per_bin, kmax),
+                          minlength=kmax + 1).astype(float)
+        pmf = stats.poisson.pmf(np.arange(kmax), lam_bin)
+        expected = np.concatenate([pmf, [1.0 - pmf.sum()]]) * len(per_bin)
+        keep = expected > 5.0
+        obs_c = np.append(obs[keep], obs[~keep].sum())
+        exp_c = np.append(expected[keep], expected[~keep].sum())
+        if exp_c[-1] == 0.0:
+            obs_c, exp_c = obs_c[:-1], exp_c[:-1]
+        obs_c = obs_c * (exp_c.sum() / obs_c.sum())
+        chi2, pval = stats.chisquare(obs_c, exp_c)
+        return pointproc.PoissonReport(
+            mean, float(np.var(counts, ddof=1) / mean), ks, float(chi2),
+            float(pval))
+
+    @pytest.mark.parametrize("seed, reps, lam, doubled, lambda_targets", [
+        pytest.param(1, 200, 0.02, False, (0.02, 0.5), id="sparse"),
+        pytest.param(2, 300, 0.3, False, (0.3, 0.1, 1.0), id="thin"),
+        pytest.param(3, 400, 2.0, False, (2.0, 1.7, 2.6), id="poisson"),
+        pytest.param(4, 250, 12.0, False, (12.0, 30.0), id="dense"),
+        pytest.param(5, 600, 1.0, True, (2.0,), id="clustered"),
+    ])
+    def test_closed_forms_equal_scipy_stats(self, seed, reps, lam, doubled,
+                                            lambda_targets):
+        rng = np.random.default_rng(seed)
+        pats = [PointPattern(times=np.sort(rng.uniform(
+            size=(2 if doubled else 1) * rng.poisson(lam))))
+            for _ in range(reps)]
+        assert any(p.count for p in pats)
+        for target in lambda_targets:
+            assert (pointproc.poisson_diagnostics(pats, target)
+                    == self._stats_report(pats, target))
+
     def test_json_report_keys(self):
         rng = np.random.default_rng(2)
         rep = pointproc.poisson_diagnostics(
