@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 runtime failure (a computation raised), 2 config
-validation failure (bad spec file / bad flag combination / malformed flag
-value), with a message naming the offending field or flag. The SUBGAUSS_SEED environment variable, when
-set, overrides any base seed from flags or config files.
+validation failure (bad spec or config file, malformed flag value), with a
+message naming the offending field or flag. The SUBGAUSS_SEED environment
+variable, when set, overrides any base seed from flags or config files.
+`run` is the only command that draws replications: it runs a config through
+the engine, `harness.run`.
 """
 
 from __future__ import annotations
@@ -28,17 +30,14 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _list_of(convert):
-    """argparse type for a comma-separated list; a bad item exits 2 with
-    the flag named."""
-    def parse(text: str) -> tuple:
-        try:
-            return tuple(convert(item) for item in text.split(","))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {convert.__name__} values, "
-                f"got {text!r}") from None
-    return parse
+def _floats(text: str) -> tuple:
+    """argparse type of --tau, a comma-separated list of floats; a bad item
+    exits 2 with the flag named."""
+    try:
+        return tuple(float(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated float values, got {text!r}") from None
 
 
 def _load_coeffs(path: str) -> gausslin.CoeffTable:
@@ -77,48 +76,6 @@ def _cmd_acf(args) -> int:
     return 0
 
 
-def _replicate(args, analysis: dict):
-    """Run one analysis over the M4 spec and flags through the replication
-    engine; return the generator, the summary entry and the CSV artifact."""
-    cfg = ExperimentConfig(
-        name=args.command,
-        generator={"kind": "m4", "spec": json.loads(Path(args.spec).read_text())},
-        n=args.n,
-        tau=args.tau,
-        reps=args.reps,
-        base_seed=effective_base_seed(args.seed, 0),
-        analyses=(analysis,),
-    )
-    gen = harness._build_generator(cfg)
-    entries, artifacts, _ = harness.replicate(gen, cfg.analyses, cfg.reps,
-                                              cfg.base_seed)
-    key = f"0:{analysis['type']}"
-    return gen, entries[key], artifacts.get(key)
-
-
-def _cmd_maxima(args) -> int:
-    if args.reps < 100:
-        raise SpecError("maxima needs --reps >= 100 (field: reps)")
-    gen, entry, _ = _replicate(args, {"type": "nonexceed"})
-    g = m4.G_limit(gen.spec, gen.u.tau)
-    th = m4.theta(gen.spec, gen.u.tau)
-    p_hat, ci = entry["p_hat"], entry["ci_halfwidth"]
-    payload = {
-        "p_hat": p_hat,
-        "ci_halfwidth": ci,
-        "G": g,
-        "theta": th,
-        "limit": g**th,
-        "u": gen.u.u.tolist(),
-    }
-    if args.format == "csv":
-        _write("p_hat,ci_halfwidth,limit\n"
-               f"{p_hat!r},{ci!r},{payload['limit']!r}\n", args.out)
-    else:
-        _write(json.dumps(payload) + "\n", args.out)
-    return 0
-
-
 def _cmd_theta(args) -> int:
     spec = _load_m4(args.spec)
     payload = {"theta": m4.theta(spec, args.tau)}
@@ -142,23 +99,6 @@ def _cmd_m4_verify(args) -> int:
     }
     _write(json.dumps(payload) + "\n", args.out)
     return 0 if payload["ok"] else 1
-
-
-def _cmd_pointproc(args) -> int:
-    if args.format == "json" and args.reps < 200:
-        raise SpecError("pointproc --format json needs --reps >= 200 "
-                        "(field: reps)")
-    _, entry, csv = _replicate(
-        args, {"type": "pointproc", "r": args.r, "p": args.p, "m": args.m})
-    _write(csv if args.format == "csv" else json.dumps(entry) + "\n", args.out)
-    return 0
-
-
-def _cmd_dprime(args) -> int:
-    _, entry, _ = _replicate(args, {"type": "dprime",
-                                    "k_list": list(args.k_list)})
-    _write(json.dumps(entry) + "\n", args.out)
-    return 0
 
 
 def _cmd_gauss_tools(args) -> int:
@@ -190,71 +130,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # --format only on the commands that can write CSV as well as JSON
-    def common(p, seed=True, fmt=True):
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
-        if fmt:
-            p.add_argument("--format", choices=("csv", "json"), default="csv")
-
     p = sub.add_parser("simulate", help="sample a Gaussian linear process path")
     p.add_argument("--spec", required=True)
     p.add_argument("--n", type=int, required=True)
-    common(p)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("acf", help="autocovariances with truncation bound")
     p.add_argument("--spec", required=True)
     p.add_argument("--hmax", type=int, required=True)
-    common(p, seed=False)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_acf)
-
-    p = sub.add_parser("maxima", help="non-exceedance rate vs. the limit")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=_list_of(float), required=True)
-    common(p)
-    p.add_argument("--reps", type=int, default=200)
-    p.set_defaults(func=_cmd_maxima)
 
     p = sub.add_parser("theta", help="extremal index from the coefficient array")
     p.add_argument("--spec", required=True)
-    p.add_argument("--tau", type=_list_of(float), required=True)
+    p.add_argument("--tau", type=_floats, required=True)
     p.add_argument("--m-trunc", type=int, default=None)
-    common(p, seed=False, fmt=False)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_theta)
 
     p = sub.add_parser("m4-verify", help="cross-check the limit identities")
     p.add_argument("--spec", required=True)
-    p.add_argument("--tau", type=_list_of(float), required=True)
-    common(p, seed=False, fmt=False)
+    p.add_argument("--tau", type=_floats, required=True)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_m4_verify)
-
-    p = sub.add_parser("pointproc", help="gapped-block exceedance point process")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=_list_of(float), required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--m", type=int, default=0)
-    common(p)
-    p.add_argument("--reps", type=int, default=200)
-    p.set_defaults(func=_cmd_pointproc)
-
-    p = sub.add_parser("dprime", help="anti-clustering statistic")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--tau", type=_list_of(float), required=True)
-    p.add_argument("--k-list", type=_list_of(int), required=True)
-    common(p, fmt=False)
-    p.add_argument("--reps", type=int, default=50)
-    p.set_defaults(func=_cmd_dprime)
 
     p = sub.add_parser("gauss-tools", help="decay / rank / mixing diagnostics")
     p.add_argument("--spec", required=True)
     p.add_argument("--nblock", type=int, default=10)
     p.add_argument("--berman-hmax", type=int, default=0)
-    common(p, seed=False, fmt=False)
+    p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gauss_tools)
 
     p = sub.add_parser("run", help="execute an experiment config")

@@ -64,6 +64,9 @@ def _gap_config(a) -> pointproc.GapConfig:
 def _check_pointproc(a, gen, reps):
     _needs_thresholds(a, gen, reps)
     gap = _gap_config(a)
+    if not a.get("lambda_target", 1.0) > 0:
+        raise SpecError(f"lambda_target={a['lambda_target']} must be positive "
+                        "(field: lambda_target)")
     if gap.r + gap.p > gen.u.n:
         raise SpecError(f"one block-gap segment r+p={gap.r + gap.p} exceeds "
                         f"n={gen.u.n} (field: r, p)")

@@ -27,6 +27,8 @@ class GapConfig:
     m: int = 0      # window of the underlying subordination
 
     def __post_init__(self):
+        if self.m < 0:
+            raise SpecError(f"window m={self.m} must be >= 0 (field: m)")
         if self.r <= self.m:
             raise SpecError("block length r must exceed the window m")
         if self.p < self.m:

@@ -1,5 +1,6 @@
 """Experiment configs, replication engine determinism, and the CLI contract."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,14 +11,15 @@ import numpy as np
 import pytest
 
 from subgauss import evt, gausslin, harness, pointproc
+from subgauss.cli import build_parser
 from subgauss.cli import main as cli_main
 from subgauss.gausslin import SpecError
 from subgauss.harness import ExperimentConfig
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
-# Byte-exact outputs of the replication subcommands on the tiny spec below,
-# written by the commands in TestCliGolden.
+# Outputs of `run` on one-analysis configs over the tiny spec below, as
+# reproduced in TestCliGolden.
 GOLDEN = REPO / "tests" / "golden"
 
 
@@ -380,6 +382,18 @@ class TestCli:
         pytest.param({"analyses": [{"type": "pointproc", "r": 1990,
                                     "p": 20}]}, [], "field: r, p",
                      id="pointproc-segment-exceeds-n"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 5,
+                                    "m": -1}]}, [], "field: m",
+                     id="pointproc-m-negative"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": -1, "p": -2,
+                                    "m": -5}]}, [], "field: m",
+                     id="pointproc-all-negative"),
+        pytest.param({"reps": 200, "analyses": [{
+            "type": "pointproc", "r": 50, "p": 5, "lambda_target": 0.0}]},
+            [], "field: lambda_target", id="pointproc-lambda-zero"),
+        pytest.param({"reps": 200, "analyses": [{
+            "type": "pointproc", "r": 50, "p": 5, "lambda_target": -1.0}]},
+            [], "field: lambda_target", id="pointproc-lambda-negative"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             "d": 2, "alpha": 1.0, "lags": [0, 0],
             "a": [[[1.0, 0.0], [0.0, 1.0]]],
@@ -535,77 +549,43 @@ class TestCli:
         assert err.startswith("config error") and field in err
         assert drawn == []
 
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["maxima", "--reps", "99"], id="maxima"),
-        pytest.param(["pointproc", "--r", "50", "--p", "5", "--reps", "199",
-                      "--format", "json"], id="pointproc-json"),
-    ])
-    def test_too_few_reps_exit_2_names_reps(self, tmp_path, capsys,
-                                            monkeypatch, argv):
-        drawn = []
-        monkeypatch.setattr(harness, "_build_generator", drawn.append)
-        spec = tmp_path / "m4.json"
-        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
-        argv = argv + ["--spec", str(spec), "--n", "2000", "--tau", "5.0"]
-        assert cli_main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and "reps" in err
-        assert drawn == []
-
     @pytest.mark.parametrize("argv, flag", [
-        pytest.param(["maxima", "--tau", "one"], "--tau", id="maxima-tau"),
-        pytest.param(["dprime", "--tau", "5.0", "--k-list", "2,x"], "--k-list",
-                     id="dprime-k-list"),
+        pytest.param(["theta", "--tau", "one"], "--tau", id="theta-tau"),
     ])
     def test_malformed_flag_value_exit_2_names_flag(self, tmp_path, capsys,
-                                                    monkeypatch, argv, flag):
-        drawn = []
-        monkeypatch.setattr(harness, "_build_generator", drawn.append)
+                                                    argv, flag):
         spec = tmp_path / "m4.json"
         spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
         with pytest.raises(SystemExit) as exc:
-            cli_main(argv + ["--spec", str(spec), "--n", "2000"])
+            cli_main(argv + ["--spec", str(spec)])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
-        assert drawn == []
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["theta", "--tau", "1.0"], id="theta"),
         pytest.param(["m4-verify", "--tau", "1.0"], id="m4-verify"),
-        pytest.param(["dprime", "--n", "2000", "--tau", "5.0", "--k-list", "2"],
-                     id="dprime"),
         pytest.param(["gauss-tools"], id="gauss-tools"),
     ])
     def test_format_on_json_only_command_exit_2(self, tmp_path, capsys,
-                                                monkeypatch, argv):
+                                                argv):
         # these commands always write JSON, so they take no --format
-        drawn = []
-        monkeypatch.setattr(harness, "_build_generator", drawn.append)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
         with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--spec", str(spec), "--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
-        assert drawn == []
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["simulate", "--n", "10"], id="simulate"),
         pytest.param(["acf", "--hmax", "4"], id="acf"),
-        pytest.param(["maxima", "--n", "2000", "--tau", "1.0", "--reps", "100"],
-                     id="maxima"),
-        pytest.param(["pointproc", "--n", "2000", "--tau", "5.0", "--r", "50",
-                      "--p", "5", "--reps", "200"], id="pointproc"),
     ])
     def test_format_changes_output(self, tmp_path, argv):
         # every command that takes --format reads it
-        if argv[0] in ("simulate", "acf"):
-            spec = gausslin.make_coeffs(gausslin.LinearProcessSpec(
+        (tmp_path / "spec.json").write_text(gausslin.make_coeffs(
+            gausslin.LinearProcessSpec(
                 d0=1, family=gausslin.Polynomial(beta=1.0, B=np.eye(1)),
-                L=4)).to_json()
-        else:
-            spec = json.dumps(tiny_config()["generator"]["spec"])
-        (tmp_path / "spec.json").write_text(spec)
+                L=4)).to_json())
         written = {}
         for fmt in ("csv", "json"):
             out = tmp_path / f"out.{fmt}"
@@ -622,6 +602,17 @@ class TestCli:
         )
         assert proc.returncode == 0
         assert "simulate" in proc.stdout
+
+    def test_readme_cli_block_lists_every_command(self):
+        # the `subgauss <command>` lines of README's CLI block are exactly
+        # the parser's subcommands
+        readme = (REPO / "README.md").read_text()
+        block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1]
+        listed = [line.split()[1] for line in block.split("```", 1)[0]
+                  .splitlines() if line.startswith("subgauss ")]
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        assert sorted(listed) == sorted(sub.choices)
 
 
 class TestCovarianceCli:
@@ -744,28 +735,53 @@ class TestCovarianceCli:
         assert computed == []
 
 
+POINTPROC = {"type": "pointproc", "r": 50, "p": 5, "m": 1}
+
+
 class TestCliGolden:
-    @pytest.mark.parametrize("golden, argv", [
-        pytest.param("maxima.json", ["maxima", "--tau", "1.0", "--reps", "100",
-                                     "--format", "json"], id="maxima-json"),
-        pytest.param("pointproc.csv", ["pointproc", "--tau", "5.0", "--r", "50",
-                                       "--p", "5", "--m", "1", "--reps", "20",
-                                       "--format", "csv"], id="pointproc-csv"),
-        pytest.param("pointproc.json", ["pointproc", "--tau", "5.0", "--r", "50",
-                                        "--p", "5", "--m", "1", "--reps", "200",
-                                        "--format", "json"], id="pointproc-json"),
-        pytest.param("dprime.json", ["dprime", "--tau", "5.0", "--k-list", "2,4,8",
-                                     "--reps", "50"], id="dprime"),
+    """`run` on one-analysis configs over tiny_config's spec, with n 2000 and
+    base_seed 3, reproduces the goldens: the CSV artifact byte for byte, the
+    JSON files as summary entries. maxima.json's limits come from `theta`
+    and `m4-verify` on the same spec and tau."""
+
+    @pytest.mark.parametrize("golden, tau, reps, analysis", [
+        pytest.param("maxima.json", 1.0, 100, {"type": "nonexceed"},
+                     id="maxima-json"),
+        pytest.param("pointproc.csv", 5.0, 20, POINTPROC, id="pointproc-csv"),
+        pytest.param("pointproc.json", 5.0, 200, POINTPROC,
+                     id="pointproc-json"),
+        pytest.param("dprime.json", 5.0, 50,
+                     {"type": "dprime", "k_list": [2, 4, 8]}, id="dprime"),
     ])
-    def test_output_bytes(self, tmp_path, monkeypatch, golden, argv):
+    def test_output_bytes(self, tmp_path, monkeypatch, capsys, golden, tau,
+                          reps, analysis):
         monkeypatch.delenv(harness.ENV_SEED, raising=False)
-        spec = tmp_path / "m4.json"
-        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
-        out = tmp_path / golden
-        argv = argv + ["--spec", str(spec), "--n", "2000", "--seed", "3",
-                       "--out", str(out)]
-        assert cli_main(argv) == 0
-        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+        obj = tiny_config(tau=[tau], reps=reps, base_seed=3,
+                          analyses=[analysis])
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(obj))
+        assert cli_main(["run", "--config", str(f), "--out", str(tmp_path)]) == 0
+        want = (GOLDEN / golden).read_bytes()
+        if golden.endswith(".csv"):
+            got = (tmp_path / "tiny_0_pointproc.csv").read_bytes()
+            assert got == want
+            return
+        summary = json.loads((tmp_path / "tiny_summary.json").read_text())
+        (entry,) = summary["analyses"].values()
+        if golden == "maxima.json":
+            spec = obj["generator"]["spec"]
+            spec_file = tmp_path / "m4.json"
+            spec_file.write_text(json.dumps(spec))
+            limits = {}
+            for command in ("theta", "m4-verify"):
+                assert cli_main([command, "--spec", str(spec_file),
+                                 "--tau", str(tau)]) == 0
+                limits.update(json.loads(capsys.readouterr().out))
+            g, th = limits["G_limit"], limits["theta"]
+            entry.update(G=g, theta=th, limit=g**th,
+                         u=[(a * obj["n"] / tau) ** (1 / spec["alpha"])
+                            for a in limits["A"]])
+        assert entry == json.loads(want)
 
 
 class TestShippedConfigs:
