@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from subgauss import gausslin
 from subgauss.gausslin import CoeffTable, SpecError
@@ -409,3 +409,10 @@ def bvn_joint_tail(rho: float, x: float) -> float:
         limit=400,
     )
     return float(val)
+
+
+def folded_joint_tail(rho: float, fbar: float) -> float:
+    """P(|X1| > x, |X2| > x) with P(|X1| > x) = fbar for a standard bivariate
+    normal with correlation rho: the joint tail of its folded transforms."""
+    x = float(ndtri(1.0 - fbar / 2.0))
+    return 2.0 * (bvn_joint_tail(rho, x) + bvn_joint_tail(-rho, x))

@@ -136,19 +136,19 @@ class LinearProcessSpec:
 
     def __post_init__(self):
         if self.d0 < 1:
-            raise SpecError("d0 must be a positive integer")
+            raise SpecError("d0 must be a positive integer (field: d0)")
         if self.L < 0:
-            raise SpecError("L must be nonnegative")
+            raise SpecError("L must be nonnegative (field: L)")
 
 
 def _family_scale(family) -> np.ndarray:
     B = np.asarray(family.B, dtype=float)
     if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise SpecError("B must be a square matrix")
+        raise SpecError("B must be a square matrix (field: B)")
     if np.any(B < 0):
-        raise SpecError("B must be entrywise nonnegative")
+        raise SpecError("B must be entrywise nonnegative (field: B)")
     if not np.any(B > 0):
-        raise SpecError("B must not be identically zero")
+        raise SpecError("B must not be identically zero (field: B)")
     return B
 
 
@@ -267,19 +267,19 @@ def make_coeffs(spec: LinearProcessSpec) -> CoeffTable:
         psi[0] = np.eye(d0)
     elif isinstance(fam, Polynomial):
         if fam.beta <= 0.5:
-            raise SpecError("polynomial family requires beta > 1/2")
+            raise SpecError("polynomial family requires beta > 1/2 (field: beta)")
         B = _family_scale(fam)
         if B.shape[0] != d0:
-            raise SpecError("B dimension must match d0")
+            raise SpecError("B dimension must match d0 (field: B)")
         l = np.arange(L + 1, dtype=float)
         psi = (l + 1.0) ** (-fam.beta)
         psi = psi[:, None, None] * B[None, :, :]
     elif isinstance(fam, LogBoundary):
         if fam.q <= 1.0:
-            raise SpecError("log-boundary family requires q > 1")
+            raise SpecError("log-boundary family requires q > 1 (field: q)")
         B = _family_scale(fam)
         if B.shape[0] != d0:
-            raise SpecError("B dimension must match d0")
+            raise SpecError("B dimension must match d0 (field: B)")
         prof = np.zeros(L + 1)
         prof[0] = 1.0
         if L >= 4:
@@ -289,7 +289,8 @@ def make_coeffs(spec: LinearProcessSpec) -> CoeffTable:
     elif isinstance(fam, Custom):
         psi = np.asarray(fam.table, dtype=float)
         if psi.ndim != 3 or psi.shape != (L + 1, d0, d0):
-            raise SpecError("custom table must have shape (L+1, d0, d0)")
+            raise SpecError("custom table must have shape (L+1, d0, d0) "
+                            "(field: table)")
     else:
         raise SpecError(f"unknown family {fam!r}")
     return CoeffTable(spec=spec, psi=psi)
@@ -442,7 +443,7 @@ def simulate(coeffs: CoeffTable, n: int, seed: int) -> SeriesMatrix:
     transform of psi is computed once per N and cached on `coeffs`.
     """
     if n < 1:
-        raise SpecError("n must be >= 1")
+        raise SpecError("n must be >= 1 (field: n)")
     d0, L = coeffs.d0, coeffs.L
     rng = np.random.Generator(np.random.Philox(key=seed))
     eps = rng.standard_normal((n + L, d0))

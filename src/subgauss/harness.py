@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
+from scipy.special import ndtri
 
 from subgauss import evt, gausslin, m4, pointproc, subordinate
 from subgauss.gausslin import (SpecError, _integer, _integers, _keys, _list,
@@ -39,8 +40,7 @@ class Generator(NamedTuple):
 
 def _needs_thresholds(a, gen, reps):
     if gen.u is None:
-        raise SpecError("needs thresholds: an m4 generator and a nonempty tau "
-                        "(field: tau)")
+        raise SpecError("needs thresholds: a nonempty tau (field: tau)")
 
 
 def _check_runs(a, gen, reps):
@@ -156,8 +156,7 @@ def _poisson(a, results, *_):
     mean = float(np.mean([p.count for p in pats]))
     lam = a.get("lambda_target", mean)
     if len(pats) >= 200:
-        rep = pointproc.poisson_diagnostics(pats, lam)
-        entry = json.loads(rep.to_json())
+        entry = asdict(pointproc.poisson_diagnostics(pats, lam))
     else:
         entry = {"mean_count": mean,
                  "note": "distributional diagnostics need >= 200 replications"}
@@ -179,8 +178,7 @@ def _dprime(a, results, *_):
 def _scan(a, results, *_):
     (rows,) = results.values()  # reps == 1
     csv = [evt.ScanRow.CSV_HEADER] + [r.to_csv_row() for r in rows]
-    return ([json.loads(json.dumps(r.__dict__)) for r in rows],
-            "\n".join(csv) + "\n")
+    return [asdict(r) for r in rows], "\n".join(csv) + "\n"
 
 
 def _gauss_tools(a, results, gen):
@@ -259,9 +257,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.reps < 1:
-            raise SpecError("reps must be >= 1")
+            raise SpecError("reps must be >= 1 (field: reps)")
         if self.n < 1:
-            raise SpecError("n must be >= 1")
+            raise SpecError("n must be >= 1 (field: n)")
         analyses = []
         for idx, a in enumerate(self.analyses):
             try:
@@ -290,9 +288,25 @@ class ExperimentConfig:
                             f"(field: {name})") from exc
 
 
+def _gauss_thresholds(source: subordinate.GaussianSource, n: int,
+                      tau) -> m4.ThresholdVector:
+    """Levels u_i with n P(Y_i > u_i) = tau_i: ndtri(1 - tau_i / n) on a raw
+    column, the Pareto rule `m4.pareto_levels` with A = 1 on a pareto or
+    folded_pareto part; any other part has no closed-form level."""
+    tau = m4.check_tau(source.d, tau)
+    parts = source.transform.parts if source.transform else ()
+    kinds = {part.kind for part in parts} - {"pareto", "folded_pareto"}
+    if kinds:
+        raise SpecError(f"a {min(kinds)} part has no closed-form threshold, "
+                        "so tau must be empty (field: tau)")
+    u = (m4.pareto_levels(1.0, n, tau, np.array([p.alpha for p in parts]))
+         if parts else ndtri(1.0 - tau / n))
+    return m4.ThresholdVector(n=n, tau=tau, u=u)
+
+
 def _build_generator(cfg: ExperimentConfig) -> Generator:
     """The config's generator; its path_fn(seed) -> SeriesMatrix of length
-    cfg.n."""
+    cfg.n, and its thresholds when tau is nonempty."""
     gen = _object("generator", cfg.generator)
     kind = gen.get("kind")
     if kind not in GENERATOR_KEYS:
@@ -300,11 +314,11 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
     _keys(f"a {kind} generator", gen, GENERATOR_KEYS[kind])
     if kind == "m4":
         spec = m4.M4Spec.from_json(json.dumps(gen["spec"]))
+        if spec.innovation is None:
+            raise SpecError("an m4 generator draws its spec's innovations, "
+                            "so the spec needs one (field: innovation)")
         u = m4.thresholds(spec, cfg.n, cfg.tau) if cfg.tau else None
         return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
-    if cfg.tau:
-        raise SpecError("a gauss generator has no thresholds, so tau must be "
-                        "empty (field: tau)")
     table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
     transform = (
         subordinate.WindowTransform.from_json(json.dumps(gen["transform"]))
@@ -312,7 +326,8 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
         else None
     )
     source = subordinate.GaussianSource(table, transform)
-    return Generator(lambda seed: source.path(cfg.n, seed), source)
+    u = _gauss_thresholds(source, cfg.n, cfg.tau) if cfg.tau else None
+    return Generator(lambda seed: source.path(cfg.n, seed), source, u)
 
 
 def check(gen: Generator, analyses, reps: int) -> None:

@@ -78,21 +78,21 @@ class M4Spec:
     def __post_init__(self):
         r_lo, r_hi = self.lags
         if not (r_lo <= 0 <= r_hi):
-            raise SpecError("lag window must contain 0")
+            raise SpecError("lag window must contain 0 (field: lags)")
         if self.alpha <= 0:
-            raise SpecError("alpha must be > 0")
+            raise SpecError("alpha must be > 0 (field: alpha)")
         a = np.asarray(self.a, dtype=float)
         if a.shape != (r_hi - r_lo + 1, self.d, self.d):
             raise SpecError(
                 f"coefficient array must have shape "
-                f"({r_hi - r_lo + 1}, {self.d}, {self.d})"
+                f"({r_hi - r_lo + 1}, {self.d}, {self.d}) (field: a)"
             )
         if np.any(a < 0):
-            raise SpecError("coefficients must be nonnegative")
+            raise SpecError("coefficients must be nonnegative (field: a)")
         if np.any(np.all(a == 0, axis=(0, 2))):
             raise SpecError(
                 "every output component needs a positive coefficient "
-                "(degenerate marginal otherwise)"
+                "(degenerate marginal otherwise) (field: a)"
             )
         inn = self.innovation
         if isinstance(inn, SubGauss) and inn.lin.d0 != self.d:
@@ -186,8 +186,8 @@ class ThresholdVector:
     u: np.ndarray
 
     def __post_init__(self):
-        if np.any(np.asarray(self.u) <= 0):
-            raise SpecError("thresholds must be positive")
+        if not np.all(np.asarray(self.u) > 0):  # NaN fails too
+            raise SpecError("thresholds must be positive (field: tau)")
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +199,13 @@ def A_vec(spec: M4Spec) -> np.ndarray:
     return np.sum(spec.a**spec.alpha, axis=(0, 2))
 
 
-def _check_tau(spec: M4Spec, tau) -> np.ndarray:
+def check_tau(d: int, tau) -> np.ndarray:
+    """tau as an array of d positive entries, one per path column."""
     tau = np.asarray(tau, dtype=float)
-    if tau.shape != (spec.d,):
-        raise SpecError(f"tau must have length d={spec.d}")
+    if tau.shape != (d,):
+        raise SpecError(f"tau must have length d={d} (field: tau)")
     if np.any(tau <= 0):
-        raise SpecError("tau must be positive componentwise")
+        raise SpecError("tau must be positive componentwise (field: tau)")
     return tau
 
 
@@ -216,7 +217,7 @@ def _weight_table(spec: M4Spec, tau: np.ndarray) -> np.ndarray:
 
 def G_limit(spec: M4Spec, tau) -> float:
     """G(tau) = exp(-sum_r sum_j max_i a_{ij,r}^alpha tau_i / A_i)."""
-    tau = _check_tau(spec, tau)
+    tau = check_tau(spec.d, tau)
     return float(np.exp(-np.sum(_weight_table(spec, tau))))
 
 
@@ -226,7 +227,7 @@ def tail_limit(spec: M4Spec, tau) -> float:
     Deliberately written with explicit loops, independent of the vectorized
     G_limit code path, so the identity can be cross-checked.
     """
-    tau = _check_tau(spec, tau)
+    tau = check_tau(spec.d, tau)
     A = [0.0] * spec.d
     nlags = spec.r_hi - spec.r_lo + 1
     for ri in range(nlags):
@@ -248,7 +249,7 @@ def theta(spec: M4Spec, tau) -> float:
     """Multivariate extremal index of the M4 limit:
     [sum_j max_r w_{r,j}] / [sum_j sum_r w_{r,j}] with
     w_{r,j} = max_i a_{ij,r}^alpha tau_i / A_i."""
-    tau = _check_tau(spec, tau)
+    tau = check_tau(spec.d, tau)
     w = _weight_table(spec, tau)
     num = np.sum(np.max(w, axis=0))
     den = np.sum(w)
@@ -264,28 +265,31 @@ def theta_2m(spec: M4Spec, tau, m_trunc: int) -> float:
     truncation covers the whole lag window.
     """
     if m_trunc < 0:
-        raise SpecError("m_trunc must be >= 0")
-    tau = _check_tau(spec, tau)
+        raise SpecError("m_trunc must be >= 0 (field: m-trunc)")
+    tau = check_tau(spec.d, tau)
     w = _weight_table(spec, tau)
     keep = np.abs(spec.lag_values()) <= m_trunc
     w = w[keep]
     if w.size == 0 or np.sum(w) == 0:
-        raise SpecError("truncation removed every active lag")
+        raise SpecError("truncation removed every active lag (field: m-trunc)")
     return float(np.sum(np.max(w, axis=0)) / np.sum(w))
 
 
-def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
-    """Analytic Pareto thresholds u_i = (A_i n / tau_i)^(1/alpha).
+def pareto_levels(A, n: int, tau, alpha):
+    """The Pareto threshold rule u = (A n / tau)^(1/alpha), componentwise:
+    n P(W > u) = tau for a tail P(W > u) = A u^(-alpha)."""
+    return (A * n / tau) ** (1.0 / alpha)
 
-    Requires the innovation marginal to be exact Pareto(alpha); both
-    innovation modes guarantee this by construction.
-    """
-    tau = _check_tau(spec, tau)
+
+def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
+    """`pareto_levels` at the spec's A_i and alpha: P(Y_i > u) ~ A_i
+    u^(-alpha), as both innovation modes are exact Pareto(alpha)."""
+    tau = check_tau(spec.d, tau)
     if n < 1:
-        raise SpecError("n must be >= 1")
+        raise SpecError("n must be >= 1 (field: n)")
     if spec.innovation is None:
-        raise SpecError("spec has no innovation mode")
-    u = (A_vec(spec) * n / tau) ** (1.0 / spec.alpha)
+        raise SpecError("spec has no innovation mode (field: innovation)")
+    u = pareto_levels(A_vec(spec), n, tau, spec.alpha)
     return ThresholdVector(n=n, tau=tau, u=u)
 
 

@@ -7,7 +7,6 @@ threshold vector. Gap samples never influence the pattern.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,9 +29,11 @@ class GapConfig:
         if self.m < 0:
             raise SpecError(f"window m={self.m} must be >= 0 (field: m)")
         if self.r <= self.m:
-            raise SpecError("block length r must exceed the window m")
+            raise SpecError("block length r must exceed the window m "
+                            "(field: r)")
         if self.p < self.m:
-            raise SpecError("gap length p must be at least the window m")
+            raise SpecError("gap length p must be at least the window m "
+                            "(field: p)")
 
 
 @dataclass(frozen=True)
@@ -103,18 +104,6 @@ class PoissonReport:
     chi2_counts: float       # chi-square stat, binned counts vs Poisson
     chi2_pvalue: float
     degenerate: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean_count": self.mean_count,
-                "dispersion_index": self.dispersion_index,
-                "ks_interarrival": self.ks_interarrival,
-                "chi2_counts": self.chi2_counts,
-                "chi2_pvalue": self.chi2_pvalue,
-                "degenerate": self.degenerate,
-            }
-        )
 
 
 def poisson_diagnostics(patterns, lambda_target: float) -> PoissonReport:

@@ -41,9 +41,11 @@ class Part:
             "window_max",
         ):
             raise SpecError(f"unknown transform kind {self.kind!r} (field: kind)")
+        if self.coord < 0:
+            raise SpecError(f"coord={self.coord} must be >= 0 (field: coord)")
         if self.kind in ("pareto", "folded_pareto"):
             if self.alpha is None or self.alpha <= 0:
-                raise SpecError(f"{self.kind} requires alpha > 0")
+                raise SpecError(f"{self.kind} requires alpha > 0 (field: alpha)")
 
     def evaluate(self, window: np.ndarray) -> np.ndarray:
         """window has shape (nlags, nobs): row l is the coordinate at lag l."""
@@ -71,10 +73,13 @@ class WindowTransform:
 
     def __post_init__(self):
         if self.m < 0:
-            raise SpecError("window size m must be >= 0")
+            raise SpecError("window size m must be >= 0 (field: m)")
+        if not self.parts:
+            raise SpecError("a transform needs at least one part (field: parts)")
         for part in self.parts:
             if any(l < 0 or l > self.m for l in part.lags):
-                raise SpecError("part references a lag outside [0, m]")
+                raise SpecError("part references a lag outside [0, m] "
+                                "(field: lags)")
 
     @property
     def d(self) -> int:
@@ -82,22 +87,6 @@ class WindowTransform:
 
     def max_coord(self) -> int:
         return max(p.coord for p in self.parts)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "parts": [
-                    {
-                        "kind": p.kind,
-                        "coord": p.coord,
-                        "alpha": p.alpha,
-                        "lags": list(p.lags),
-                    }
-                    for p in self.parts
-                ],
-            }
-        )
 
     @staticmethod
     def from_json(text: str) -> "WindowTransform":
@@ -153,6 +142,9 @@ class GaussianSource:
     sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.transform and self.transform.max_coord() >= self.table.d0:
+            raise SpecError(f"a transform part reads a coord >= d0="
+                            f"{self.table.d0} (field: coord)")
         gamma0, _ = gausslin.autocov(self.table, 0)
         object.__setattr__(self, "sd", np.sqrt(np.diag(gamma0)))
 

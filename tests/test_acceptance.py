@@ -2,7 +2,11 @@
 
 Each test runs one experiment end to end at its stated scale and tolerance
 and emits exactly one PASS/FAIL line on the terminal (bypassing capture).
-E1-E5 run the shipped configs in configs/ through the replication engine.
+The experiments are the shipped configs in configs/: every path, threshold,
+table and sample size comes from a config, through `harness.run` or the
+generator builder it uses (E4 hands its truncated build to the engine
+directly). E7's hypercontractivity and canonical-correlation checks draw no
+path.
 """
 
 import dataclasses
@@ -12,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
 
 from subgauss import chaos, gausslin, harness, m4, pointproc, subordinate
 from subgauss.harness import ExperimentConfig
@@ -129,11 +132,8 @@ def test_e5_point_process(capsys, e2_theta_hats):
 
 
 def test_e6_decay_profile(capsys):
-    spec = gausslin.LinearProcessSpec(
-        d0=1, family=gausslin.LogBoundary(q=2.0, B=np.eye(1)), L=200_000
-    )
-    t = gausslin.make_coeffs(spec)
-    prof = gausslin.berman_profile(t, 100_000)
+    table = harness._build_generator(_cfg("e6")).spec.table
+    prof = gausslin.berman_profile(table, 100_000)
     h = np.arange(2, 2 + len(prof))
     window = prof[(h >= 1000) & (h <= 100_000)]
     nonincreasing = bool(np.all(np.diff(window) <= 1e-12))
@@ -144,15 +144,14 @@ def test_e6_decay_profile(capsys):
           f"final/initial={ratio:.4f} < 0.5")
 
 
-# E7(c): correlation, marginal tail P(Y > level) and Monte Carlo sample size
-E7_RHO, E7_FBAR, E7_NSAMP = 0.5, 1e-3, 10_000_000
-
-
-def _e7_exact_joint(rho, fbar):
-    """P(|X1| > x, |X2| > x) at x = ndtri(1 - fbar/2): the joint tail of the
-    folded-Pareto transformed bivariate normal with correlation rho."""
-    x = float(ndtri(1.0 - fbar / 2.0))
-    return 2.0 * (chaos.bvn_joint_tail(rho, x) + chaos.bvn_joint_tail(-rho, x))
+def _e7():
+    """E7(c)'s config, its correlation rho and the marginal tail
+    P(Y > level) of its scan level; draws no path."""
+    cfg = _cfg("e7")
+    (a,) = cfg.analyses
+    (level,) = a["levels"]
+    part = harness._build_generator(cfg).spec.transform.parts[0]
+    return cfg, a["rho"], subordinate.marginal_tail(part, level)
 
 
 def _e7_joint_gate(joint, exact, nsamp):
@@ -202,27 +201,14 @@ def test_e7_inequalities(capsys):
     cca_ok = worst <= 1e-4
 
     # (c) joint exceedance of the folded-pareto transformed bivariate normal
-    rho, fbar, nsamp = E7_RHO, E7_FBAR, E7_NSAMP
-    psi0 = ((1.0, 0.0), (rho, math.sqrt(1 - rho**2)))
-    table = gausslin.make_coeffs(
-        gausslin.LinearProcessSpec(d0=2, family=gausslin.Custom((psi0,)), L=0)
-    )
-    X = gausslin.simulate(table, nsamp, 1007)
-    part = subordinate.Part(kind="folded_pareto", alpha=1.0)
-    tr = subordinate.WindowTransform(
-        m=0,
-        parts=(
-            subordinate.Part(kind="folded_pareto", coord=0, alpha=1.0),
-            subordinate.Part(kind="folded_pareto", coord=1, alpha=1.0),
-        ),
-    )
-    Y = subordinate.apply(X, tr).values
-    level = fbar ** (-1.0)  # marginal_tail(u) = 1/u for alpha=1
-    joint = float(np.mean((Y[:, 0] > level) & (Y[:, 1] > level)))
+    cfg, rho, fbar = _e7()
+    (row,) = harness.run(cfg)["analyses"]["0:scan"]
+    joint, nsamp = row["joint_exceed"], cfg.n
     se = math.sqrt(max(joint, 1e-12) * (1 - joint) / nsamp)
     bound = chaos.joint_tail_bound(fbar, rho)
     tail_ok = joint <= bound + 4 * se
-    exact_ok, z = _e7_joint_gate(joint, _e7_exact_joint(rho, fbar), nsamp)
+    exact_ok, z = _e7_joint_gate(joint, chaos.folded_joint_tail(rho, fbar),
+                                 nsamp)
 
     ok = hyper_ok and cca_ok and tail_ok and exact_ok
     _emit(capsys, "E7", ok,
@@ -235,47 +221,31 @@ def test_e7_inequalities(capsys):
 def test_e7_exact_gate_rejects_weaker_dependence(rho):
     # negative control, no paths drawn: the exact joint tail at a smaller
     # correlation (rho = 0: independent columns) taken as the estimate
-    exact = _e7_exact_joint(E7_RHO, E7_FBAR)
-    weaker = _e7_exact_joint(rho, E7_FBAR)
-    assert weaker <= chaos.joint_tail_bound(E7_FBAR, E7_RHO)  # one-sided passes
-    assert not _e7_joint_gate(weaker, exact, E7_NSAMP)[0]
-    assert _e7_joint_gate(exact, exact, E7_NSAMP)[0]
+    cfg, e7_rho, fbar = _e7()
+    exact = chaos.folded_joint_tail(e7_rho, fbar)
+    weaker = chaos.folded_joint_tail(rho, fbar)
+    assert weaker <= chaos.joint_tail_bound(fbar, e7_rho)  # one-sided passes
+    assert not _e7_joint_gate(weaker, exact, cfg.n)[0]
+    assert _e7_joint_gate(exact, exact, cfg.n)[0]
+
+
+def _dprime(stem):
+    """tau, k_list and the dprime means and standard errors of a config."""
+    cfg = _cfg(stem)
+    (a,) = cfg.analyses
+    rep = harness.run(cfg)["analyses"]["0:dprime"]
+    ks = a["k_list"]
+    return (cfg.tau[0], ks, [rep["stats"][str(k)] for k in ks],
+            [rep["stderr"][str(k)] for k in ks])
 
 
 def test_e8_anticlustering(capsys):
-    n, tau, reps = 20_000, 5.0, 200
-    k_list = [2, 4, 8, 16]
-    spec = gausslin.LinearProcessSpec(
-        d0=1, family=gausslin.LogBoundary(q=2.0, B=np.eye(1)), L=5000
-    )
-    table = gausslin.make_coeffs(spec)
-    tr = subordinate.WindowTransform(
-        m=0, parts=(subordinate.Part(kind="pareto", coord=0, alpha=1.0),)
-    )
-    gauss = subordinate.GaussianSource(table)
-    pareto = subordinate.GaussianSource(table, tr)
-
-    def iid_fn(seed):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        return gausslin.SeriesMatrix(values=rng.normal(size=(n, 1)), meta={})
-
-    def dprime(fn, level):
-        u = m4.ThresholdVector(n=n, tau=(tau,), u=np.array([level]))
-        entries, _, _ = harness.replicate(
-            harness.Generator(fn, u=u), [{"type": "dprime", "k_list": k_list}],
-            reps, 88)
-        rep = entries["0:dprime"]
-        return ([rep["stats"][str(k)] for k in k_list],
-                [rep["stderr"][str(k)] for k in k_list])
-
-    u_g = float(ndtri(1 - tau / n))
-    u_p = n / tau
     mono_ok = True
-    for source, u in ((gauss, u_g), (pareto, u_p)):
-        vals, ses = dprime(functools.partial(source.path, n), u)
+    for stem in ("e8_gauss", "e8_pareto"):
+        _, _, vals, ses = _dprime(stem)
         for (a, sa), (b, sb) in zip(zip(vals, ses), zip(vals[1:], ses[1:])):
             mono_ok = mono_ok and a >= b - 2 * math.hypot(sa, sb)
-    vals, ses = dprime(iid_fn, u_g)
+    tau, k_list, vals, ses = _dprime("e8_iid")
     ctrl_ok = all(
         abs(v - tau**2 / k) <= 3 * se for v, se, k in zip(vals, ses, k_list)
     )

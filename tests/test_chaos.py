@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import hermite_e
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from subgauss import chaos, gausslin
 from subgauss.chaos import CatalogFn, GaussianBlockPair
@@ -362,6 +362,23 @@ class TestBvnJointTail:
     def test_rejects_unit_rho(self):
         with pytest.raises(SpecError):
             chaos.bvn_joint_tail(1.0, 2.0)
+
+    @pytest.mark.parametrize("fbar", [1e-3, 0.05])
+    def test_folded_joint_tail_independent_case(self, fbar):
+        # independent columns: P(|X1| > x, |X2| > x) = fbar^2
+        np.testing.assert_allclose(chaos.folded_joint_tail(0.0, fbar),
+                                   fbar**2, rtol=1e-9)
+
+    def test_folded_joint_tail_monte_carlo_agreement(self):
+        rng = np.random.default_rng(12)
+        rho, fbar, n = 0.5, 0.05, 2_000_000
+        z1 = rng.normal(size=n)
+        z2 = rho * z1 + math.sqrt(1 - rho**2) * rng.normal(size=n)
+        x = -ndtri(fbar / 2)
+        emp = np.mean((np.abs(z1) > x) & (np.abs(z2) > x))
+        exact = chaos.folded_joint_tail(rho, fbar)
+        assert exact > fbar**2  # positive dependence raises the joint tail
+        assert abs(exact - emp) < 4 * math.sqrt(emp / n)
 
 
 def _random_pair(rng, d1, d2):

@@ -1,7 +1,9 @@
 """Experiment configs, replication engine determinism, and the CLI contract."""
 
 import argparse
+import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from subgauss import evt, gausslin, harness, pointproc
 from subgauss.cli import build_parser
@@ -21,6 +24,10 @@ CONFIGS = REPO / "configs"
 # Outputs of `run` on one-analysis configs over the tiny spec below, as
 # reproduced in TestCliGolden.
 GOLDEN = REPO / "tests" / "golden"
+
+
+# an i.i.d. Gaussian table, for `gauss` generator cases
+IID8 = {"d0": 1, "family": "iid", "params": {}, "L": 8}
 
 
 def tiny_config(**overrides):
@@ -169,6 +176,23 @@ class TestRun:
         row = summary["analyses"]["0:scan"][0]
         assert row["joint_exceed"] <= row["bound"] + 4 * row["joint_stderr"]
 
+    def test_gauss_thresholds_follow_the_marginal_law(self):
+        # n P(Y_i > u_i) = tau_i: a raw column by the normal tail, a pareto
+        # or folded_pareto part by u = (n / tau)^(1/alpha)
+        lin = {"d0": 2, "family": "iid", "params": {}, "L": 0}
+        parts = [{"kind": "pareto", "alpha": 1.0, "coord": 0},
+                 {"kind": "folded_pareto", "alpha": 2.0, "coord": 1}]
+        thresholds = {}
+        for name, gen in (("raw", {"kind": "gauss", "lin": lin}),
+                          ("pareto", {"kind": "gauss", "lin": lin,
+                                      "transform": {"m": 0, "parts": parts}})):
+            cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+                generator=gen, tau=[5.0, 10.0])))
+            thresholds[name] = harness._build_generator(cfg).u.u
+        np.testing.assert_allclose(2000 * ndtr(-thresholds["raw"]),
+                                   [5.0, 10.0], rtol=1e-12)
+        assert list(thresholds["pareto"]) == [400.0, math.sqrt(200.0)]
+
     def test_single_replication_draws_its_path_once(self, monkeypatch):
         # scan maps over the engine's path like every other analysis
         drawn = []
@@ -242,6 +266,41 @@ class TestCli:
                      "field: family", id="simulate-unknown-family"),
         pytest.param(["gauss-tools"], ["params", "B0"], 1, "field: B0",
                      id="gauss-tools-params-unknown-key"),
+        # a value out of range, in the spec or a flag, names its field
+        pytest.param(["theta", "--tau", "1.0,1.0"], [], {}, "field: tau",
+                     id="theta-tau-length"),
+        pytest.param(["m4-verify", "--tau=-1.0"], [], {}, "field: tau",
+                     id="m4-verify-tau-negative"),
+        pytest.param(["theta", "--tau", "1.0", "--m-trunc", "-1"], [], {},
+                     "field: m-trunc", id="theta-m-trunc-negative"),
+        pytest.param(["theta", "--tau", "1.0"], ["lags"], [1, 2],
+                     "field: lags", id="theta-lags-without-zero"),
+        pytest.param(["theta", "--tau", "1.0"], ["a"], [[[1.0]]], "field: a",
+                     id="theta-a-shape"),
+        pytest.param(["m4-verify", "--tau", "1.0"], ["a"], [[[-1.0]], [[1.0]]],
+                     "field: a", id="m4-verify-a-negative"),
+        pytest.param(["theta", "--tau", "1.0"], ["a"], [[[0.0]], [[0.0]]],
+                     "field: a", id="theta-a-zero-row"),
+        pytest.param(["theta", "--tau", "1.0"], ["alpha"], 0.0,
+                     "field: alpha", id="theta-alpha-zero"),
+        pytest.param(["simulate", "--n", "0"], [], {}, "field: n",
+                     id="simulate-n-zero"),
+        pytest.param(["acf", "--hmax", "3"], ["L"], -1, "field: L",
+                     id="acf-L-negative"),
+        pytest.param(["simulate", "--n", "10"], ["d0"], 0, "field: d0",
+                     id="simulate-d0-zero"),
+        pytest.param(["acf", "--hmax", "3"], ["params", "q"], 1.0, "field: q",
+                     id="acf-q-one"),
+        pytest.param(["acf", "--hmax", "3"], ["params", "B"], [[-1.0]],
+                     "field: B", id="acf-B-negative"),
+        pytest.param(["gauss-tools"], ["params", "B"], [[1.0, 0.0]],
+                     "field: B", id="gauss-tools-B-not-square"),
+        pytest.param(["acf", "--hmax", "3"], [], {
+            "family": "polynomial", "params": {"beta": 0.5, "B": [[1.0]]}},
+            "field: beta", id="acf-beta-half"),
+        pytest.param(["simulate", "--n", "10"], [], {
+            "family": "custom", "params": {"table": [[[1.0]]]}},
+            "field: table", id="simulate-custom-table-shape"),
     ])
     def test_spec_error_exit_2_names_field(self, tmp_path, capsys, command,
                                            path, value, field):
@@ -253,10 +312,14 @@ class TestCli:
             spec = json.loads(gausslin.make_coeffs(gausslin.LinearProcessSpec(
                 d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)),
                 L=16)).to_json())
+        # the value at path, or with an empty path, keys merged into spec
         node = spec
         for key in path[:-1]:
             node = node[key]
-        node[path[-1]] = value
+        if path:
+            node[path[-1]] = value
+        else:
+            spec.update(value)
         f = tmp_path / "spec.json"
         f.write_text(json.dumps(spec))
         assert cli_main(command + ["--spec", str(f)]) == 2
@@ -373,7 +436,7 @@ class TestCli:
             "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             [], "field: L", id="gauss-tools-short-table"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 5, "p": 5,
-                                    "m": 5}]}, [], "r must exceed",
+                                    "m": 5}]}, [], "field: r",
                      id="pointproc-r-le-m"),
         pytest.param({"analyses": [{"type": "runs", "m": 2000}]}, [],
                      "field: m", id="runs-m-ge-n"),
@@ -427,8 +490,92 @@ class TestCli:
                      id="pointproc-bins"),
         pytest.param({"analyses": [{"type": "runs", "m": 1, "mm": 2}]}, [],
                      "field: mm", id="runs-unknown-key"),
+        # a gauss generator's thresholds: a tau of the path's length, on
+        # raw or pareto-type columns, with every level positive
         pytest.param({**json.loads((CONFIGS / "e7.json").read_text()),
-                      "tau": [1.0, 1.0]}, [], "field: tau", id="e7-gauss-tau"),
+                      "tau": [1.0]}, [], "field: tau", id="e7-gauss-tau-length"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 1, "parts": [{"kind": "window_max", "lags": [0, 1]}]}},
+            "tau": [5.0], "reps": 1}, [], "field: tau",
+            id="gauss-window-max-tau"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
+                      "tau": [1500.0]}, [], "field: tau",
+                     id="gauss-threshold-negative"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
+                      "tau": [5000.0]}, [], "field: tau",
+                     id="gauss-threshold-nan"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
+                      "tau": [0.0]}, [], "field: tau", id="gauss-tau-zero"),
+        # a transform part must read a column of the table
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": 3}]}},
+            "tau": []}, [], "field: coord", id="parts-coord-past-d0"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": -1}]}},
+            "tau": []}, [], "field: coord", id="parts-coord-negative"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 0, "parts": []}}, "tau": []}, [], "field: parts",
+            id="transform-no-parts"),
+        # a value out of range names its field
+        pytest.param({"tau": [80.0, 80.0]}, [], "field: tau", id="tau-length"),
+        pytest.param({"tau": [-1.0]}, [], "field: tau", id="tau-negative"),
+        pytest.param({"reps": 0}, [], "field: reps", id="reps-zero"),
+        pytest.param({"n": 0}, [], "field: n", id="n-zero"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "lags": [1, 2]}}}, [],
+            "field: lags", id="spec-lags-without-zero"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "a": [[[1.0]]]}}}, [],
+            "field: a", id="spec-a-shape"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "a": [[[-1.0]], [[1.0]]]}}},
+            [], "field: a", id="spec-a-negative"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "a": [[[0.0]], [[0.0]]]}}},
+            [], "field: a", id="spec-a-zero-row"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "alpha": 0.0}}}, [],
+            "field: alpha", id="spec-alpha-zero"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {**IID8, "L": -1}},
+                      "tau": []}, [], "field: L", id="lin-L-negative"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {**IID8, "d0": 0}},
+                      "tau": []}, [], "field: d0", id="lin-d0-zero"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": 1.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, [],
+            "field: q", id="params-q-one"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "polynomial",
+            "params": {"beta": 0.5, "B": [[1.0]]}, "L": 8}}, "tau": []}, [],
+            "field: beta", id="params-beta-half"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[-1.0]]}, "L": 8}}, "tau": []}, [],
+            "field: B", id="params-B-negative"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 2, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, [],
+            "field: B", id="params-B-d0-mismatch"),
+        pytest.param({"generator": {"kind": "gauss", "lin": {
+            "d0": 2, "family": "custom", "params": {"table": [[[1.0]]]},
+            "L": 0}}, "tau": []}, [], "field: table", id="custom-table-shape"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 0, "parts": [{"kind": "pareto", "alpha": 0.0}]}},
+            "tau": []}, [], "field: alpha", id="parts-pareto-alpha-zero"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 0, "parts": [{"kind": "window_max", "lags": [0, 1]}]}},
+            "tau": []}, [], "field: lags", id="parts-lag-outside-window"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": -1, "parts": [{"kind": "identity"}]}}, "tau": []}, [],
+            "field: m", id="transform-m-negative"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 2,
+                                    "m": 3}]}, [], "field: p",
+                     id="pointproc-p-lt-m"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            "d": 2, "alpha": 1.0, "lags": [0, 0],
+            "a": [[[1.0, 0.0], [0.0, 1.0]]]}}, "tau": [], "reps": 1,
+            "analyses": [{"type": "scan", "levels": [2.0], "rho": 0.0}]},
+            [], "field: innovation", id="spec-without-innovation"),
         # a nested field of the wrong JSON type, or missing
         pytest.param({"generator": {"kind": "m4", "spec": "x"}}, [],
                      "field: spec", id="spec-string"),
@@ -799,3 +946,19 @@ class TestShippedConfigs:
         harness.check(gen._replace(path_fn=drawn.append), cfg.analyses,
                       cfg.reps)
         assert drawn == []
+
+    def test_acceptance_suite_reads_every_config(self):
+        # each config is an experiment the acceptance suite gates: its stem
+        # is a string in tests/test_acceptance.py, as in _cfg("e1")
+        tree = ast.parse((REPO / "tests" / "test_acceptance.py").read_text())
+        strings = {node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant)
+                   and isinstance(node.value, str)}
+        stems = [path.stem for path in sorted(CONFIGS.glob("*.json"))]
+        assert [stem for stem in stems if stem not in strings] == []
+
+    def test_config_names_are_unique(self):
+        # output files are prefixed by the config name
+        names = [json.loads(path.read_text())["name"]
+                 for path in sorted(CONFIGS.glob("*.json"))]
+        assert len(names) == len(set(names))

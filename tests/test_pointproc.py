@@ -1,6 +1,6 @@
 """Gapped-block exceedance point processes and Poisson diagnostics."""
 
-import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -193,8 +193,7 @@ class TestPoissonDiagnostics:
         rep = pointproc.poisson_diagnostics(
             _poisson_patterns(rng, 300, 1.0), 1.0
         )
-        obj = json.loads(rep.to_json())
-        assert set(obj) == {
+        assert set(asdict(rep)) == {
             "mean_count",
             "dispersion_index",
             "ks_interarrival",

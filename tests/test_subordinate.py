@@ -1,5 +1,8 @@
 """Window transforms of Gaussian paths and their heavy-tail marginals."""
 
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -102,7 +105,8 @@ class TestApply:
                 Part(kind="window_max", coord=0, lags=(0, 2)),
             ),
         )
-        assert WindowTransform.from_json(t.to_json()) == t
+        # the parser reads the transform's own fields back
+        assert WindowTransform.from_json(json.dumps(asdict(t))) == t
 
 
 class TestGaussianSource:
