@@ -321,13 +321,16 @@ def hermite_expand(f: CatalogFn, K: int) -> HermiteExpansion:
 
     def integrand(x):
         # orthonormal h_k = He_k(x) / sqrt(k!) by the three-term recurrence
-        # h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), one row per k
+        # h_{k+1} = (x h_k - sqrt(k) h_{k-1}) / sqrt(k+1), one row per k,
+        # each formed in place in the same order of operations
         h = np.empty((K + 1, x.size))
         h[0] = 1.0
         if K:
             h[1] = x
         for k in range(1, K):
-            h[k + 1] = (x * h[k] - root[k] * h[k - 1]) / root[k + 1]
+            np.multiply(x, h[k], out=h[k + 1])
+            h[k + 1] -= root[k] * h[k - 1]
+            h[k + 1] /= root[k + 1]
         return (f(x) * h).T
 
     coeffs, check = gaussian_expectation(integrand, f.breakpoints())

@@ -1,20 +1,22 @@
 """Componentwise maxima, extremal-index estimators, the D'(u_n)
 anti-clustering statistic, and extremal-independence scans.
 
-Every function here reads one path (a SeriesMatrix or a bare array); the
-replication engine in `harness` owns seeding and the loop over paths.
+Every function here reads one path (a SeriesMatrix or a bare array) or what
+`exceedances` takes from it; the replication engine in `harness` owns seeding
+and the loop over paths.
 
-The runs and blocks estimators and the gapped-block point process all read
-the per-time exceedance indicator 1{Y_k not <= u}, one strict comparison per
-column OR-ed together; an M4 path is a column-major (n, d) view, so each
-comparison reads one contiguous column. The runs estimator (Smith & Weissman
-1994) tests "some exceedance in the next m steps" by prefix counts, in O(n)
-for any m.
+The runs and blocks estimators (Smith & Weissman 1994) and the gapped-block
+point process depend on a path only through its sorted exceedance times: the
+rows k with Y_k not <= u, from one strict comparison per column OR-ed
+together (an M4 path is a column-major (n, d) view, so each comparison reads
+one contiguous column). `exceedances` makes that pass once; each estimator
+then reads the exceedance times, in O(number of exceedances).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,51 +84,61 @@ def _exceed_indicator(Y, u) -> np.ndarray:
     return e
 
 
-def runs_theta(Y, u, m: int) -> EstimatorReport:
+class Exceedances(NamedTuple):
+    """The rows of a path of n rows at which some column exceeds its level."""
+
+    times: np.ndarray  # ascending row indices
+    n: int
+
+
+def exceedances(Y, u) -> Exceedances:
+    """The sorted exceedance times of Y over u: one `_exceed_indicator` pass."""
+    e = _exceed_indicator(Y, u)
+    return Exceedances(np.flatnonzero(e), len(e))
+
+
+def runs_theta(ex: Exceedances, m: int) -> EstimatorReport:
     """Runs estimator: fraction of exceedances followed by m clear steps.
 
-    Ties at u break strictly: ">" is an exceedance, "<=" a non-exceedance.
-    theta_0 := 1 by the vacuous-conditioning convention.
+    The base times are the exceedance times t < n - m; one is clear when the
+    next exceedance comes more than m steps later, or never. Ties at u break
+    strictly: ">" is an exceedance, "<=" a non-exceedance. theta_0 := 1 by
+    the vacuous-conditioning convention.
     """
-    e = _exceed_indicator(Y, u)
-    n = len(e)
+    t, n = ex
     if m < 0:
         raise SpecError("m must be >= 0")
     if n <= m:
         raise SpecError("path shorter than the run length m")
-    total = int(np.count_nonzero(e))
+    total = len(t)
     if total < MIN_EXCEEDANCES:
         raise InsufficientExceedances(total)
     if m == 0:
         return EstimatorReport(1.0, 0.0, total, "runs(0)")
-    base = e[: n - m]
-    # following[k]: some exceedance among e[k+1..k+m], from the prefix
-    # counts c[t] = e[1] + ... + e[t] (exact in int32 below 2**31 steps)
-    c = np.zeros(n, dtype=np.int32 if n < 2**31 else np.int64)
-    np.cumsum(e[1:], dtype=c.dtype, out=c[1:])
-    following = c[m:n] > c[: n - m]
-    denom = int(np.count_nonzero(base))
+    denom = int(np.searchsorted(t, n - m))
     if denom < MIN_EXCEEDANCES:
         raise InsufficientExceedances(denom)
-    num = int(np.count_nonzero(base & ~following))
+    # the gap from each base time to the next exceedance; the last
+    # exceedance, when it is a base time, has none and is clear
+    num = int(np.count_nonzero(np.diff(t[: denom + 1]) > m)) + (denom == total)
     est = num / denom
     stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / denom))
     return EstimatorReport(est, stderr, denom, f"runs({m})")
 
 
-def blocks_theta(Y, u, b: int) -> EstimatorReport:
+def blocks_theta(ex: Exceedances, b: int) -> EstimatorReport:
     """Blocks estimator: blocks containing an exceedance over total
-    exceedances, clamped to [0, 1]; cross-validation for runs_theta."""
-    e = _exceed_indicator(Y, u)
-    n = len(e)
+    exceedances, clamped to [0, 1]; cross-validation for runs_theta. The
+    n // b whole blocks of length b count, and a trailing partial block
+    does not."""
+    t, n = ex
     if b < 1 or n // b < 50:
         raise SpecError("need n/b >= 50 blocks")
-    nb = n // b
-    ee = e[: nb * b].reshape(nb, b)
-    total = int(np.count_nonzero(ee))
+    t = t[: np.searchsorted(t, n // b * b)]
+    total = len(t)
     if total < MIN_EXCEEDANCES:
         raise InsufficientExceedances(total)
-    occupied = int(np.count_nonzero(np.any(ee, axis=1)))
+    occupied = len(np.unique(t // b))
     est = min(occupied / total, 1.0)
     stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / total))
     return EstimatorReport(est, stderr, total, f"blocks({b})")

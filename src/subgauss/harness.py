@@ -5,7 +5,9 @@ process), a sample size, a tau vector, a replication count and a base seed,
 plus a list of analyses. `replicate` is the one replication loop: replication
 i draws the path with seed base_seed XOR i once, every per-path analysis maps
 over that path, and results are folded in index order, so output bytes
-depend only on (config, base_seed), never on execution order.
+depend only on (config, base_seed), never on execution order. The threshold
+analyses (runs, blocks, pointproc) share one exceedance pass per replication:
+the sorted exceedance times of `evt.exceedances`, found on first use.
 """
 
 from __future__ import annotations
@@ -185,37 +187,64 @@ def _gauss_tools(a, results, gen):
     return gauss_tools(gen.spec.table, a.get("nblock", 10)), None
 
 
+class Replication:
+    """One replication's path Y and thresholds u, as its per-path maps see
+    them. `exceedances` is `evt.exceedances(Y, u)`, computed on first use and
+    then shared by every analysis that reads it. The view refers to the
+    path, never the reverse, so each path is freed once its replication is
+    done, without the cyclic garbage collector."""
+
+    __slots__ = ("Y", "u", "_exceedances")
+
+    def __init__(self, Y, u):
+        self.Y, self.u, self._exceedances = Y, u, None
+
+    @property
+    def exceedances(self) -> evt.Exceedances:
+        if self._exceedances is None:
+            self._exceedances = evt.exceedances(self.Y, self.u)
+        return self._exceedances
+
+
 class Analysis(NamedTuple):
     fields: dict                 # required config field -> its JSON type
     optional: dict               # optional config field -> its JSON type
     check: Callable              # (a, gen, reps): what it needs of the run
-    per_path: Callable | None    # (a, path, u) -> result for one replication
+    per_path: Callable | None    # (a, Replication) -> result for one path
     summarize: Callable          # see the summarize steps above
 
 
 # Per-path maps look their functions up at call time, so a patched or traced
-# module attribute is the one that runs.
+# module attribute is the one that runs. runs, blocks and pointproc read the
+# replication's exceedance times; nonexceed, dprime and scan read the path.
 REGISTRY = {
     "nonexceed": Analysis(
         {}, {}, _needs_thresholds,
-        lambda a, Y, u: bool(np.all(evt.cmax(Y) <= u.u)), _nonexceed),
+        lambda a, view: bool(np.all(evt.cmax(view.Y) <= view.u.u)),
+        _nonexceed),
     "runs": Analysis(
         {"m": _integer}, {}, _check_runs,
-        lambda a, Y, u: evt.runs_theta(Y, u, a["m"]), _estimates),
+        lambda a, view: evt.runs_theta(view.exceedances, a["m"]), _estimates),
     "blocks": Analysis(
         {"b": _integer}, {}, _check_blocks,
-        lambda a, Y, u: evt.blocks_theta(Y, u, a["b"]), _estimates),
+        lambda a, view: evt.blocks_theta(view.exceedances, a["b"]),
+        _estimates),
     "pointproc": Analysis(
         {"r": _integer, "p": _integer},
         {"m": _integer, "lambda_target": _number}, _check_pointproc,
-        lambda a, Y, u: pointproc.gapped_blocks(Y, u, _gap_config(a)), _poisson),
+        lambda a, view: pointproc.gapped_blocks(view.exceedances,
+                                                _gap_config(a)),
+        _poisson),
     "dprime": Analysis(
         {"k_list": _integers}, {}, _check_dprime,
-        lambda a, Y, u: evt.dprime_path(Y, float(u.u[0]), a["k_list"]), _dprime),
+        lambda a, view: evt.dprime_path(view.Y, float(view.u.u[0]),
+                                        a["k_list"]),
+        _dprime),
     "scan": Analysis(
         {"levels": _numbers, "rho": _number}, {}, _check_scan,
-        lambda a, Y, u: evt.extremal_independence_scan(
-            Y.values[:, 0], Y.values[:, 1], a["levels"], a["rho"]), _scan),
+        lambda a, view: evt.extremal_independence_scan(
+            view.Y.values[:, 0], view.Y.values[:, 1], a["levels"], a["rho"]),
+        _scan),
     "gauss-tools": Analysis({}, {"nblock": _integer}, _check_gauss_tools, None,
                             _gauss_tools),
 }
@@ -344,7 +373,8 @@ def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     """The replication engine. Returns (entries, artifacts, failures).
 
     After `check`, replication i draws gen.path_fn(base_seed ^ i) once and
-    maps every per-path analysis over it. Failures are recorded, never
+    maps every per-path analysis over one `Replication` of it, so its
+    exceedances are found at most once. Failures are recorded, never
     silently dropped: a replication counts in every analysis or, if any of
     them raises, in none, and the run aborts if more than 1% of replications
     fail. Each analysis then summarizes its results in replication order;
@@ -357,8 +387,8 @@ def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     failures = []
     for rep in range(reps if mapped else 0):
         try:
-            Y = gen.path_fn(base_seed ^ rep)
-            got = [kinds[idx].per_path(analyses[idx], Y, gen.u) for idx in mapped]
+            view = Replication(gen.path_fn(base_seed ^ rep), gen.u)
+            got = [kinds[idx].per_path(analyses[idx], view) for idx in mapped]
         except Exception as exc:  # noqa: BLE001 - recorded, not dropped
             failures.append({"replication": rep, "error": str(exc)})
             continue

@@ -331,8 +331,9 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
 def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
     """Draw the innovation path W; marginal exact Pareto(alpha) in both modes.
 
-    SubGauss mode draws a standardized path from the innovation's Gaussian
-    source and applies the (folded) Pareto transform columnwise.
+    Oracle mode returns a column-major (n, d) view, as `build` does. SubGauss
+    mode draws a standardized path from the innovation's Gaussian source and
+    applies the (folded) Pareto transform columnwise.
     """
     inn = spec.innovation
     if inn is None:
@@ -340,9 +341,12 @@ def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
     if isinstance(inn, IidPareto):
         rng = np.random.Generator(np.random.Philox(key=seed))
         U = rng.random((n, spec.d))
-        W = (1.0 - U) ** (-1.0 / inn.alpha)
+        # W = (1 - U)^(-1/alpha), formed in a (d, n) array so that each
+        # column of the (n, d) transpose that `build` reads is contiguous
+        W = np.subtract(1.0, U.T, out=np.empty((spec.d, n)))
+        W **= -1.0 / inn.alpha
         return SeriesMatrix(
-            values=W,
+            values=W.T,
             meta={"seed": seed, "generator": gausslin.GENERATOR_ID,
                   "innovation": "iid_pareto"},
         )

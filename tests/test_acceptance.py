@@ -6,25 +6,54 @@ The experiments are the shipped configs in configs/: every path, threshold,
 table and sample size comes from a config, through `harness.run` or the
 generator builder it uses (E4 hands its truncated build to the engine
 directly). E7's hypercontractivity and canonical-correlation checks draw no
-path.
+path. Every `harness.run` writes its files to a temporary directory, and
+their sha256 must match tests/golden/shipped_sha256.json, so the suite pins
+the bytes of each config it runs at no extra draw.
 """
 
 import dataclasses
 import functools
+import hashlib
+import json
 import math
+import platform
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from subgauss import chaos, gausslin, harness, m4, pointproc, subordinate
 from subgauss.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHA256 = Path(__file__).resolve().parent / "golden" / "shipped_sha256.json"
 
 
 def _cfg(stem):
     return ExperimentConfig.from_json((CONFIGS / f"{stem}.json").read_text())
+
+
+def _run(stem, out_dir, cfg=None):
+    """harness.run on configs/<stem>.json, or on cfg, a variant of it, with
+    its files written to out_dir/<stem>; each file's sha256 must match the
+    golden's entry for stem."""
+    out = Path(out_dir) / stem
+    summary = harness.run(cfg or _cfg(stem), str(out))
+    golden = json.loads(SHA256.read_text())
+    want = golden["outputs"][stem]
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+           for f in sorted(out.iterdir())}
+    versions = {"python": platform.python_version(),
+                "numpy": np.__version__, "scipy": scipy.__version__}
+    assert sorted(got) == sorted(want), \
+        f"config {stem}: wrote {sorted(got)}, the golden lists {sorted(want)}"
+    for name, digest in want.items():
+        assert got[name] == digest, (
+            f"config {stem}: {name} has sha256 {got[name]}, not the golden "
+            f"{digest} (golden recorded with {golden['versions']}, this run "
+            f"has {versions})")
+    return summary
 
 
 def _emit(capsys, name, ok, detail):
@@ -34,20 +63,20 @@ def _emit(capsys, name, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def e2_theta_hats():
+def e2_theta_hats(tmp_path_factory):
     """runs_theta(m=0..3) averaged over the e2_runs replications; reused by
     E2 (m=3 entry) and E5 (plug-in intensities).
 
     e2_runs estimates at tau=500: the extremal index does not depend on tau
     in one dimension, and tau=1 would leave ~1 exceedance per path.
     """
-    summary = harness.run(_cfg("e2_runs"))
+    summary = _run("e2_runs", tmp_path_factory.mktemp("e2_runs"))
     return [summary["analyses"][f"{m}:runs"]["estimate"] for m in range(4)]
 
 
-def test_e1_iid_baseline(capsys):
+def test_e1_iid_baseline(capsys, tmp_path):
     cfg = _cfg("e1")
-    p = harness.run(cfg)["analyses"]["0:nonexceed"]["p_hat"]
+    p = _run("e1", tmp_path)["analyses"]["0:nonexceed"]["p_hat"]
     want = (1 - 1 / cfg.n) ** cfg.n
     err = abs(p - want)
     _emit(capsys, "E1", err <= 0.016,
@@ -55,9 +84,9 @@ def test_e1_iid_baseline(capsys):
           f"tol=0.016")
 
 
-def test_e2_extremal_index_quarter(capsys, e2_theta_hats):
+def test_e2_extremal_index_quarter(capsys, tmp_path, e2_theta_hats):
     theta3 = e2_theta_hats[3]
-    p = harness.run(_cfg("e2"))["analyses"]["0:nonexceed"]["p_hat"]
+    p = _run("e2", tmp_path)["analyses"]["0:nonexceed"]["p_hat"]
     want = math.exp(-0.25)
     ok = abs(theta3 - 0.25) <= 0.05 and abs(p - want) <= 0.03
     _emit(capsys, "E2", ok,
@@ -65,13 +94,13 @@ def test_e2_extremal_index_quarter(capsys, e2_theta_hats):
           f"nonexceed p_hat={p:.4f} (target {want:.4f}±0.03)")
 
 
-def test_e3_bivariate_limit(capsys):
+def test_e3_bivariate_limit(capsys, tmp_path):
     details = []
     ok = True
     for stem in ("e3", "e3b"):
         cfg = _cfg(stem)
         spec = harness._build_generator(cfg).spec
-        p = harness.run(cfg)["analyses"]["0:nonexceed"]["p_hat"]
+        p = _run(stem, tmp_path)["analyses"]["0:nonexceed"]["p_hat"]
         want = m4.G_limit(spec, cfg.tau) ** m4.theta(spec, cfg.tau)
         ok = ok and abs(p - want) <= 0.03
         details.append(f"tau={tuple(cfg.tau)}: p_hat={p:.4f} "
@@ -111,14 +140,14 @@ def test_e4_truncation(capsys):
           f"{prof[0]:.6f}->{prof[-1]:.6f} matches hand values={exact}")
 
 
-def test_e5_point_process(capsys, e2_theta_hats):
+def test_e5_point_process(capsys, tmp_path, e2_theta_hats):
     cfg = _cfg("e5")
     (a,) = cfg.analyses
     gc = pointproc.GapConfig(a["r"], a["p"], a["m"])
     lam = pointproc.lambda_rp(e2_theta_hats, e2_theta_hats[3],
                               math.exp(-1.0), gc)
     cfg = dataclasses.replace(cfg, analyses=({**a, "lambda_target": lam},))
-    rep = harness.run(cfg)["analyses"]["0:pointproc"]
+    rep = _run("e5", tmp_path, cfg)["analyses"]["0:pointproc"]
     rel = abs(rep["mean_count"] - lam) / lam
     ok = (
         0.85 <= rep["dispersion_index"] <= 1.15
@@ -161,7 +190,7 @@ def _e7_joint_gate(joint, exact, nsamp):
     return abs(z) <= 4.0, z
 
 
-def test_e7_inequalities(capsys):
+def test_e7_inequalities(capsys, tmp_path):
     # (a) hypercontractivity over the catalog x a-grid
     catalog = [
         chaos.CatalogFn("exp", 0.7),
@@ -202,7 +231,7 @@ def test_e7_inequalities(capsys):
 
     # (c) joint exceedance of the folded-pareto transformed bivariate normal
     cfg, rho, fbar = _e7()
-    (row,) = harness.run(cfg)["analyses"]["0:scan"]
+    (row,) = _run("e7", tmp_path)["analyses"]["0:scan"]
     joint, nsamp = row["joint_exceed"], cfg.n
     se = math.sqrt(max(joint, 1e-12) * (1 - joint) / nsamp)
     bound = chaos.joint_tail_bound(fbar, rho)
@@ -229,23 +258,23 @@ def test_e7_exact_gate_rejects_weaker_dependence(rho):
     assert _e7_joint_gate(exact, exact, cfg.n)[0]
 
 
-def _dprime(stem):
+def _dprime(stem, out_dir):
     """tau, k_list and the dprime means and standard errors of a config."""
     cfg = _cfg(stem)
     (a,) = cfg.analyses
-    rep = harness.run(cfg)["analyses"]["0:dprime"]
+    rep = _run(stem, out_dir)["analyses"]["0:dprime"]
     ks = a["k_list"]
     return (cfg.tau[0], ks, [rep["stats"][str(k)] for k in ks],
             [rep["stderr"][str(k)] for k in ks])
 
 
-def test_e8_anticlustering(capsys):
+def test_e8_anticlustering(capsys, tmp_path):
     mono_ok = True
     for stem in ("e8_gauss", "e8_pareto"):
-        _, _, vals, ses = _dprime(stem)
+        _, _, vals, ses = _dprime(stem, tmp_path)
         for (a, sa), (b, sb) in zip(zip(vals, ses), zip(vals[1:], ses[1:])):
             mono_ok = mono_ok and a >= b - 2 * math.hypot(sa, sb)
-    tau, k_list, vals, ses = _dprime("e8_iid")
+    tau, k_list, vals, ses = _dprime("e8_iid", tmp_path)
     ctrl_ok = all(
         abs(v - tau**2 / k) <= 3 * se for v, se, k in zip(vals, ses, k_list)
     )

@@ -1,6 +1,8 @@
 """Empirical extreme-value estimators: maxima rates, cluster indexes, the
 anti-clustering statistic, and the extremal-independence scan."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,7 +80,7 @@ class TestRunsAndBlocks:
     def test_theta0_is_one_by_convention(self):
         Y = m4.path(equal_spec(), 50_000, 1)
         u = m4.thresholds(equal_spec(), 50_000, (200.0,))
-        rep = evt.runs_theta(Y, u, 0)
+        rep = evt.runs_theta(evt.exceedances(Y, u), 0)
         assert rep.estimate == 1.0
 
     def test_iid_theta_close_to_one(self):
@@ -95,19 +97,19 @@ class TestRunsAndBlocks:
             n,
             (100.0,),
         )
-        assert evt.runs_theta(Y, u, 5).estimate > 0.9
+        assert evt.runs_theta(evt.exceedances(Y, u), 5).estimate > 0.9
         # blocks estimator biases low as per-block occupancy saturates,
         # so keep the expected count per block well under one
-        assert evt.blocks_theta(Y, u, 100).estimate > 0.85
+        assert evt.blocks_theta(evt.exceedances(Y, u), 100).estimate > 0.85
 
     def test_moving_maxima_quarter(self):
         spec = equal_spec()
         n = 200_000
         Y = m4.path(spec, n, 11)
         u = m4.thresholds(spec, n, (800.0,))
-        rep = evt.runs_theta(Y, u, 3)
+        rep = evt.runs_theta(evt.exceedances(Y, u), 3)
         assert abs(rep.estimate - 0.25) < 0.03
-        brep = evt.blocks_theta(Y, u, 200)
+        brep = evt.blocks_theta(evt.exceedances(Y, u), 200)
         assert abs(brep.estimate - 0.25) < 0.06
 
     def test_insufficient_exceedances(self):
@@ -115,14 +117,14 @@ class TestRunsAndBlocks:
         Y = m4.path(spec, 1000, 1)
         u = m4.thresholds(spec, 1000, (1.0,))
         with pytest.raises(evt.InsufficientExceedances):
-            evt.runs_theta(Y, u, 3)
+            evt.runs_theta(evt.exceedances(Y, u), 3)
 
     def test_blocks_needs_enough_blocks(self):
         spec = equal_spec()
         Y = m4.path(spec, 1000, 1)
         u = m4.thresholds(spec, 1000, (100.0,))
         with pytest.raises(SpecError):
-            evt.blocks_theta(Y, u, 500)
+            evt.blocks_theta(evt.exceedances(Y, u), 500)
 
     def test_csv_row_contract(self):
         Y = iid_fn(50_000)(3)
@@ -134,7 +136,7 @@ class TestRunsAndBlocks:
             innovation=IidPareto(1.0),
         )
         u = m4.thresholds(spec, 50_000, (300.0,))
-        rep = evt.runs_theta(Y, u, 2)
+        rep = evt.runs_theta(evt.exceedances(Y, u), 2)
         assert evt.EstimatorReport.CSV_HEADER == (
             "method,m_or_b,estimate,stderr,exceed_count"
         )
@@ -150,6 +152,69 @@ def runs_reference(e, m):
     base = [k for k in range(n - m) if e[k]]
     clear = [k for k in base if not any(e[k + 1 : k + m + 1])]
     return len(clear), len(base)
+
+
+# The dense estimators over the full exceedance indicator e, as the package
+# computed them before it read sorted exceedance times: oracles for
+# runs_theta and blocks_theta, check for check and count for count.
+
+def runs_dense(e, m):
+    n = len(e)
+    if m < 0:
+        raise SpecError("m must be >= 0")
+    if n <= m:
+        raise SpecError("path shorter than the run length m")
+    total = int(np.count_nonzero(e))
+    if total < evt.MIN_EXCEEDANCES:
+        raise evt.InsufficientExceedances(total)
+    if m == 0:
+        return evt.EstimatorReport(1.0, 0.0, total, "runs(0)")
+    base = e[: n - m]
+    # following[k]: some exceedance among e[k+1..k+m], from prefix counts
+    c = np.zeros(n, dtype=np.int32)
+    np.cumsum(e[1:], dtype=c.dtype, out=c[1:])
+    following = c[m:n] > c[: n - m]
+    denom = int(np.count_nonzero(base))
+    if denom < evt.MIN_EXCEEDANCES:
+        raise evt.InsufficientExceedances(denom)
+    num = int(np.count_nonzero(base & ~following))
+    est = num / denom
+    stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / denom))
+    return evt.EstimatorReport(est, stderr, denom, f"runs({m})")
+
+
+def blocks_dense(e, b):
+    n = len(e)
+    if b < 1 or n // b < 50:
+        raise SpecError("need n/b >= 50 blocks")
+    nb = n // b
+    ee = e[: nb * b].reshape(nb, b)
+    total = int(np.count_nonzero(ee))
+    if total < evt.MIN_EXCEEDANCES:
+        raise evt.InsufficientExceedances(total)
+    occupied = int(np.count_nonzero(np.any(ee, axis=1)))
+    est = min(occupied / total, 1.0)
+    stderr = float(np.sqrt(max(est * (1.0 - est), 0.0) / total))
+    return evt.EstimatorReport(est, stderr, total, f"blocks({b})")
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not dropped
+        return type(exc), str(exc)
+
+
+def assert_estimators_match_dense(v, u, m, b):
+    """runs(m) and blocks(b) from the sorted exceedance times equal the
+    dense oracles: report, or exception and message."""
+    ex = evt.exceedances(v, u)
+    e = np.any(np.reshape(v, (len(v), -1)) > u, axis=1)
+    np.testing.assert_array_equal(ex.times, np.flatnonzero(e))
+    assert ex.n == len(v)
+    assert outcome(evt.runs_theta, ex, m) == outcome(runs_dense, e, m)
+    assert outcome(evt.blocks_theta, ex, b) == outcome(blocks_dense, e, b)
 
 
 class TestKernels:
@@ -192,7 +257,7 @@ class TestKernels:
         rng = np.random.default_rng(20 + m)
         v = np.asfortranarray(rng.random((600, 2)) ** 4)
         u = np.array([0.6, 0.7])
-        rep = evt.runs_theta(v, u, m)
+        rep = evt.runs_theta(evt.exceedances(v, u), m)
         clear, base = runs_reference(np.any(v > u, axis=1), m)
         if m == 0:
             assert (rep.estimate, rep.count_exceed) == (1.0, base)
@@ -212,7 +277,8 @@ class TestKernels:
         v[n - 1] = 2.0 if later else 0.0
         clear, base = runs_reference(v > 1.0, n - 1)
         assert (clear, base) == (0 if later else 1, 1)
-        assert evt.runs_theta(v, 1.0, n - 1).estimate == clear / base
+        rep = evt.runs_theta(evt.exceedances(v, 1.0), n - 1)
+        assert rep.estimate == clear / base
 
 
 class TestDPrime:
@@ -286,10 +352,94 @@ def test_runs_estimate_in_unit_interval(u_shift, m, seed, d):
     u = m4.ThresholdVector(n=5000, tau=(1.0,) * d,
                            u=np.full(d, 5.0 + u_shift))
     try:
-        rep = evt.runs_theta(Y, u, m)
+        rep = evt.runs_theta(evt.exceedances(Y, u), m)
     except evt.InsufficientExceedances:
         return
     assert 0.0 <= rep.estimate <= 1.0
     if m:
         clear, base = runs_reference(np.any(Y.values > u.u, axis=1), m)
         assert (rep.estimate, rep.count_exceed) == (clear / base, base)
+
+
+def _with_min(count):
+    return mock.patch.object(evt, "MIN_EXCEEDANCES", count)
+
+
+@st.composite
+def integer_paths(draw, max_n=400):
+    """A column-major (n, d) path of small integers and d integer levels, so
+    many samples sit exactly at their level."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(1, max_n))
+    vals = draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d))
+    v = np.asfortranarray(np.reshape(np.array(vals, dtype=float), (n, d)))
+    u = np.array(draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                               min_size=d, max_size=d)))
+    return v, u
+
+
+@given(path=integer_paths(), m=st.integers(-1, 12), b=st.integers(1, 9),
+       min_count=st.sampled_from([1, 2, evt.MIN_EXCEEDANCES]),
+       near_end=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_estimators_equal_dense_oracles(path, m, b, min_count, near_end):
+    v, u = path
+    if near_end:
+        m = len(v) - 1 - m % 3  # m = n - 1, n - 2, n - 3 (or out of range)
+    with _with_min(min_count):
+        assert_estimators_match_dense(v, u, m, b)
+
+
+class TestEstimatorEdgeCases:
+    """Hand cases of the oracle comparison, with the minimum count lowered
+    to 1 so each reaches its estimate."""
+
+    @staticmethod
+    def path(n, rows, level=1.0):
+        v = np.zeros(n)
+        v[list(rows)] = 2.0
+        return v, level
+
+    def test_exceedance_at_last_row(self):
+        v, u = self.path(120, [3, 60, 119])
+        with _with_min(1):
+            for m in (1, 2, 59):
+                assert_estimators_match_dense(v, u, m, 2)
+            # the exceedance at row n - 1 is no base time for m >= 1
+            assert evt.runs_theta(evt.exceedances(v, u), 1).count_exceed == 2
+
+    def test_no_exceedance_after_last_base_time(self):
+        v, u = self.path(100, [10, 11, 40, 80])
+        with _with_min(1):
+            for m in (1, 5, 19):
+                assert_estimators_match_dense(v, u, m, 2)
+            # the last exceedance, row 80, is a base time and clear
+            rep = evt.runs_theta(evt.exceedances(v, u), 5)
+            assert (rep.estimate, rep.count_exceed) == (3 / 4, 4)
+
+    @pytest.mark.parametrize("rows", [[0], [0, 99], [50, 99], [98, 99]])
+    def test_run_length_n_minus_one(self, rows):
+        v, u = self.path(100, rows)
+        with _with_min(1):
+            assert_estimators_match_dense(v, u, 99, 1)
+
+    @pytest.mark.parametrize("n, b, counted", [(503, 10, 3), (157, 3, 4),
+                                                (101, 2, 4)])
+    def test_block_length_not_dividing_n(self, n, b, counted):
+        # exceedances in the trailing partial block do not count
+        v, u = self.path(n, [0, 1, b, n - 2, n - 1])
+        with _with_min(1):
+            assert_estimators_match_dense(v, u, 1, b)
+            rep = evt.blocks_theta(evt.exceedances(v, u), b)
+            assert rep.count_exceed == counted
+
+    def test_ties_at_the_level(self):
+        v = np.asfortranarray(np.tile([2.0, 3.0], (200, 1)))
+        u = np.array([2.0, 3.0])
+        with _with_min(1):
+            assert_estimators_match_dense(v, u, 1, 2)
+            assert evt.exceedances(v, u).times.size == 0
+            v[[7, 8, 150], 1] = np.nextafter(3.0, 4.0)
+            assert_estimators_match_dense(v, u, 1, 2)
+            np.testing.assert_array_equal(evt.exceedances(v, u).times,
+                                          [7, 8, 150])

@@ -2,11 +2,13 @@
 
 import argparse
 import ast
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -105,13 +107,17 @@ class TestRun:
     def test_replication_counts_in_all_analyses_or_none(self, tmp_path,
                                                         monkeypatch):
         # blocks fails on two replications after nonexceed and runs have
-        # succeeded on them; none of the three may count those two
-        bad_seeds = {7 ^ 5, 7 ^ 17}
+        # succeeded on them; none of the three may count those two. blocks
+        # runs once per replication, in replication order.
+        bad_reps = {5, 17}
+        blocks_reps = []
 
         def report(method):
-            def estimator(Y, u, arg):
-                if method == "blocks" and Y.meta["seed"] in bad_seeds:
-                    raise evt.InsufficientExceedances(0)
+            def estimator(ex, arg):
+                if method == "blocks":
+                    blocks_reps.append(len(blocks_reps))
+                    if blocks_reps[-1] in bad_reps:
+                        raise evt.InsufficientExceedances(0)
                 return evt.EstimatorReport(1.0, 0.0, 20, f"{method}({arg})")
             return estimator
 
@@ -139,11 +145,14 @@ class TestRun:
         )))
         harness.run(cfg, str(tmp_path / "all"))
         gapped_blocks = pointproc.gapped_blocks
+        reps = []
 
-        def failing(Y, u, gc):
-            if Y.meta["seed"] == 7 ^ 1:
+        def failing(ex, gc):
+            # one call per replication, in replication order
+            reps.append(len(reps))
+            if reps[-1] == 1:
                 raise evt.InsufficientExceedances(0)
-            return gapped_blocks(Y, u, gc)
+            return gapped_blocks(ex, gc)
 
         monkeypatch.setattr(pointproc, "gapped_blocks", failing)
         summary = harness.run(cfg, str(tmp_path / "one_failed"))
@@ -153,6 +162,41 @@ class TestRun:
         assert any(r.startswith("1,") for r in rows["all"])
         assert rows["one_failed"] == [r for r in rows["all"]
                                       if not r.startswith("1,")]
+
+    def test_paths_freed_without_the_cycle_collector(self):
+        # a reference cycle through a path (say, a cache that points back at
+        # it) would keep every finished path alive until the cyclic
+        # collector runs, and peak memory would grow with the replications
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            reps=25,
+            analyses=[{"type": "nonexceed"}, {"type": "runs", "m": 1},
+                      {"type": "blocks", "b": 10},
+                      {"type": "pointproc", "r": 10, "p": 2}],
+        )))
+        gen = harness._build_generator(cfg)
+        refs, alive = [], []
+
+        def path_fn(seed):
+            alive.append(sum(ref() is not None for ref in refs))
+            Y = gen.path_fn(seed)
+            refs.append(weakref.ref(Y))
+            return Y
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            _, _, failures = harness.replicate(gen._replace(path_fn=path_fn),
+                                               cfg.analyses, cfg.reps,
+                                               cfg.base_seed)
+            after = [ref() is not None for ref in refs]
+        finally:
+            if enabled:
+                gc.enable()
+        assert failures == []
+        # while replication i draws, only replication i - 1's path, still
+        # bound in the engine's loop, may be alive
+        assert alive == [0] + [1] * (cfg.reps - 1)
+        assert len(after) == cfg.reps and not any(after)
 
     def test_gauss_generator_with_scan(self):
         psi0 = ((1.0, 0.0), (0.5, 0.8660254037844386))
@@ -956,6 +1000,17 @@ class TestShippedConfigs:
                    and isinstance(node.value, str)}
         stems = [path.stem for path in sorted(CONFIGS.glob("*.json"))]
         assert [stem for stem in stems if stem not in strings] == []
+
+    def test_sha256_golden_names_every_config(self):
+        # each config's output bytes are pinned by the acceptance suite, or
+        # the golden says why they are not
+        golden = json.loads((GOLDEN / "shipped_sha256.json").read_text())
+        listed, unlisted = set(golden["outputs"]), golden["not_run"]
+        stems = {path.stem for path in CONFIGS.glob("*.json")}
+        assert listed.isdisjoint(unlisted)
+        assert stems == listed | set(unlisted)
+        assert all(reason for reason in unlisted.values())
+        assert set(golden["versions"]) == {"python", "numpy", "scipy"}
 
     def test_config_names_are_unique(self):
         # output files are prefixed by the config name

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subgauss import m4, pointproc
+from subgauss import evt, m4, pointproc
 from subgauss.gausslin import SeriesMatrix, SpecError
 from subgauss.m4 import IidPareto, M4Spec
 from subgauss.pointproc import GapConfig, PointPattern
@@ -31,6 +31,39 @@ def _poisson_patterns(rng, reps, lam):
     return pats
 
 
+def gapped_dense(e, cfg):
+    """The gapped-block pattern from the full exceedance indicator e, as the
+    package computed it before it read sorted exceedance times: the oracle
+    of gapped_blocks."""
+    n = len(e)
+    r, p = cfg.r, cfg.p
+    if n < r + p:
+        raise SpecError("path shorter than one block-gap segment")
+    nblocks = n // (r + p)
+    trimmed = e[: nblocks * (r + p)].reshape(nblocks, r + p)
+    hit = np.any(trimmed[:, :r], axis=1)
+    j = np.nonzero(hit)[0] + 1
+    times = j * (r + p) / n
+    return PointPattern(times=times, blocks=j)
+
+
+def assert_pattern_matches_dense(v, u, cfg):
+    """gapped_blocks over the sorted exceedance times equals the dense
+    oracle: times and block indices bit for bit, or the same exception."""
+    e = np.any(np.reshape(v, (len(v), -1)) > u, axis=1)
+    ex = evt.exceedances(v, u)
+    try:
+        want = gapped_dense(e, cfg)
+    except SpecError as exc:
+        with pytest.raises(SpecError, match=str(exc)):
+            pointproc.gapped_blocks(ex, cfg)
+        return
+    got = pointproc.gapped_blocks(ex, cfg)
+    for name in ("times", "blocks"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 class TestGapConfig:
     def test_rejects_small_blocks(self):
         with pytest.raises(SpecError):
@@ -48,7 +81,8 @@ class TestGappedBlocks:
         vals[9, 0] = 9.0   # block 2, scanned part -> point
         Y = SeriesMatrix(values=vals, meta={})
         u = m4.ThresholdVector(n=12, tau=(1.0,), u=np.array([5.0]))
-        pat = pointproc.gapped_blocks(Y, u, GapConfig(r=2, p=2, m=0))
+        pat = pointproc.gapped_blocks(evt.exceedances(Y, u),
+                                      GapConfig(r=2, p=2, m=0))
         # points are stamped at the end of the hit block; indices are 1-based
         np.testing.assert_allclose(pat.times, [4.0 / 12.0, 1.0])
         np.testing.assert_array_equal(pat.blocks, [1, 3])
@@ -58,7 +92,8 @@ class TestGappedBlocks:
         vals[9, 0] = 9.0  # inside the incomplete final block
         Y = SeriesMatrix(values=vals, meta={})
         u = m4.ThresholdVector(n=10, tau=(1.0,), u=np.array([5.0]))
-        pat = pointproc.gapped_blocks(Y, u, GapConfig(r=2, p=2, m=0))
+        pat = pointproc.gapped_blocks(evt.exceedances(Y, u),
+                                      GapConfig(r=2, p=2, m=0))
         assert pat.count == 0
 
     def test_gap_values_ignored(self):
@@ -67,13 +102,36 @@ class TestGappedBlocks:
         Y = SeriesMatrix(values=vals, meta={})
         u = m4.ThresholdVector(n=800, tau=(1.0,), u=np.array([30.0]))
         cfg = GapConfig(r=6, p=2, m=0)
-        base = pointproc.gapped_blocks(Y, u, cfg)
+        base = pointproc.gapped_blocks(evt.exceedances(Y, u), cfg)
         jammed = vals.copy().reshape(100, 8, 1)
         jammed[:, 6:, :] = 1e9  # saturate every gap position
-        pat = pointproc.gapped_blocks(
-            SeriesMatrix(values=jammed.reshape(800, 1), meta={}), u, cfg
-        )
+        pat = pointproc.gapped_blocks(evt.exceedances(
+            SeriesMatrix(values=jammed.reshape(800, 1), meta={}), u), cfg)
         np.testing.assert_array_equal(pat.times, base.times)
+
+
+    def test_exceedances_only_inside_gaps(self):
+        # n=103, r=6, p=4: every gap row exceeds, no block row does; the
+        # trailing partial segment (rows 100..102) exceeds too
+        n, cfg = 103, GapConfig(r=6, p=4, m=0)
+        v = np.zeros(n)
+        v[(np.arange(n) % 10 >= 6) | (np.arange(n) >= 100)] = 9.0
+        u = 5.0
+        assert_pattern_matches_dense(v, u, cfg)
+        assert pointproc.gapped_blocks(evt.exceedances(v, u), cfg).count == 0
+        v[[0, 55]] = 9.0  # first rows of blocks 1 and 6
+        assert_pattern_matches_dense(v, u, cfg)
+        np.testing.assert_array_equal(
+            pointproc.gapped_blocks(evt.exceedances(v, u), cfg).blocks, [1, 6])
+
+    @pytest.mark.parametrize("rows", [[], [0], [11], [5, 11], [9, 10, 11]])
+    def test_ties_and_the_last_row(self, rows):
+        # samples exactly at u never count; n=12 with r=2, p=2 has no
+        # trailing partial block, so an exceedance at row 11 sits in a gap
+        v = np.full((12, 2), [5.0, 6.0])
+        v[rows, 1] = np.nextafter(6.0, 7.0)
+        assert_pattern_matches_dense(v, np.array([5.0, 6.0]),
+                                     GapConfig(r=2, p=2, m=0))
 
 
 class TestLambdaRp:
@@ -230,7 +288,26 @@ def test_pattern_times_valid(seed, r, p):
     vals = rng.pareto(1.0, size=(n, 1)) + 1.0
     Y = SeriesMatrix(values=vals, meta={})
     u = m4.ThresholdVector(n=n, tau=(1.0,), u=np.array([15.0]))
-    pat = pointproc.gapped_blocks(Y, u, GapConfig(r=r, p=p, m=0))
+    pat = pointproc.gapped_blocks(evt.exceedances(Y, u),
+                                  GapConfig(r=r, p=p, m=0))
     assert np.all(np.diff(pat.times) > 0)
     assert np.all((pat.times >= 0) & (pat.times <= 1.0))
     assert pat.count <= n // (r + p)
+
+
+@given(
+    n=st.integers(1, 300),
+    r=st.integers(1, 12),
+    p=st.integers(0, 8),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_pattern_equals_dense_oracle(n, r, p, data):
+    # small integers against integer levels put many samples exactly at u
+    d = data.draw(st.sampled_from([1, 2]))
+    vals = data.draw(st.lists(st.integers(0, 4), min_size=n * d,
+                              max_size=n * d))
+    v = np.asfortranarray(np.reshape(np.array(vals, dtype=float), (n, d)))
+    u = np.array(data.draw(st.lists(st.sampled_from([1.0, 2.0, 3.0]),
+                                    min_size=d, max_size=d)))
+    assert_pattern_matches_dense(v, u, GapConfig(r=r, p=p, m=0))

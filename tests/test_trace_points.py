@@ -91,14 +91,17 @@ def test_benchmark_chaos_calls_bind(monkeypatch):
     assert keys == [repr((f, 8))]
 
 
-def test_six_exceedance_indicators_per_replication(monkeypatch):
-    # bench/test_smoke.py pins evt.exceed_indicator.calls_per_unit at 6.0 on
-    # pareto_estimators: runs m=0..3, blocks and pointproc each compute
-    # their own indicator, through evt or through pointproc's binding
-    config = load_workloads().pareto_inputs(1, "tiny")["config"]
+def test_one_exceedance_indicator_per_replication(monkeypatch):
+    # on pareto_estimators, runs m=0..3, blocks and pointproc all read one
+    # replication's exceedance times, found by one indicator through evt;
+    # none goes through pointproc's binding, which stays a trace point.
+    # subgauss_mc's nonexceed reads the path's maxima and draws none.
+    # bench/test_smoke.py still pins 6.0 on pareto_estimators, the count
+    # before the exceedances were shared.
+    workloads = load_workloads()
+    config = workloads.pareto_inputs(1, "tiny")["config"]
     assert [a["type"] for a in config["analyses"]] == \
         ["runs"] * 4 + ["blocks", "pointproc"]
-    reps = 3
     calls = []
 
     def counted(module):
@@ -111,11 +114,18 @@ def test_six_exceedance_indicators_per_replication(monkeypatch):
 
     for module in (evt, pointproc):
         monkeypatch.setattr(module, "_exceed_indicator", counted(module))
+    reps = 3
     summary = harness.run(harness.ExperimentConfig.from_json(
         json.dumps({**config, "reps": reps})))
     assert summary["failures"] == []
-    assert len(calls) == 6 * reps
-    assert calls.count("subgauss.pointproc") == reps
+    assert calls == ["subgauss.evt"] * reps
+
+    calls.clear()
+    config = workloads.mc_inputs(1, "tiny")["config"]
+    assert [a["type"] for a in config["analyses"]] == ["nonexceed"]
+    harness.run(harness.ExperimentConfig.from_json(
+        json.dumps({**config, "reps": 2})))
+    assert calls == []
 
 
 class _Clock:
