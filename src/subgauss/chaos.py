@@ -7,6 +7,7 @@ hypercontractive norm inequality, and a bivariate-normal joint-tail oracle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from subgauss import gausslin
 from subgauss.gausslin import CoeffTable, SpecError
 
 EIG_FLOOR = 1e-12  # relative eigenvalue floor for matrix inverse square roots
+EXPANSIONS_KEPT = 64  # certified Hermite expansions kept, keyed by (f, K)
 
 
 class ConditioningError(ValueError):
@@ -91,22 +93,38 @@ def block_canonical_corr(
 # Catalog scalar functions
 # ---------------------------------------------------------------------------
 
+# the number of parameters each catalog kind takes: (fewest, most)
+_CATALOG_PARAMS = {"exp": (1, 1), "indicator": (1, 1), "abs": (0, 0),
+                   "poly": (1, None)}
+
+
 @dataclass(frozen=True)
 class CatalogFn:
     """A scalar function with a quadrature-certifiable Hermite expansion.
 
     kinds: "exp" f(x)=exp(t x); "indicator" f(x)=1{x>c};
-    "poly" f(x)=sum coeffs[k] x^k; "abs" f(x)=|x|.
+    "poly" f(x)=sum coeffs[k] x^k; "abs" f(x)=|x|. exp and indicator take
+    one parameter, abs none and poly at least one; anything else raises
+    SpecError when the function is built.
     """
 
     kind: str
     param: tuple = ()
 
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in _CATALOG_PARAMS:
+            raise SpecError(f"kind: unknown catalog kind {self.kind!r}, "
+                            f"expected one of {sorted(_CATALOG_PARAMS)}")
         if np.isscalar(self.param):
-            object.__setattr__(self, "param", (float(self.param),))
+            param = (float(self.param),)
         else:
-            object.__setattr__(self, "param", tuple(float(p) for p in self.param))
+            param = tuple(float(p) for p in self.param)
+        fewest, most = _CATALOG_PARAMS[self.kind]
+        if len(param) < fewest or (most is not None and len(param) > most):
+            takes = (f"at least {fewest}" if most is None else str(fewest))
+            raise SpecError(f"param: catalog kind {self.kind!r} takes {takes} "
+                            f"parameter(s), got {len(param)}")
+        object.__setattr__(self, "param", param)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -116,9 +134,7 @@ class CatalogFn:
             return (x > self.param[0]).astype(float)
         if self.kind == "poly":
             return np.polynomial.polynomial.polyval(x, np.asarray(self.param))
-        if self.kind == "abs":
-            return np.abs(x)
-        raise SpecError(f"unknown catalog kind {self.kind!r}")
+        return np.abs(x)
 
     def breakpoints(self) -> tuple:
         if self.kind == "indicator":
@@ -312,11 +328,21 @@ def gaussian_expectation(fn, breakpoints=()):
 def hermite_expand(f: CatalogFn, K: int) -> HermiteExpansion:
     """c_k = E[f(Z) He_k(Z)] / sqrt(k!) for k = 0..K, all from one adaptive
     pass of both rules, split at the catalog function's breakpoints. The
-    plain and the refined rule must agree to 1e-10 on every coefficient."""
+    plain and the refined rule must agree to 1e-10 on every coefficient.
+
+    An expansion is certified once per (f, K): the EXPANSIONS_KEPT most
+    recently used are kept and returned to every later caller, so their
+    coeffs are read-only. f and K are checked on every call, before the
+    lookup."""
     if not isinstance(f, CatalogFn):
         raise SpecError("hermite_expand accepts catalog functions only")
-    if not 0 <= K <= 60:
-        raise SpecError("truncation order K must lie in [0, 60]")
+    if isinstance(K, bool) or not isinstance(K, int) or not 0 <= K <= 60:
+        raise SpecError(f"truncation order K must be an int in [0, 60], got {K!r}")
+    return _certified_expansion(f, K)
+
+
+@functools.lru_cache(maxsize=EXPANSIONS_KEPT)
+def _certified_expansion(f: CatalogFn, K: int) -> HermiteExpansion:
     root = [math.sqrt(k) for k in range(K + 1)]
 
     def integrand(x):
@@ -341,28 +367,31 @@ def hermite_expand(f: CatalogFn, K: int) -> HermiteExpansion:
             f"quadrature for coefficient {worst} did not converge "
             f"(delta={delta[worst]:.2e})"
         )
+    coeffs.setflags(write=False)
     return HermiteExpansion(coeffs=coeffs)
 
 
 def mehler_apply(exp: HermiteExpansion, a: float) -> HermiteExpansion:
     """Scale the k-th chaos coefficient by a^k."""
-    if abs(a) > 1.0:
-        raise SpecError("|a| must be <= 1")
+    if not abs(a) <= 1.0:
+        raise SpecError(f"|a| must be <= 1, got {a!r}")
     k = np.arange(exp.K + 1)
     return HermiteExpansion(coeffs=exp.coeffs * a**k)
 
 
 def mehler_variance(exp: HermiteExpansion, a: float) -> float:
     """Var of the Mehler-scaled expansion: sum_{k>=1} a^(2k) c_k^2."""
-    if abs(a) > 1.0:
-        raise SpecError("|a| must be <= 1")
+    if not abs(a) <= 1.0:
+        raise SpecError(f"|a| must be <= 1, got {a!r}")
     k = np.arange(1, exp.K + 1)
     return float(np.sum(a ** (2 * k) * exp.coeffs[1:] ** 2))
 
 
 def hypercontractivity_check(f: CatalogFn, a: float, K: int = 40):
     """Return (lhs, rhs) = (||M_a f||_2, ||f||_{1+a^2}) under the standard
-    Gaussian law; the inequality lhs <= rhs is asserted by callers."""
+    Gaussian law; the inequality lhs <= rhs is asserted by callers. The
+    expansion of f is shared by every a; the norm moment depends on a and
+    is integrated and certified on each call."""
     exp = hermite_expand(f, K)
     scaled = mehler_apply(exp, a)
     lhs = scaled.l2_norm()

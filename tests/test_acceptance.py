@@ -190,21 +190,28 @@ def _e7_joint_gate(joint, exact, nsamp):
     return abs(z) <= 4.0, z
 
 
+E7_CATALOG = (
+    chaos.CatalogFn("exp", 0.7),
+    chaos.CatalogFn("exp", -0.4),
+    chaos.CatalogFn("indicator", 1.0),
+    chaos.CatalogFn("indicator", -0.5),
+    chaos.CatalogFn("poly", (0.0, 1.0, 0.5)),
+    chaos.CatalogFn("abs"),
+)
+
+
+def _e7_hyper_gate(lhs, rhs):
+    """||M_a f||_2 <= ||f||_{1+a^2}, up to the quadrature's 1e-9."""
+    return lhs <= rhs + 1e-9
+
+
 def test_e7_inequalities(capsys, tmp_path):
     # (a) hypercontractivity over the catalog x a-grid
-    catalog = [
-        chaos.CatalogFn("exp", 0.7),
-        chaos.CatalogFn("exp", -0.4),
-        chaos.CatalogFn("indicator", 1.0),
-        chaos.CatalogFn("indicator", -0.5),
-        chaos.CatalogFn("poly", (0.0, 1.0, 0.5)),
-        chaos.CatalogFn("abs"),
-    ]
     hyper_ok = True
-    for f in catalog:
+    for f in E7_CATALOG:
         for a in (0.1, 0.3, 0.5, 0.7, 0.9):
             lhs, rhs = chaos.hypercontractivity_check(f, a)
-            hyper_ok = hyper_ok and lhs <= rhs + 1e-9
+            hyper_ok = hyper_ok and _e7_hyper_gate(lhs, rhs)
 
     # (b) canonical correlation vs alternating-ascent direction search
     rng = np.random.default_rng(7)
@@ -244,6 +251,16 @@ def test_e7_inequalities(capsys, tmp_path):
           f"hypercontractivity holds={hyper_ok}; cca max gap={worst:.2e} "
           f"≤ 1e-4; joint={joint:.2e} ≤ bound={bound:.2e}+4se; "
           f"exact joint z={z:+.2f} (|z| ≤ 4)")
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+def test_e7_hyper_gate_rejects_the_unscaled_expansion(monkeypatch, a):
+    # negative control, no paths drawn: with the Mehler scaling dropped,
+    # lhs is ||f||_2, which exceeds ||f||_{1+a^2} for every catalog function
+    # (by 0.005 to 0.50 here), so E7(a)'s gate must fail for each
+    monkeypatch.setattr(chaos, "mehler_apply", lambda exp, a: exp)
+    for f in E7_CATALOG:
+        assert not _e7_hyper_gate(*chaos.hypercontractivity_check(f, a)), f
 
 
 @pytest.mark.parametrize("rho", [0.0, 0.3])

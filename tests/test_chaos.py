@@ -29,6 +29,16 @@ E7_CATALOG = [
 ]
 
 
+@pytest.fixture(autouse=True)
+def fresh_expansions():
+    """Every test starts with no certified expansion kept, so a test that
+    replaces gaussian_expectation sees the integrations it asks for, in any
+    order of tests."""
+    chaos._certified_expansion.cache_clear()
+    yield
+    chaos._certified_expansion.cache_clear()
+
+
 def scalar_reference(f, K):
     """c_k one at a time: scalar adaptive quad of f He_k / sqrt(k!) against
     the normal density, on the panels of gaussian_expectation's plain rule."""
@@ -226,6 +236,58 @@ class TestHermiteExpand:
         with pytest.raises(SpecError):
             chaos.hermite_expand(CatalogFn("abs"), 61)
 
+    @pytest.mark.parametrize("K", [40.0, True], ids=repr)
+    def test_rejects_an_order_that_is_not_an_int(self, K):
+        # checked before the lookup: K=40 and K=1 are kept (40.0 == 40,
+        # True == 1), and an equal key of another type must not return them
+        chaos.hermite_expand(CatalogFn("exp", 0.7), 40)
+        chaos.hermite_expand(CatalogFn("exp", 0.7), 1)
+        with pytest.raises(SpecError, match="K must be an int"):
+            chaos.hermite_expand(CatalogFn("exp", 0.7), K)
+
+    def test_repeat_call_integrates_nothing(self, monkeypatch):
+        # the second call for an equal (f, K) returns the kept expansion:
+        # no integration, bit-equal coefficients that nobody can overwrite
+        first = chaos.hermite_expand(CatalogFn("poly", (0.0, 1.0, 0.5)), 12)
+        calls = []
+        joint = chaos.gaussian_expectation
+
+        def counting(fn, breakpoints=()):
+            calls.append(breakpoints)
+            return joint(fn, breakpoints)
+
+        monkeypatch.setattr(chaos, "gaussian_expectation", counting)
+        again = chaos.hermite_expand(CatalogFn("poly", [0, 1, 0.5]), 12)
+        assert calls == []
+        assert np.array_equal(again.coeffs, first.coeffs)
+        assert not again.coeffs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            again.coeffs[0] = 0.0
+        # another order is another expansion
+        chaos.hermite_expand(CatalogFn("poly", (0.0, 1.0, 0.5)), 11)
+        assert calls == [(-2.0, 0.0)]
+
+
+class TestCatalogFn:
+    @pytest.mark.parametrize("kind, param, field", [
+        ("sin", (1.0,), "kind"),
+        (["exp"], (1.0,), "kind"),
+        ("exp", (), "param"),
+        ("exp", (0.5, 1.0), "param"),
+        ("indicator", (), "param"),
+        ("abs", (1.0,), "param"),
+        ("poly", (), "param"),
+    ])
+    def test_rejected_when_built(self, kind, param, field):
+        with pytest.raises(SpecError, match=f"^{field}: "):
+            CatalogFn(kind, param)
+
+    def test_accepted_arities(self):
+        assert CatalogFn("exp", 0.7).param == (0.7,)
+        assert CatalogFn("indicator", [1]).param == (1.0,)
+        assert CatalogFn("abs").param == ()
+        assert CatalogFn("poly", (1, 2, 3)).param == (1.0, 2.0, 3.0)
+
 
 @pytest.fixture(scope="module")
 def exp07():
@@ -250,6 +312,13 @@ class TestMehler:
         e = chaos.hermite_expand(CatalogFn("abs"), 4)
         with pytest.raises(SpecError):
             chaos.mehler_apply(e, 1.2)
+
+    @pytest.mark.parametrize("op", [chaos.mehler_apply, chaos.mehler_variance],
+                             ids=lambda op: op.__name__)
+    def test_rejects_nan_a(self, op):
+        e = chaos.hermite_expand(CatalogFn("abs"), 4)
+        with pytest.raises(SpecError, match="nan"):
+            op(e, float("nan"))
 
     @given(a=st.floats(0.0, 1.0), b=st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
@@ -286,6 +355,21 @@ class TestHypercontractivity:
             f = CatalogFn(entry["kind"], tuple(entry["param"]))
             got = chaos.hypercontractivity_check(f, entry["a"], golden["K"])
             assert list(got) == entry["lhs_rhs"], (f, entry["a"])
+
+    def test_one_expansion_serves_every_mehler_value(self, monkeypatch):
+        # over E7's a grid, one expansion and one norm moment per a: 6
+        # integrations, where expanding again for every a made 10
+        calls = []
+        joint = chaos.gaussian_expectation
+
+        def counting(fn, breakpoints=()):
+            calls.append(breakpoints)
+            return joint(fn, breakpoints)
+
+        monkeypatch.setattr(chaos, "gaussian_expectation", counting)
+        for a in (0.1, 0.3, 0.5, 0.7, 0.9):
+            chaos.hypercontractivity_check(CatalogFn("indicator", 1.0), a, 8)
+        assert calls == [(1.0,)] * 6
 
     def test_moment_disagreement_raises_with_delta(self, monkeypatch):
         # the refined rule is off on the norm moment only

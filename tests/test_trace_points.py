@@ -91,6 +91,38 @@ def test_benchmark_chaos_calls_bind(monkeypatch):
     assert keys == [repr((f, 8))]
 
 
+def test_traced_expansions_see_every_check(monkeypatch, tmp_path):
+    # the tracer wraps chaos.hermite_expand and gaussian_expectation by
+    # setattr on the module. hypercontractivity_check still resolves
+    # hermite_expand through the module on every call, and an expansion is
+    # certified once per (f, K) below that name, so the quadrature_oracle
+    # session traces 12 hermite_expand spans over 6 (f, K) keys (redundant
+    # fraction 0.5) and 6 expansion passes plus 12 norm moments
+    session = load_session(monkeypatch)
+    workloads = load_workloads()
+    tracer = session.Tracer()
+    for attr, info in (("gaussian_expectation", None),
+                       ("hermite_expand", session._expand_info)):
+        monkeypatch.setattr(chaos, attr, tracer.wrap_fn(
+            getattr(chaos, attr), f"chaos.{attr}", info))
+    chaos._certified_expansion.cache_clear()
+    inputs = workloads.quad_inputs(1, "tiny")
+    sdir = tmp_path / "session"
+    sdir.mkdir()
+    workloads.prepare(inputs, tmp_path)
+    workloads.quad_session(inputs, sdir, _Clock())
+    chaos._certified_expansion.cache_clear()
+
+    names = [span[0] for span in tracer.spans]
+    keys = [span[4]["key"] for span in tracer.spans
+            if span[0] == "chaos.hermite_expand"]
+    assert len(keys) == len(inputs["hyper"]) == 12
+    assert len(set(keys)) == 6
+    assert names.count("chaos.gaussian_expectation") == 6 + 12
+    assert all(span[4] is None or "raised" not in span[4]
+               for span in tracer.spans)
+
+
 def test_one_exceedance_indicator_per_replication(monkeypatch):
     # on pareto_estimators, runs m=0..3, blocks and pointproc all read one
     # replication's exceedance times, found by one indicator through evt;
