@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 runtime failure (a computation raised), 2 config
 validation failure (bad spec or config file, malformed flag value), with a
 message naming the offending field or flag. The SUBGAUSS_SEED environment
-variable, when set, overrides any base seed from flags or config files.
+variable, when set, overrides any base seed from flags or config files; a
+seed that is not a Philox key exits 2 naming where it came from.
 `run` is the only command that draws replications: it runs a config through
 the engine, `harness.run`.
 """

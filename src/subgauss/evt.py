@@ -1,5 +1,5 @@
 """Componentwise maxima, extremal-index estimators, the D'(u_n)
-anti-clustering statistic, and extremal-independence scans.
+anti-clustering statistic, and the joint exceedance counts of a column pair.
 
 Every function here reads one path (a SeriesMatrix or a bare array) or what
 `exceedances` takes from it; the replication engine in `harness` owns seeding
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from subgauss import chaos, gausslin
+from subgauss import gausslin
 from subgauss.gausslin import SeriesMatrix, SpecError
 from subgauss.m4 import ThresholdVector
 
@@ -173,49 +173,10 @@ def dprime_path(Y, u_level: float, k_list) -> tuple:
     return [n * csum[n // k] for k in ks], int(np.sum(counts[1:]))
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    x: float
-    Fbar: float
-    cond_exceed: float       # empirical P(Y1 > x | Y2 > x)
-    joint_exceed: float      # empirical P(Y1 > x, Y2 > x)
-    joint_stderr: float
-    bound: float             # hypercontractive joint bound Fbar^(2/(1+rho))
-
-    CSV_HEADER = "x,Fbar,cond_exceed,joint_exceed,joint_stderr,bound"
-
-    def to_csv_row(self) -> str:
-        return (f"{self.x!r},{self.Fbar!r},{self.cond_exceed!r},"
-                f"{self.joint_exceed!r},{self.joint_stderr!r},{self.bound!r}")
-
-
-def extremal_independence_scan(y1: np.ndarray, y2: np.ndarray, levels,
-                               rho: float) -> list:
-    """Empirical conditional/joint exceedance over levels, against the
-    hypercontractive bound at canonical correlation rho.
-
-    Both samples must share the marginal by construction (catalog
-    transforms); F-bar at a level is the pooled empirical tail.
-    """
-    y1 = np.asarray(y1).ravel()
-    y2 = np.asarray(y2).ravel()
-    if y1.shape != y2.shape:
-        raise SpecError("paired samples must have equal length")
-    nsamp = len(y1)
-    rows = []
-    for x in levels:
-        fbar = float((np.sum(y1 > x) + np.sum(y2 > x)) / (2 * nsamp))
-        exceed2 = y2 > x
-        n2 = int(np.sum(exceed2))
-        joint = int(np.sum((y1 > x) & exceed2))
-        p_joint = joint / nsamp
-        cond = joint / n2 if n2 > 0 else 0.0
-        stderr = float(np.sqrt(max(p_joint * (1 - p_joint), 0.0) / nsamp))
-        rows.append(
-            ScanRow(
-                x=float(x), Fbar=fbar, cond_exceed=float(cond),
-                joint_exceed=float(p_joint), joint_stderr=stderr,
-                bound=chaos.joint_tail_bound(fbar, rho),
-            )
-        )
-    return rows
+def pair_exceedances(Y, u) -> tuple:
+    """The number of rows at which columns 0 and 1 both exceed their levels
+    u[0] and u[1], and the number at which column 1 does."""
+    v = _values(Y)
+    e1 = v[:, 1] > u[1]
+    joint = np.count_nonzero((v[:, 0] > u[0]) & e1)
+    return int(joint), int(np.count_nonzero(e1))

@@ -7,7 +7,9 @@ i draws the path with seed base_seed XOR i once, every per-path analysis maps
 over that path, and results are folded in index order, so output bytes
 depend only on (config, base_seed), never on execution order. The threshold
 analyses (runs, blocks, pointproc) share one exceedance pass per replication:
-the sorted exceedance times of `evt.exceedances`, found on first use.
+the sorted exceedance times of `evt.exceedances`, found on first use. An
+analysis with levels reads the generator's tau thresholds; `scan` also takes
+its correlation from the generator's table.
 """
 
 from __future__ import annotations
@@ -82,12 +84,12 @@ def _check_dprime(a, gen, reps):
 
 
 def _check_scan(a, gen, reps):
-    if gen.spec is not None and gen.spec.d < 2:
+    if not isinstance(gen.spec, subordinate.GaussianSource):
+        raise SpecError("needs a gauss generator (field: kind)")
+    _needs_thresholds(a, gen, reps)
+    if gen.spec.d < 2:
         raise SpecError(f"pairs columns 0 and 1, but the generator has "
                         f"d={gen.spec.d} (field: d)")
-    if reps != 1:
-        raise SpecError(f"scans the single path of base_seed, so reps must be "
-                        f"1, not {reps} (field: reps)")
 
 
 def check_gauss_tools(table: gausslin.CoeffTable, nblock: int,
@@ -177,10 +179,32 @@ def _dprime(a, results, *_):
             "wide_ci": joint < 10}, None
 
 
-def _scan(a, results, *_):
-    (rows,) = results.values()  # reps == 1
-    csv = [evt.ScanRow.CSV_HEADER] + [r.to_csv_row() for r in rows]
-    return [asdict(r) for r in rows], "\n".join(csv) + "\n"
+def scan_rho(source: subordinate.GaussianSource) -> float:
+    """|Gamma(0)[c0, c1]| / (sd[c0] sd[c1]), clipped to [0, 1], for the table
+    coordinates c0 and c1 that path columns 0 and 1 read. With tau thresholds
+    each column reads one coordinate at lag 0, so this is the canonical
+    correlation of the two columns."""
+    c0, c1 = ([part.coord for part in source.transform.parts[:2]]
+              if source.transform else [0, 1])
+    gamma0, _ = gausslin.autocov(source.table, 0)
+    return float(min(abs(gamma0[c0, c1]) / (source.sd[c0] * source.sd[c1]),
+                     1.0))
+
+
+def _scan(a, results, gen):
+    """Columns 0 and 1 pooled over the replications: the joint exceedance
+    rate against the hypercontractive ceiling (Fbar_0 Fbar_1)^(1/(1+rho)),
+    with Fbar_i = tau_i / n exact by construction of the thresholds."""
+    joint, exceed1 = map(sum, zip(*results.values()))
+    nsamp = gen.u.n * len(results)
+    fbar = [float(t) / gen.u.n for t in gen.u.tau[:2]]
+    rho = scan_rho(gen.spec)
+    p = joint / nsamp
+    return {"rho": rho, "Fbar": fbar, "joint_events": joint,
+            "joint_exceed": p,
+            "joint_stderr": float(np.sqrt(p * (1 - p) / nsamp)),
+            "cond_exceed": joint / exceed1 if exceed1 else 0.0,
+            "bound": (fbar[0] * fbar[1]) ** (1 / (1 + rho))}, None
 
 
 def _gauss_tools(a, results, gen):
@@ -241,10 +265,8 @@ REGISTRY = {
                                         a["k_list"]),
         _dprime),
     "scan": Analysis(
-        {"levels": _numbers, "rho": _number}, {}, _check_scan,
-        lambda a, view: evt.extremal_independence_scan(
-            view.Y.values[:, 0], view.Y.values[:, 1], a["levels"], a["rho"]),
-        _scan),
+        {}, {}, _check_scan,
+        lambda a, view: evt.pair_exceedances(view.Y, view.u.u), _scan),
     "gauss-tools": Analysis({}, {"nblock": _integer}, _check_gauss_tools, None,
                             _gauss_tools),
 }
@@ -289,6 +311,7 @@ class ExperimentConfig:
             raise SpecError("reps must be >= 1 (field: reps)")
         if self.n < 1:
             raise SpecError("n must be >= 1 (field: n)")
+        check_seed("base_seed", self.base_seed)
         analyses = []
         for idx, a in enumerate(self.analyses):
             try:
@@ -433,11 +456,25 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     return summary
 
 
+def check_seed(name: str, seed: int) -> int:
+    """A base seed: an integer key of Philox, in [0, 2**128)."""
+    if not 0 <= seed < 2**128:
+        raise SpecError(f"{name}={seed} must lie in [0, 2**128) "
+                        f"(field: {name})")
+    return seed
+
+
 def effective_base_seed(cli_seed: int | None, cfg_seed: int) -> int:
-    """CLI --seed beats the config; the SUBGAUSS_SEED env var beats both."""
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        return int(env)
+    """CLI --seed beats the config; the SUBGAUSS_SEED env var beats both.
+    Each seed given is checked, naming where it came from."""
     if cli_seed is not None:
-        return cli_seed
-    return cfg_seed
+        check_seed("--seed", cli_seed)
+    env = os.environ.get(ENV_SEED)
+    if env is None:
+        return cfg_seed if cli_seed is None else cli_seed
+    try:
+        seed = int(env)
+    except ValueError:
+        raise SpecError(f"{ENV_SEED}={env!r} must be an integer "
+                        f"(field: {ENV_SEED})") from None
+    return check_seed(ENV_SEED, seed)

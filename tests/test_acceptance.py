@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 import scipy
 
-from subgauss import chaos, gausslin, harness, m4, pointproc, subordinate
+from subgauss import chaos, gausslin, harness, m4, pointproc
 from subgauss.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -174,13 +174,11 @@ def test_e6_decay_profile(capsys):
 
 
 def _e7():
-    """E7(c)'s config, its correlation rho and the marginal tail
-    P(Y > level) of its scan level; draws no path."""
+    """E7(c)'s config, the correlation rho of its generator and the marginal
+    tail tau/n of its thresholds; draws no path."""
     cfg = _cfg("e7")
-    (a,) = cfg.analyses
-    (level,) = a["levels"]
-    part = harness._build_generator(cfg).spec.transform.parts[0]
-    return cfg, a["rho"], subordinate.marginal_tail(part, level)
+    rho = harness.scan_rho(harness._build_generator(cfg).spec)
+    return cfg, rho, cfg.tau[0] / cfg.n
 
 
 def _e7_joint_gate(joint, exact, nsamp):
@@ -238,10 +236,9 @@ def test_e7_inequalities(capsys, tmp_path):
 
     # (c) joint exceedance of the folded-pareto transformed bivariate normal
     cfg, rho, fbar = _e7()
-    (row,) = _run("e7", tmp_path)["analyses"]["0:scan"]
-    joint, nsamp = row["joint_exceed"], cfg.n
+    entry = _run("e7", tmp_path)["analyses"]["0:scan"]
+    joint, bound, nsamp = entry["joint_exceed"], entry["bound"], cfg.n
     se = math.sqrt(max(joint, 1e-12) * (1 - joint) / nsamp)
-    bound = chaos.joint_tail_bound(fbar, rho)
     tail_ok = joint <= bound + 4 * se
     exact_ok, z = _e7_joint_gate(joint, chaos.folded_joint_tail(rho, fbar),
                                  nsamp)
@@ -275,27 +272,44 @@ def test_e7_exact_gate_rejects_weaker_dependence(rho):
     assert _e7_joint_gate(exact, exact, cfg.n)[0]
 
 
-def _dprime(stem, out_dir):
-    """tau, k_list and the dprime means and standard errors of a config."""
-    cfg = _cfg(stem)
+def _e8_gate(cfg, entry):
+    """Whether D'(k) lies within 3 se of tau^2/k, its value for a process
+    without clusters, at every k of a dprime entry; and the largest |z|."""
     (a,) = cfg.analyses
-    rep = _run(stem, out_dir)["analyses"]["0:dprime"]
-    ks = a["k_list"]
-    return (cfg.tau[0], ks, [rep["stats"][str(k)] for k in ks],
-            [rep["stderr"][str(k)] for k in ks])
+    tau = cfg.tau[0]
+    ok, zmax = True, 0.0
+    for k in a["k_list"]:
+        v, se = entry["stats"][str(k)], entry["stderr"][str(k)]
+        ok = ok and abs(v - tau**2 / k) <= 3 * se
+        zmax = max(zmax, abs(v - tau**2 / k) / se)
+    return ok, zmax
 
 
 def test_e8_anticlustering(capsys, tmp_path):
-    mono_ok = True
-    for stem in ("e8_gauss", "e8_pareto"):
-        _, _, vals, ses = _dprime(stem, tmp_path)
-        for (a, sa), (b, sb) in zip(zip(vals, ses), zip(vals[1:], ses[1:])):
-            mono_ok = mono_ok and a >= b - 2 * math.hypot(sa, sb)
-    tau, k_list, vals, ses = _dprime("e8_iid", tmp_path)
-    ctrl_ok = all(
-        abs(v - tau**2 / k) <= 3 * se for v, se, k in zip(vals, ses, k_list)
-    )
-    ok = mono_ok and ctrl_ok
+    gauss, iid = _cfg("e8_gauss"), _cfg("e8_iid")
+    entry = _run("e8_gauss", tmp_path)["analyses"]["0:dprime"]
+    # nonincreasing by construction: D'(k) sums the lags 1..n/k, fewer as k
+    # grows, so this check holds for every path
+    vals, ses = ([entry[key][str(k)] for k in gauss.analyses[0]["k_list"]]
+                 for key in ("stats", "stderr"))
+    mono_ok = all(a >= b - 2 * math.hypot(sa, sb) for a, b, sa, sb
+                  in zip(vals, vals[1:], ses, ses[1:]))
+    gauss_ok, gauss_z = _e8_gate(gauss, entry)
+    ctrl_ok, _ = _e8_gate(iid,
+                          _run("e8_iid", tmp_path)["analyses"]["0:dprime"])
+    ok = mono_ok and gauss_ok and ctrl_ok
     _emit(capsys, "E8", ok,
-          f"nonincreasing within 2 se={mono_ok}; iid control matches "
-          f"tau^2/k within 3 se={ctrl_ok}")
+          f"nonincreasing within 2 se={mono_ok}; gauss matches tau^2/k "
+          f"within 3 se={gauss_ok} (max |z|={gauss_z:.2f}); iid control "
+          f"matches tau^2/k within 3 se={ctrl_ok}")
+
+
+def test_e8_gate_rejects_clustering():
+    # negative control: E2's M4 (theta = 0.25) at E8's n, tau, reps, seed
+    # and analysis clusters its exceedances, so D'(k) stays far above
+    # tau^2/k (z of about 9.6 at k = 16) and E8's gate must fail
+    e8 = _cfg("e8_gauss")
+    cfg = dataclasses.replace(_cfg("e2"), n=e8.n, tau=e8.tau, reps=e8.reps,
+                              base_seed=e8.base_seed, analyses=e8.analyses)
+    ok, zmax = _e8_gate(cfg, harness.run(cfg)["analyses"]["0:dprime"])
+    assert not ok and zmax > 3

@@ -1,6 +1,8 @@
 """Empirical extreme-value estimators: maxima rates, cluster indexes, the
-anti-clustering statistic, and the extremal-independence scan."""
+anti-clustering statistic, and the joint exceedance counts of a scan."""
 
+import dataclasses
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,6 +13,9 @@ from hypothesis import strategies as st
 from subgauss import chaos, evt, gausslin, harness, m4
 from subgauss.gausslin import SeriesMatrix, SpecError
 from subgauss.m4 import IidPareto, M4Spec
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+E7 = CONFIGS / "e7.json"
 
 
 def iid_fn(n, d=1):
@@ -282,6 +287,20 @@ class TestKernels:
 
 
 class TestDPrime:
+    def test_pareto_part_counts_as_its_raw_column(self):
+        # a pareto part is an increasing map of its Gaussian column, and its
+        # level is the image of the column's level, so both exceed at the
+        # same rows and give the same entry: E8 needs no pareto config
+        cfg = dataclasses.replace(harness.ExperimentConfig.from_json(
+            (CONFIGS / "e8_gauss.json").read_text()), n=2000, reps=20)
+        pareto = {"m": 0, "parts": [{"kind": "pareto", "alpha": 1.0}]}
+        raw, part = (
+            harness.run(dataclasses.replace(cfg, generator={
+                **cfg.generator, "transform": transform}))["analyses"]
+            ["0:dprime"] for transform in (None, pareto))
+        assert raw == part
+        assert raw["joint_events"] > 0
+
     def test_iid_matches_tau_sq_over_k(self):
         n, tau = 20_000, 5.0
         rep, _ = replicate(iid_fn(n), univariate_u(n, n / tau),
@@ -318,24 +337,30 @@ class TestDPrime:
 
 
 class TestScan:
-    def test_bound_column_uses_hyper_bound(self):
-        rng = np.random.default_rng(6)
-        rho = 0.5
-        z1 = rng.normal(size=400_000)
-        z2 = rho * z1 + np.sqrt(1 - rho**2) * rng.normal(size=400_000)
-        rows = evt.extremal_independence_scan(z1, z2, [1.0, 2.0], rho)
-        for r in rows:
-            np.testing.assert_allclose(
-                r.bound, chaos.joint_tail_bound(r.Fbar, rho)
-            )
-            # at these mild levels the bound holds with room to spare
-            assert r.joint_exceed <= r.bound + 4 * r.joint_stderr
+    def test_pair_exceedances_counts_rows(self):
+        v = np.array([[3.0, 3.0], [3.0, 0.0], [0.0, 3.0], [2.0, 2.0],
+                      [3.0, 2.5]])
+        # strict: a value at its level is no exceedance
+        assert evt.pair_exceedances(v, [2.0, 2.0]) == (2, 3)
+        assert evt.pair_exceedances(SeriesMatrix(values=v, meta={}),
+                                    [1.0, 2.5]) == (1, 2)
 
-    def test_length_mismatch(self):
-        with pytest.raises(SpecError):
-            evt.extremal_independence_scan(
-                np.zeros(3), np.zeros(4), [1.0], 0.0
-            )
+    def test_bound_column_uses_hyper_bound(self):
+        # E7(c)'s folded-pareto pair of correlation 0.5, at a milder level
+        n, fbar = 400_000, 0.05
+        cfg = dataclasses.replace(
+            harness.ExperimentConfig.from_json(E7.read_text()), n=n,
+            tau=(n * fbar, n * fbar), base_seed=6)
+        entry = harness.run(cfg)["analyses"]["0:scan"]
+        assert entry["Fbar"] == [fbar, fbar]
+        np.testing.assert_allclose(entry["rho"], 0.5, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            entry["bound"], chaos.joint_tail_bound(fbar, entry["rho"]),
+            rtol=1e-12)
+        assert entry["joint_exceed"] == entry["joint_events"] / n
+        # at this mild level the bound holds with room to spare
+        se = entry["joint_stderr"]
+        assert entry["joint_exceed"] <= entry["bound"] + 4 * se
 
 
 @given(

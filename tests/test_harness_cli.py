@@ -30,6 +30,8 @@ GOLDEN = REPO / "tests" / "golden"
 
 # an i.i.d. Gaussian table, for `gauss` generator cases
 IID8 = {"d0": 1, "family": "iid", "params": {}, "L": 8}
+# two columns of correlation 0.5: the table of configs/e7.json
+RHO_HALF = json.loads((CONFIGS / "e7.json").read_text())["generator"]["lin"]
 
 
 def tiny_config(**overrides):
@@ -198,27 +200,54 @@ class TestRun:
         assert alive == [0] + [1] * (cfg.reps - 1)
         assert len(after) == cfg.reps and not any(after)
 
-    def test_gauss_generator_with_scan(self):
-        psi0 = ((1.0, 0.0), (0.5, 0.8660254037844386))
-        lin = gausslin.make_coeffs(
-            gausslin.LinearProcessSpec(
-                d0=2, family=gausslin.Custom((psi0,)), L=0
-            )
-        )
-        cfg = ExperimentConfig.from_json(
-            json.dumps(
-                tiny_config(
-                    generator={"kind": "gauss", "lin": json.loads(lin.to_json())},
-                    n=50_000,
-                    tau=[],
-                    reps=1,
-                    analyses=[{"type": "scan", "levels": [1.5], "rho": 0.5}],
-                )
-            )
-        )
-        summary = harness.run(cfg)
-        row = summary["analyses"]["0:scan"][0]
-        assert row["joint_exceed"] <= row["bound"] + 4 * row["joint_stderr"]
+    def test_gauss_generator_with_scan(self, tmp_path):
+        # a scan is a threshold analysis: its levels come from tau, its rho
+        # from the table, and it writes a summary entry and no CSV
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            generator={"kind": "gauss", "lin": RHO_HALF}, n=50_000,
+            tau=[3000.0, 3000.0], reps=2, analyses=[{"type": "scan"}])))
+        summary = harness.run(cfg, str(tmp_path))
+        entry = summary["analyses"]["0:scan"]
+        assert sorted(entry) == ["Fbar", "bound", "cond_exceed",
+                                 "joint_events", "joint_exceed",
+                                 "joint_stderr", "rho"]
+        assert entry["Fbar"] == [0.06, 0.06]
+        assert entry["joint_exceed"] == entry["joint_events"] / 100_000
+        se = entry["joint_stderr"]
+        assert entry["joint_exceed"] <= entry["bound"] + 4 * se
+        assert [f.name for f in tmp_path.iterdir()] == ["tiny_summary.json"]
+
+    @pytest.mark.parametrize("lin, rho", [
+        pytest.param(RHO_HALF, 0.5, id="e7"),
+        pytest.param({"d0": 2, "family": "iid", "params": {}, "L": 0}, 0.0,
+                     id="iid"),
+    ])
+    def test_scan_rho_comes_from_the_table(self, lin, rho):
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            generator={"kind": "gauss", "lin": lin}, tau=[5.0, 5.0],
+            analyses=[{"type": "scan"}])))
+        source = harness._build_generator(cfg).spec
+        assert abs(harness.scan_rho(source) - rho) <= 1e-12
+
+    def test_scan_counts_fold_over_replications(self):
+        # two replications count what the one-replication runs at seeds
+        # base ^ 0 and base ^ 1 count, summed
+        def run(reps, base_seed):
+            cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+                generator={"kind": "gauss", "lin": RHO_HALF}, n=20_000,
+                tau=[400.0, 400.0], reps=reps, base_seed=base_seed,
+                analyses=[{"type": "scan"}])))
+            gen = harness._build_generator(cfg)
+            counts = [evt.pair_exceedances(gen.path_fn(base_seed ^ i),
+                                           gen.u.u) for i in range(reps)]
+            return harness.run(cfg)["analyses"]["0:scan"], counts
+
+        both, counts = run(2, 5)
+        singles = [run(1, seed)[0] for seed in (5 ^ 0, 5 ^ 1)]
+        joint, exceed1 = (sum(c[i] for c in counts) for i in (0, 1))
+        assert [s["joint_events"] for s in singles] == [c[0] for c in counts]
+        assert both["joint_events"] == joint > 0
+        assert both["cond_exceed"] == joint / exceed1
 
     def test_gauss_thresholds_follow_the_marginal_law(self):
         # n P(Y_i > u_i) = tau_i: a raw column by the normal tail, a pareto
@@ -238,7 +267,7 @@ class TestRun:
         assert list(thresholds["pareto"]) == [400.0, math.sqrt(200.0)]
 
     def test_single_replication_draws_its_path_once(self, monkeypatch):
-        # scan maps over the engine's path like every other analysis
+        # every per-path analysis maps over the engine's one path
         drawn = []
         build = harness._build_generator
 
@@ -249,17 +278,14 @@ class TestRun:
 
         monkeypatch.setattr(harness, "_build_generator", recording)
         cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
-            generator={"kind": "m4", "spec": {
-                "d": 2, "alpha": 1.0, "lags": [0, 0],
-                "a": [[[1.0, 0.0], [0.0, 1.0]]],
-                "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
-            tau=[80.0, 80.0], reps=1, base_seed=3,
-            analyses=[{"type": "nonexceed"},
-                      {"type": "scan", "levels": [5.0], "rho": 0.0}],
+            reps=1, base_seed=3,
+            analyses=[{"type": "nonexceed"}, {"type": "runs", "m": 1},
+                      {"type": "dprime", "k_list": [2]}],
         )))
         summary = harness.run(cfg)
         assert drawn == [3]
-        assert set(summary["analyses"]) == {"0:nonexceed", "1:scan"}
+        assert set(summary["analyses"]) == {"0:nonexceed", "1:runs",
+                                            "2:dprime"}
 
 
 class TestSeedPrecedence:
@@ -329,6 +355,8 @@ class TestCli:
                      "field: alpha", id="theta-alpha-zero"),
         pytest.param(["simulate", "--n", "0"], [], {}, "field: n",
                      id="simulate-n-zero"),
+        pytest.param(["simulate", "--n", "10", "--seed", "-1"], [], {},
+                     "field: --seed", id="simulate-seed-negative"),
         pytest.param(["acf", "--hmax", "3"], ["L"], -1, "field: L",
                      id="acf-L-negative"),
         pytest.param(["simulate", "--n", "10"], ["d0"], 0, "field: d0",
@@ -421,6 +449,27 @@ class TestCli:
         assert o1.read_text() == o2.read_text()  # env overrode --seed 7
         assert o1.read_text() != o3.read_text()
 
+    @pytest.mark.parametrize("value", ["-1", "abc", str(2**128)])
+    @pytest.mark.parametrize("command", ["run", "simulate"])
+    def test_env_seed_error_exit_2_names_it(self, tmp_path, capsys,
+                                            monkeypatch, command, value):
+        # SUBGAUSS_SEED is config input: a value that is not a Philox key
+        # exits 2 naming it, before any path is drawn
+        f = tmp_path / "in.json"
+        if command == "run":
+            f.write_text(json.dumps(tiny_config()))
+            argv = ["run", "--config", str(f)]
+        else:
+            f.write_text(json.dumps(IID8))
+            argv = ["simulate", "--spec", str(f), "--n", "10"]
+        drawn = []
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: drawn.append(kw))
+        monkeypatch.setenv(harness.ENV_SEED, value)
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "field: SUBGAUSS_SEED" in err
+        assert drawn == []
+
     def test_run_shipped_config(self, tmp_path):
         # reduced-reps pass over the shipped i.i.d. baseline config
         assert (
@@ -446,15 +495,27 @@ class TestCli:
         pytest.param({"analyses": [{"type": "runs"}]}, [], "'m'", id="runs-m"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50}]}, [], "'p'",
                      id="pointproc-p"),
+        pytest.param({"analyses": [{"type": "scan", "levels": [1.5]}]}, [],
+                     "field: levels", id="scan-levels"),
         pytest.param({"analyses": [{"type": "scan", "rho": 0.5}]}, [],
-                     "'levels'", id="scan-levels"),
+                     "field: rho", id="scan-rho"),
         pytest.param({"analyses": [{"type": "dprime"}]}, [], "'k_list'",
                      id="dprime-k_list"),
         pytest.param({"tau": []}, [], "tau", id="no-thresholds"),
         pytest.param({}, ["--reps", "0"], "reps", id="reps-flag-zero"),
-        pytest.param({"analyses": [{"type": "scan", "levels": [1.5],
-                                    "rho": 0.5}]}, [], "field: d",
-                     id="scan-univariate"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
+                      "tau": [5.0], "analyses": [{"type": "scan"}]}, [],
+                     "field: d", id="scan-univariate"),
+        pytest.param({"tau": [5.0, 5.0], "analyses": [{"type": "scan"}],
+                      "generator": {"kind": "m4", "spec": {
+                          "d": 2, "alpha": 1.0, "lags": [0, 0],
+                          "a": [[[1.0, 0.0], [0.0, 1.0]]],
+                          "innovation": {"kind": "iid_pareto",
+                                         "alpha": 1.0}}}}, [],
+                     "field: kind", id="scan-m4"),
+        pytest.param({"generator": {"kind": "gauss", "lin": RHO_HALF},
+                      "tau": [], "analyses": [{"type": "scan"}]}, [],
+                     "field: tau", id="scan-without-tau"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": []}]}, [],
                      "field: k_list", id="dprime-k_list-empty"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": [1, 2]}]}, [],
@@ -501,13 +562,6 @@ class TestCli:
         pytest.param({"reps": 200, "analyses": [{
             "type": "pointproc", "r": 50, "p": 5, "lambda_target": -1.0}]},
             [], "field: lambda_target", id="pointproc-lambda-negative"),
-        pytest.param({"generator": {"kind": "m4", "spec": {
-            "d": 2, "alpha": 1.0, "lags": [0, 0],
-            "a": [[[1.0, 0.0], [0.0, 1.0]]],
-            "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
-            "tau": [80.0, 80.0],
-            "analyses": [{"type": "scan", "levels": [1.5], "rho": 0.5}]},
-            [], "field: reps", id="scan-reps"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8},
             "standardize": False}, "tau": [], "reps": 1,
@@ -524,6 +578,12 @@ class TestCli:
         pytest.param({"reps": 2.5}, [], "field: reps", id="reps-fraction"),
         pytest.param({"base_seed": True}, [], "field: base_seed",
                      id="base-seed-bool"),
+        pytest.param({"base_seed": -1}, [], "field: base_seed",
+                     id="base-seed-negative"),
+        pytest.param({"base_seed": 2**128}, [], "field: base_seed",
+                     id="base-seed-past-philox-key"),
+        pytest.param({}, ["--seed", "-1"], "field: --seed",
+                     id="seed-flag-negative"),
         pytest.param({"analyses": {"type": "nonexceed"}}, [],
                      "field: analyses", id="analyses-object"),
         # a key that nothing reads
@@ -618,7 +678,7 @@ class TestCli:
         pytest.param({"generator": {"kind": "m4", "spec": {
             "d": 2, "alpha": 1.0, "lags": [0, 0],
             "a": [[[1.0, 0.0], [0.0, 1.0]]]}}, "tau": [], "reps": 1,
-            "analyses": [{"type": "scan", "levels": [2.0], "rho": 0.0}]},
+            "analyses": [{"type": "nonexceed"}]},
             [], "field: innovation", id="spec-without-innovation"),
         # a nested field of the wrong JSON type, or missing
         pytest.param({"generator": {"kind": "m4", "spec": "x"}}, [],
@@ -657,12 +717,6 @@ class TestCli:
                      "field: k_list", id="dprime-k_list-string"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": [2, 2.5]}]},
                      [], "field: k_list", id="dprime-k_list-fraction"),
-        pytest.param({"analyses": [{"type": "scan", "levels": "2",
-                                    "rho": 0.5}]}, [], "field: levels",
-                     id="scan-levels-string"),
-        pytest.param({"analyses": [{"type": "scan", "levels": [2.0],
-                                    "rho": "0.5"}]}, [], "field: rho",
-                     id="scan-rho-string"),
         # a key that nothing reads, or a field of the wrong JSON type, inside
         # a spec, an innovation, a table (lin), its params or a transform part
         pytest.param({"generator": {"kind": "m4", "spec": {
