@@ -1,16 +1,16 @@
-"""Componentwise maxima, extremal-index estimators, the D'(u_n)
-anti-clustering statistic, and the joint exceedance counts of a column pair.
+"""Exceedance times, extremal-index estimators, the D'(u_n) anti-clustering
+statistic, and the joint exceedance counts of a column pair.
 
-Every function here reads one path (a SeriesMatrix or a bare array) or what
-`exceedances` takes from it; the replication engine in `harness` owns seeding
-and the loop over paths.
+Every function here reads one path (a SeriesMatrix or a bare array), an M4
+draw, or the exceedance times taken from either; the replication engine in
+`harness` owns seeding and the loop over paths.
 
-The runs and blocks estimators (Smith & Weissman 1994) and the gapped-block
-point process depend on a path only through its sorted exceedance times: the
-rows k with Y_k not <= u, from one strict comparison per column OR-ed
-together (an M4 path is a column-major (n, d) view, so each comparison reads
-one contiguous column). `exceedances` makes that pass once; each estimator
-then reads the exceedance times, in O(number of exceedances).
+The runs and blocks estimators (Smith & Weissman 1994), the gapped-block
+point process and D' read a path only through its sorted exceedance times,
+the rows k with Y_k not <= u: `exceedances` finds them with one strict
+comparison per column of a dense path, `m4_exceedances` off an M4 draw's
+innovations without building its path. Each estimator then reads them in
+O(number of exceedances).
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ import numpy as np
 
 from subgauss import gausslin
 from subgauss.gausslin import SeriesMatrix, SpecError
-from subgauss.m4 import ThresholdVector
+from subgauss.m4 import Draw, ThresholdVector
 
 MIN_EXCEEDANCES = 20
+# m4_exceedances' relative margin: rounding moves u_i / a by a few ulps
+MARGIN = 1e-12
 
 
 class InsufficientExceedances(ValueError):
@@ -97,6 +99,35 @@ def exceedances(Y, u) -> Exceedances:
     return Exceedances(np.flatnonzero(e), len(e))
 
 
+def m4_exceedances(draw: Draw, u: ThresholdVector) -> Exceedances:
+    """`exceedances(m4.build(draw.W, draw.spec, draw.m_trunc), u)`, bit for
+    bit, read off the innovations without building the path.
+
+    Y_{k,i} > u_i when a kept lag r and a column j have a_{ij,r} W_{k-r,j} >
+    u_i, so only the rows t with W_{t,j} > min over i, r of u_i / a_{ij,r}
+    (less MARGIN) make build's products and strict comparisons. A product
+    in the path that is not finite raises as the built path would.
+    """
+    spec, W, n = draw.spec, draw.W.values, draw.n
+    lags = spec.lag_values()
+    kept = np.abs(lags) <= (np.inf if draw.m_trunc is None else draw.m_trunc)
+    a = spec.a[kept]                        # [r][i][j]
+    off = (spec.r_hi - lags[kept])[:, None]  # W row t is output row t - off
+    uu = np.asarray(u.u, dtype=float)[None, :, None]
+    with np.errstate(divide="ignore"):
+        c = np.min(uu / a, axis=(0, 1), initial=np.inf) * (1.0 - MARGIN)
+    hits = [np.empty(0, dtype=np.intp)]
+    for j in range(spec.d):
+        t = np.flatnonzero(W[:, j] > c[j])
+        prod = a[:, :, j, None] * W[t, j]   # [r][i][candidate]
+        k = t - off                         # [r][candidate]
+        inside = (k >= 0) & (k < n)
+        if not np.all(np.isfinite(prod) | ~inside[:, None, :]):
+            raise SpecError("values must be finite")
+        hits.append(k[inside & np.any(prod > uu, axis=1)])
+    return Exceedances(np.unique(np.concatenate(hits)), n)
+
+
 def runs_theta(ex: Exceedances, m: int) -> EstimatorReport:
     """Runs estimator: fraction of exceedances followed by m clear steps.
 
@@ -154,16 +185,16 @@ def dprime_ks(k_list) -> list:
     return ks
 
 
-def dprime_path(Y, u_level: float, k_list) -> tuple:
-    """Anti-clustering statistic of one univariate path of length n: for each
+def dprime_path(ex: Exceedances, k_list) -> tuple:
+    """Anti-clustering statistic of a univariate path's exceedances: for each
     k in dprime_ks(k_list), n * sum_{j<=n/k} Phat(Y_0 > u, Y_j > u), with the
     pair exceedance probabilities estimated by time averages. Returns those
     values and the number of joint exceedance pairs at lags 1..n/min(k)."""
-    v = _values(Y).ravel()
-    n = len(v)
+    t, n = ex
     ks = dprime_ks(k_list)
     jmax = n // ks[0]
-    e = (v > u_level).astype(float)
+    e = np.zeros(n)
+    e[t] = 1.0
     # counts_j = sum_k e_k e_{k+j} for lags j = 0..jmax
     counts = np.round(gausslin.lag_products(e[:, None, None], jmax)[:, 0, 0])
     counts = counts.astype(int)

@@ -5,10 +5,11 @@ process), a sample size, a tau vector, a replication count and a base seed,
 plus a list of analyses. `replicate` is the one replication loop: replication
 i draws the path with seed base_seed XOR i once, every per-path analysis maps
 over that path, and results are folded in index order, so output bytes
-depend only on (config, base_seed), never on execution order. The threshold
-analyses (runs, blocks, pointproc) share one exceedance pass per replication:
-the sorted exceedance times of `evt.exceedances`, found on first use. An
-analysis with levels reads the generator's tau thresholds; `scan` also takes
+depend only on (config, base_seed), never on execution order. Every per-path
+analysis but `scan` reads the replication's sorted exceedance times over the
+generator's tau thresholds, found once, on first use: off the innovations of
+an M4 draw (`evt.m4_exceedances`, which builds no path) or in one pass over a
+dense path (`evt.exceedances`). `scan` reads the dense Gaussian path and takes
 its correlation from the generator's table.
 """
 
@@ -33,7 +34,7 @@ ENV_SEED = "SUBGAUSS_SEED"
 class Generator(NamedTuple):
     """A path generator and what the analyses may use of it."""
 
-    path_fn: Callable    # seed -> SeriesMatrix
+    path_fn: Callable    # seed -> SeriesMatrix, or an m4.Draw
     spec: object = None  # M4Spec, GaussianSource, or None for a bare path_fn
     u: object = None     # ThresholdVector, or None without thresholds
 
@@ -212,11 +213,11 @@ def _gauss_tools(a, results, gen):
 
 
 class Replication:
-    """One replication's path Y and thresholds u, as its per-path maps see
-    them. `exceedances` is `evt.exceedances(Y, u)`, computed on first use and
-    then shared by every analysis that reads it. The view refers to the
-    path, never the reverse, so each path is freed once its replication is
-    done, without the cyclic garbage collector."""
+    """One replication's path Y (a dense SeriesMatrix or an m4.Draw) and
+    thresholds u, as its per-path maps see them. `exceedances` is computed
+    on first use and then shared by every analysis that reads it. The view
+    refers to the path, never the reverse, so each path is freed once its
+    replication is done, without the cyclic garbage collector."""
 
     __slots__ = ("Y", "u", "_exceedances")
 
@@ -226,7 +227,9 @@ class Replication:
     @property
     def exceedances(self) -> evt.Exceedances:
         if self._exceedances is None:
-            self._exceedances = evt.exceedances(self.Y, self.u)
+            find = (evt.m4_exceedances if isinstance(self.Y, m4.Draw)
+                    else evt.exceedances)
+            self._exceedances = find(self.Y, self.u)
         return self._exceedances
 
 
@@ -239,13 +242,12 @@ class Analysis(NamedTuple):
 
 
 # Per-path maps look their functions up at call time, so a patched or traced
-# module attribute is the one that runs. runs, blocks and pointproc read the
-# replication's exceedance times; nonexceed, dprime and scan read the path.
+# module attribute is the one that runs. Every map but scan's reads the
+# replication's exceedance times; scan reads the path.
 REGISTRY = {
     "nonexceed": Analysis(
         {}, {}, _needs_thresholds,
-        lambda a, view: bool(np.all(evt.cmax(view.Y) <= view.u.u)),
-        _nonexceed),
+        lambda a, view: view.exceedances.times.size == 0, _nonexceed),
     "runs": Analysis(
         {"m": _integer}, {}, _check_runs,
         lambda a, view: evt.runs_theta(view.exceedances, a["m"]), _estimates),
@@ -261,8 +263,7 @@ REGISTRY = {
         _poisson),
     "dprime": Analysis(
         {"k_list": _integers}, {}, _check_dprime,
-        lambda a, view: evt.dprime_path(view.Y, float(view.u.u[0]),
-                                        a["k_list"]),
+        lambda a, view: evt.dprime_path(view.exceedances, a["k_list"]),
         _dprime),
     "scan": Analysis(
         {}, {}, _check_scan,
@@ -357,8 +358,8 @@ def _gauss_thresholds(source: subordinate.GaussianSource, n: int,
 
 
 def _build_generator(cfg: ExperimentConfig) -> Generator:
-    """The config's generator; its path_fn(seed) -> SeriesMatrix of length
-    cfg.n, and its thresholds when tau is nonempty."""
+    """The config's generator: path_fn(seed) -> an m4.Draw or a SeriesMatrix
+    of cfg.n rows, and the thresholds when tau is nonempty."""
     gen = _object("generator", cfg.generator)
     kind = gen.get("kind")
     if kind not in GENERATOR_KEYS:

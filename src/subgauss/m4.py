@@ -1,10 +1,12 @@
 """M4 moving-maxima processes over heavy-tailed innovations.
 
-Builds maxima-of-moving-maxima paths from either i.i.d. Pareto innovations
-(the oracle mode) or Pareto-transformed Gaussian linear processes, and
-evaluates the closed-form limit objects: the tail constants A_i, the i.i.d.
-limit G(tau), the multivariate extremal index theta(tau), its lag-truncated
-version, and analytic thresholds.
+Draws maxima-of-moving-maxima replications (Smith & Weissman 1996) over
+either i.i.d. Pareto innovations (the oracle mode) or Pareto-transformed
+Gaussian linear processes, and evaluates the closed-form limit objects: the
+tail constants A_i, the i.i.d. limit G(tau), the multivariate extremal index
+theta(tau), its lag-truncated version, and analytic thresholds. `build` is
+the dense definition of a path; a run reads a `Draw`'s exceedance times off
+its innovations (`evt.m4_exceedances`) and builds none.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ class M4Spec:
                 f"coefficient array must have shape "
                 f"({r_hi - r_lo + 1}, {self.d}, {self.d}) (field: a)"
             )
+        if not np.all(np.isfinite(a)):
+            raise SpecError("coefficients must be finite (field: a)")
         if np.any(a < 0):
             raise SpecError("coefficients must be nonnegative (field: a)")
         if np.any(np.all(a == 0, axis=(0, 2))):
@@ -297,6 +301,26 @@ def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
 # Path construction
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class Draw:
+    """One M4 replication: the path build(W, spec, m_trunc) of n rows, held
+    as the innovations that build it."""
+
+    W: SeriesMatrix
+    spec: M4Spec
+    m_trunc: int | None = None
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        W, spec = self.W, self.spec
+        if W.d != spec.d:
+            raise SpecError(f"innovation path has d={W.d}, spec needs {spec.d}")
+        span = spec.r_hi - spec.r_lo
+        if W.n <= span:
+            raise SpecError("innovation path shorter than the lag window")
+        object.__setattr__(self, "n", W.n - span)
+
+
 def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMatrix:
     """Y_{k,i} = max over r in lags (optionally |r| <= m_trunc) and j of
     a_{ij,r} W_{k-r,j}.
@@ -306,12 +330,7 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
     The result is an (n, d) view of a (d, n) array: each output component is
     one contiguous column.
     """
-    if W.d != spec.d:
-        raise SpecError(f"innovation path has d={W.d}, spec needs {spec.d}")
-    span = spec.r_hi - spec.r_lo
-    if W.n <= span:
-        raise SpecError("innovation path shorter than the lag window")
-    n_out = W.n - span
+    n_out = Draw(W, spec).n
     out = np.zeros((spec.d, n_out))
     buf = np.empty(n_out)
     for ri, r in enumerate(spec.lag_values()):
@@ -342,7 +361,7 @@ def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
         rng = np.random.Generator(np.random.Philox(key=seed))
         U = rng.random((n, spec.d))
         # W = (1 - U)^(-1/alpha), formed in a (d, n) array so that each
-        # column of the (n, d) transpose that `build` reads is contiguous
+        # column of the (n, d) transpose is contiguous for its readers
         W = np.subtract(1.0, U.T, out=np.empty((spec.d, n)))
         W **= -1.0 / inn.alpha
         return SeriesMatrix(
@@ -360,12 +379,11 @@ def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
     return subordinate.apply(inn.source.path(n, seed), t)
 
 
-def path(spec: M4Spec, n: int, seed: int,
-         m_trunc: int | None = None) -> SeriesMatrix:
-    """An M4 path of n rows: `build` over the n + span innovations of seed.
+def path(spec: M4Spec, n: int, seed: int, m_trunc: int | None = None) -> Draw:
+    """An M4 replication of n rows over the n + span innovations of seed.
 
-    Full and truncated builds of one seed share their innovations (common
+    Full and truncated draws of one seed share their innovations (common
     random numbers).
     """
-    return build(innovations(spec, n + spec.r_hi - spec.r_lo, seed), spec,
-                 m_trunc)
+    return Draw(innovations(spec, n + spec.r_hi - spec.r_lo, seed), spec,
+                m_trunc)

@@ -160,12 +160,3 @@ class GaussianSource:
         X = gausslin.simulate(self.table, n + m, seed)
         Z = SeriesMatrix(values=X.values / self.sd, meta=X.meta)
         return apply(Z, self.transform) if self.transform else Z
-
-
-def marginal_tail(part: Part, u: float) -> float:
-    """Exact P(W > u) for pareto/folded_pareto parts: u^(-alpha) for u >= 1."""
-    if part.kind not in ("pareto", "folded_pareto"):
-        raise SpecError(f"no closed-form tail for kind {part.kind!r}")
-    if u < 1.0:
-        raise SpecError("tail is exact only for u >= 1")
-    return u ** (-part.alpha)

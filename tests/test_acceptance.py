@@ -12,7 +12,6 @@ the bytes of each config it runs at no extra draw.
 """
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -114,8 +113,11 @@ def test_e4_truncation(capsys):
     spec = gen.spec
 
     def nonexceed(m_trunc):
-        # common random numbers: both builds share the base seed
-        path_fn = functools.partial(m4.path, spec, cfg.n, m_trunc=m_trunc)
+        # common random numbers: the full and the truncated draw of a seed
+        # share its innovations
+        def path_fn(seed):
+            return dataclasses.replace(gen.path_fn(seed), m_trunc=m_trunc)
+
         entries, _, _ = harness.replicate(gen._replace(path_fn=path_fn),
                                           cfg.analyses, cfg.reps, cfg.base_seed)
         return entries["0:nonexceed"]["p_hat"], entries["0:nonexceed"]["ci_halfwidth"]

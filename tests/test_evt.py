@@ -83,9 +83,9 @@ class TestEmpiricalNonexceed:
 
 class TestRunsAndBlocks:
     def test_theta0_is_one_by_convention(self):
-        Y = m4.path(equal_spec(), 50_000, 1)
         u = m4.thresholds(equal_spec(), 50_000, (200.0,))
-        rep = evt.runs_theta(evt.exceedances(Y, u), 0)
+        ex = evt.m4_exceedances(m4.path(equal_spec(), 50_000, 1), u)
+        rep = evt.runs_theta(ex, 0)
         assert rep.estimate == 1.0
 
     def test_iid_theta_close_to_one(self):
@@ -110,26 +110,25 @@ class TestRunsAndBlocks:
     def test_moving_maxima_quarter(self):
         spec = equal_spec()
         n = 200_000
-        Y = m4.path(spec, n, 11)
         u = m4.thresholds(spec, n, (800.0,))
-        rep = evt.runs_theta(evt.exceedances(Y, u), 3)
+        ex = evt.m4_exceedances(m4.path(spec, n, 11), u)
+        rep = evt.runs_theta(ex, 3)
         assert abs(rep.estimate - 0.25) < 0.03
-        brep = evt.blocks_theta(evt.exceedances(Y, u), 200)
+        brep = evt.blocks_theta(ex, 200)
         assert abs(brep.estimate - 0.25) < 0.06
 
     def test_insufficient_exceedances(self):
         spec = equal_spec()
-        Y = m4.path(spec, 1000, 1)
         u = m4.thresholds(spec, 1000, (1.0,))
         with pytest.raises(evt.InsufficientExceedances):
-            evt.runs_theta(evt.exceedances(Y, u), 3)
+            evt.runs_theta(evt.m4_exceedances(m4.path(spec, 1000, 1), u), 3)
 
     def test_blocks_needs_enough_blocks(self):
         spec = equal_spec()
-        Y = m4.path(spec, 1000, 1)
         u = m4.thresholds(spec, 1000, (100.0,))
         with pytest.raises(SpecError):
-            evt.blocks_theta(evt.exceedances(Y, u), 500)
+            evt.blocks_theta(evt.m4_exceedances(m4.path(spec, 1000, 1), u),
+                             500)
 
     def test_csv_row_contract(self):
         Y = iid_fn(50_000)(3)
@@ -328,7 +327,7 @@ class TestDPrime:
         # direct O(n^2) pair count on a short path
         v = iid_fn(300)(9).values[:, 0]
         u = 20.0
-        (stats,), joint = evt.dprime_path(v, u, [3])
+        (stats,), joint = evt.dprime_path(evt.exceedances(v, u), [3])
         e = v > u
         pairs = [int(np.sum(e[:-j] & e[j:])) for j in range(1, 101)]
         assert joint == sum(pairs)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from subgauss import gausslin, harness, m4
+from subgauss import evt, gausslin, harness, m4
 from subgauss.gausslin import SpecError
 from subgauss.m4 import IidPareto, M4Spec, SubGauss
 
@@ -84,6 +84,12 @@ class TestSpecValidation:
                 a=-np.ones((1, 1, 1)),
                 innovation=IidPareto(1.0),
             )
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        with pytest.raises(SpecError, match="finite.*field: a"):
+            M4Spec(d=1, alpha=1.0, lags=(0, 1), a=np.array([[[1.0]], [[bad]]]),
+                   innovation=IidPareto(1.0))
 
     def test_window_must_contain_zero(self):
         with pytest.raises(SpecError):
@@ -264,6 +270,17 @@ class TestBuildAndInnovations:
                 np.mean(w > u), 1 / u, atol=4 * np.sqrt((1 / u) / len(w))
             )
 
+    def test_path_is_a_draw_of_the_innovations(self):
+        # full and truncated draws of a seed share its innovations, and the
+        # draw's rows are those of the path it builds
+        spec = bivariate_spec(extra_lag5=0.05)
+        full, trunc = m4.path(spec, 400, 3), m4.path(spec, 400, 3, m_trunc=1)
+        np.testing.assert_array_equal(full.W.values,
+                                      m4.innovations(spec, 405, 3).values)
+        np.testing.assert_array_equal(trunc.W.values, full.W.values)
+        assert (full.n, full.m_trunc, trunc.m_trunc) == (400, None, 1)
+        assert m4.build(full.W, spec).n == 400
+
     def test_innovations_reproducible(self):
         a = m4.innovations(equal_spec(), 100, 3).values
         b = m4.innovations(equal_spec(), 100, 3).values
@@ -306,3 +323,90 @@ def test_theta_invariant_under_coefficient_scaling(scale, tau1, tau2):
     np.testing.assert_allclose(
         m4.G_limit(scaled, tau), m4.G_limit(base, tau), rtol=1e-10
     )
+
+
+def _result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except SpecError as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_m4_exceedances_equal_the_built_path(data):
+    # the exceedances read off the innovations are those of the built path,
+    # bit for bit: truncated lags, zero coefficients, a column that no kept
+    # lag reads, W planted at a level u_i / a and at its float neighbours
+    # (ties at u), and an overflowing product, which raises as build does
+    d = data.draw(st.integers(1, 3), label="d")
+    r_lo = data.draw(st.integers(-2, 0), label="r_lo")
+    r_hi = data.draw(st.integers(0, 2), label="r_hi")
+    span = r_hi - r_lo
+    alpha = data.draw(st.sampled_from([0.5, 1.0, 2.0]), label="alpha")
+    coef = st.sampled_from([0.0, 0.0, 0.1, 0.3, 1.0, 0.7071067811865476, 2.5])
+    a = np.array(data.draw(st.lists(coef, min_size=(span + 1) * d * d,
+                                    max_size=(span + 1) * d * d),
+                           label="a")).reshape(span + 1, d, d)
+    # lag 0 is always kept; its column 0 gives every output row a positive
+    # coefficient
+    a[-r_lo, :, 0] = data.draw(st.sampled_from([0.5, 1.0, 1.7]), label="a0")
+    m_trunc = data.draw(st.none() | st.integers(0, span), label="m_trunc")
+    if d > 1 and data.draw(st.booleans(), label="dark column"):
+        # column d-1 has positive coefficients only at dropped lags, if any
+        a[:, :, d - 1] *= (np.abs(np.arange(r_lo, r_hi + 1)) >
+                           (span if m_trunc is None else m_trunc))[:, None]
+    spec = M4Spec(d=d, alpha=alpha, lags=(r_lo, r_hi), a=a,
+                  innovation=IidPareto(alpha))
+    n = data.draw(st.integers(1, 60), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    W = 1.0 + rng.pareto(alpha, size=(n + span, d))
+    uu = np.array(data.draw(st.lists(st.floats(1.0, 1e4), min_size=d,
+                                     max_size=d), label="u"))
+    lags = np.arange(r_lo, r_hi + 1)
+    kept = np.abs(lags) <= (span if m_trunc is None else m_trunc)
+    for _ in range(data.draw(st.integers(0, 6), label="plants")):
+        t = data.draw(st.integers(0, n + span - 1))
+        j = data.draw(st.integers(0, d - 1))
+        with np.errstate(divide="ignore"):
+            levels = np.where(kept[:, None], uu[None, :] / a[:, :, j], np.inf)
+        if not np.isfinite(levels).any():
+            continue
+        # the column's lowest level decides its candidate rows
+        ri, i = (np.unravel_index(np.argmin(levels), levels.shape)
+                 if data.draw(st.booleans()) else
+                 data.draw(st.sampled_from(np.argwhere(np.isfinite(levels))
+                                           .tolist())))
+        c = a[ri, i, j]
+        if data.draw(st.booleans(), label="rounds low"):
+            # lower u_i to a level whose quotient u_i / a rounds low, so
+            # that W = u_i / a exceeds it: a few percent of levels do
+            for _ in range(400):
+                if c * (uu[i] / c) > uu[i]:
+                    break
+                uu[i] = np.nextafter(uu[i], 0.0)
+        step = data.draw(st.sampled_from([-1, 0, 1]))
+        w = uu[i] / c
+        W[t, j] = np.nextafter(w, np.inf * step) if step else w
+    u = m4.ThresholdVector(n=n, tau=np.ones(d), u=uu)
+    overflow = data.draw(st.booleans(), label="overflow")
+    if overflow:
+        a[-r_lo, 0, 0] = 2.5
+        spec = M4Spec(d=d, alpha=alpha, lags=(r_lo, r_hi), a=a,
+                      innovation=IidPareto(alpha))
+        W[data.draw(st.integers(r_hi, r_hi + n - 1)), 0] = 1e308
+    W = gausslin.SeriesMatrix(values=W, meta={})
+
+    with np.errstate(over="ignore"):
+        want = _result_or_error(
+            lambda: evt.exceedances(m4.build(W, spec, m_trunc), u))
+        got = _result_or_error(evt.m4_exceedances, m4.Draw(W, spec, m_trunc),
+                              u)
+    if overflow:
+        assert want == "values must be finite"
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.n == want.n == n
+        assert got.times.dtype == want.times.dtype
+        np.testing.assert_array_equal(got.times, want.times)

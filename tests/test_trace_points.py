@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from subgauss import chaos, evt, harness, pointproc
+from subgauss import chaos, evt, harness, m4, pointproc
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -124,40 +124,60 @@ def test_traced_expansions_see_every_check(monkeypatch, tmp_path):
 
 
 def test_one_exceedance_indicator_per_replication(monkeypatch):
-    # on pareto_estimators, runs m=0..3, blocks and pointproc all read one
-    # replication's exceedance times, found by one indicator through evt;
-    # none goes through pointproc's binding, which stays a trace point.
-    # subgauss_mc's nonexceed reads the path's maxima and draws none.
-    # bench/test_smoke.py still pins 6.0 on pareto_estimators, the count
-    # before the exceedances were shared.
+    # an M4 replication's exceedance times are read off its innovations:
+    # on pareto_estimators (runs m=0..3, blocks and pointproc) and on
+    # subgauss_mc (nonexceed), each replication makes one sparse
+    # m4_exceedances call, builds no path and makes no dense indicator
+    # pass, through evt or through pointproc's binding, which both stay
+    # trace points
     workloads = load_workloads()
-    config = workloads.pareto_inputs(1, "tiny")["config"]
-    assert [a["type"] for a in config["analyses"]] == \
-        ["runs"] * 4 + ["blocks", "pointproc"]
     calls = []
 
-    def counted(module):
-        fn = module._exceed_indicator
+    def counted(module, attr):
+        fn = getattr(module, attr)
 
         def wrapper(*args, **kwargs):
-            calls.append(module.__name__)
+            calls.append(f"{module.__name__}.{attr}")
             return fn(*args, **kwargs)
-        return wrapper
+        monkeypatch.setattr(module, attr, wrapper)
 
-    for module in (evt, pointproc):
-        monkeypatch.setattr(module, "_exceed_indicator", counted(module))
-    reps = 3
-    summary = harness.run(harness.ExperimentConfig.from_json(
-        json.dumps({**config, "reps": reps})))
-    assert summary["failures"] == []
-    assert calls == ["subgauss.evt"] * reps
+    for module, attr in ((evt, "_exceed_indicator"),
+                         (pointproc, "_exceed_indicator"),
+                         (evt, "m4_exceedances"), (m4, "build")):
+        counted(module, attr)
+    for inputs, types, reps in (
+            (workloads.pareto_inputs,
+             ["runs"] * 4 + ["blocks", "pointproc"], 3),
+            (workloads.mc_inputs, ["nonexceed"], 2)):
+        config = inputs(1, "tiny")["config"]
+        assert [a["type"] for a in config["analyses"]] == types
+        calls.clear()
+        summary = harness.run(harness.ExperimentConfig.from_json(
+            json.dumps({**config, "reps": reps})))
+        assert summary["failures"] == []
+        assert calls == ["subgauss.evt.m4_exceedances"] * reps
 
-    calls.clear()
-    config = workloads.mc_inputs(1, "tiny")["config"]
-    assert [a["type"] for a in config["analyses"]] == ["nonexceed"]
-    harness.run(harness.ExperimentConfig.from_json(
-        json.dumps({**config, "reps": 2})))
-    assert calls == []
+
+def test_trace_points_name_package_functions():
+    # TRACE_POINTS read from bench/session.py's source, with neither the
+    # session nor its siblings imported: every (module, attribute) must be
+    # a function of the package, the run path's callers or not. The M4 run
+    # path builds no path and makes no dense indicator pass, so m4.build,
+    # evt._exceed_indicator, pointproc's binding and evt.cmax are kept for
+    # the traced benchmark (and build as the dense definition of a path)
+    tree = ast.parse((BENCH / "session.py").read_text())
+    (points,) = [node.value for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets] == ["TRACE_POINTS"]]
+    pairs = [(entry.elts[0].value, entry.elts[1].value)
+             for entry in points.elts]
+    assert len(pairs) > 20
+    for module, attr in pairs:
+        fn = getattr(importlib.import_module(f"subgauss.{module}"), attr, None)
+        assert callable(fn), (module, attr)
+    assert {("m4", "build"), ("m4", "innovations"), ("evt", "cmax"),
+            ("evt", "_exceed_indicator"),
+            ("pointproc", "_exceed_indicator")} <= set(pairs)
 
 
 class _Clock:
