@@ -6,7 +6,8 @@ message naming the offending field or flag. The SUBGAUSS_SEED environment
 variable, when set, overrides any base seed from flags or config files; a
 seed that is not a Philox key exits 2 naming where it came from.
 `run` is the only command that draws replications: it runs a config through
-the engine, `harness.run`.
+the engine, `harness.run`. `limits` prints the closed-form limits of a
+config's analyses, `harness.targets`, and draws no path.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from subgauss import gausslin, harness, m4
+from subgauss import gausslin, harness
 from subgauss.gausslin import SpecError
 from subgauss.harness import ExperimentConfig, effective_base_seed
 
@@ -31,22 +30,8 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _floats(text: str) -> tuple:
-    """argparse type of --tau, a comma-separated list of floats; a bad item
-    exits 2 with the flag named."""
-    try:
-        return tuple(float(item) for item in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated float values, got {text!r}") from None
-
-
 def _load_coeffs(path: str) -> gausslin.CoeffTable:
     return gausslin.CoeffTable.from_json(Path(path).read_text())
-
-
-def _load_m4(path: str) -> m4.M4Spec:
-    return m4.M4Spec.from_json(Path(path).read_text())
 
 
 def _cmd_simulate(args) -> int:
@@ -77,35 +62,17 @@ def _cmd_acf(args) -> int:
     return 0
 
 
-def _cmd_theta(args) -> int:
-    spec = _load_m4(args.spec)
-    payload = {"theta": m4.theta(spec, args.tau)}
-    if args.m_trunc is not None:
-        payload["theta_2m"] = m4.theta_2m(spec, args.tau, args.m_trunc)
-    _write(json.dumps(payload) + "\n", args.out)
-    return 0
-
-
-def _cmd_m4_verify(args) -> int:
-    spec = _load_m4(args.spec)
-    g = m4.G_limit(spec, args.tau)
-    t = m4.tail_limit(spec, args.tau)
-    gap = abs(-np.log(g) - t)
-    payload = {
-        "A": m4.A_vec(spec).tolist(),
-        "G_limit": g,
-        "tail_limit": t,
-        "identity_gap": gap,
-        "ok": bool(gap <= 1e-12),
-    }
-    _write(json.dumps(payload) + "\n", args.out)
-    return 0 if payload["ok"] else 1
-
-
 def _cmd_gauss_tools(args) -> int:
     report = harness.gauss_tools(_load_coeffs(args.spec), args.nblock,
                                  args.berman_hmax)
     _write(json.dumps(report) + "\n", args.out)
+    return 0
+
+
+def _cmd_limits(args) -> int:
+    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
+    _write(json.dumps(harness.targets(cfg), indent=2, sort_keys=True) + "\n",
+           args.out)
     return 0
 
 
@@ -146,25 +113,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_acf)
 
-    p = sub.add_parser("theta", help="extremal index from the coefficient array")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--tau", type=_floats, required=True)
-    p.add_argument("--m-trunc", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_theta)
-
-    p = sub.add_parser("m4-verify", help="cross-check the limit identities")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--tau", type=_floats, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_m4_verify)
-
     p = sub.add_parser("gauss-tools", help="decay / rank / mixing diagnostics")
     p.add_argument("--spec", required=True)
     p.add_argument("--nblock", type=int, default=10)
     p.add_argument("--berman-hmax", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gauss_tools)
+
+    p = sub.add_parser("limits", help="closed-form limits of a config")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_limits)
 
     p = sub.add_parser("run", help="execute an experiment config")
     p.add_argument("--config", required=True)

@@ -9,14 +9,17 @@ depend only on (config, base_seed), never on execution order. Every per-path
 analysis but `scan` reads the replication's sorted exceedance times over the
 generator's tau thresholds, found once, on first use: off the innovations of
 an M4 draw (`evt.m4_exceedances`, which builds no path) or in one pass over a
-dense path (`evt.exceedances`). `scan` reads the dense Gaussian path and takes
-its correlation from the generator's table.
+dense path (`evt.exceedances`). `scan` reads the dense Gaussian path.
+
+A registry entry's target is the closed-form limit of its summary entry;
+`targets(cfg)` collects them, keyed as the summary's, and draws no path.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -180,36 +183,62 @@ def _dprime(a, results, *_):
             "wide_ci": joint < 10}, None
 
 
-def scan_rho(source: subordinate.GaussianSource) -> float:
-    """|Gamma(0)[c0, c1]| / (sd[c0] sd[c1]), clipped to [0, 1], for the table
-    coordinates c0 and c1 that path columns 0 and 1 read. With tau thresholds
-    each column reads one coordinate at lag 0, so this is the canonical
-    correlation of the two columns."""
-    c0, c1 = ([part.coord for part in source.transform.parts[:2]]
-              if source.transform else [0, 1])
-    gamma0, _ = gausslin.autocov(source.table, 0)
-    return float(min(abs(gamma0[c0, c1]) / (source.sd[c0] * source.sd[c1]),
-                     1.0))
-
-
 def _scan(a, results, gen):
-    """Columns 0 and 1 pooled over the replications: the joint exceedance
-    rate against the hypercontractive ceiling (Fbar_0 Fbar_1)^(1/(1+rho)),
-    with Fbar_i = tau_i / n exact by construction of the thresholds."""
+    """Columns 0 and 1 pooled over the replications, beside `_scan_target`."""
     joint, exceed1 = map(sum, zip(*results.values()))
     nsamp = gen.u.n * len(results)
-    fbar = [float(t) / gen.u.n for t in gen.u.tau[:2]]
-    rho = scan_rho(gen.spec)
     p = joint / nsamp
-    return {"rho": rho, "Fbar": fbar, "joint_events": joint,
-            "joint_exceed": p,
+    return {**_scan_target(a, gen), "joint_events": joint, "joint_exceed": p,
             "joint_stderr": float(np.sqrt(p * (1 - p) / nsamp)),
-            "cond_exceed": joint / exceed1 if exceed1 else 0.0,
-            "bound": (fbar[0] * fbar[1]) ** (1 / (1 + rho))}, None
+            "cond_exceed": joint / exceed1 if exceed1 else 0.0}, None
 
 
 def _gauss_tools(a, results, gen):
     return gauss_tools(gen.spec.table, a.get("nblock", 10)), None
+
+
+# Targets: (analysis, generator) -> the closed-form limit of the analysis's
+# summary entry, or None where the generator has none; run after `check`.
+
+def _on_m4(target):
+    """A target that only an m4 generator has: target(a, spec, thresholds)."""
+    return lambda a, gen: (target(a, gen.spec, gen.u)
+                           if isinstance(gen.spec, m4.M4Spec) else None)
+
+
+def _nonexceed_target(a, spec, u):
+    """P(no exceedance) -> G(tau)^theta (Smith & Weissman 1996)."""
+    G, th = m4.G_limit(spec, u.tau), m4.theta(spec, u.tau)
+    return {"G": G, "theta": th, "limit": G**th, "u": u.u.tolist()}
+
+
+def _pointproc_target(a, spec, u):
+    """The gapped-block intensity at the runs limits theta(0..m)."""
+    gap = _gap_config(a)
+    thetas = [m4.runs_limit(spec, u.tau, m) for m in range(gap.m + 1)]
+    return {"lambda_rp": float(pointproc.lambda_rp(
+        thetas, thetas[-1], m4.G_limit(spec, u.tau), gap))}
+
+
+def _dprime_target(a, gen):
+    """D'(k) -> tau^2 / k for a process without clusters."""
+    tau = float(gen.u.tau[0])
+    return {"stats": {str(k): tau**2 / k for k in evt.dprime_ks(a["k_list"])}}
+
+
+def _scan_target(a, gen):
+    """The canonical correlation rho of path columns 0 and 1 (from Gamma(0)),
+    their exact tails Fbar_i = tau_i / n and the hypercontractive ceiling
+    (Fbar_0 Fbar_1)^(1/(1+rho)) on their joint exceedance rate."""
+    source = gen.spec
+    c0, c1 = ([part.coord for part in source.transform.parts[:2]]
+              if source.transform else [0, 1])
+    gamma0, _ = gausslin.autocov(source.table, 0)
+    rho = float(min(abs(gamma0[c0, c1]) / (source.sd[c0] * source.sd[c1]),
+                    1.0))
+    fbar = [float(t) / gen.u.n for t in gen.u.tau[:2]]
+    return {"rho": rho, "Fbar": fbar,
+            "bound": (fbar[0] * fbar[1]) ** (1 / (1 + rho))}
 
 
 class Replication:
@@ -239,6 +268,7 @@ class Analysis(NamedTuple):
     check: Callable              # (a, gen, reps): what it needs of the run
     per_path: Callable | None    # (a, Replication) -> result for one path
     summarize: Callable          # see the summarize steps above
+    target: Callable = lambda a, gen: None  # see the targets above
 
 
 # Per-path maps look their functions up at call time, so a patched or traced
@@ -247,10 +277,13 @@ class Analysis(NamedTuple):
 REGISTRY = {
     "nonexceed": Analysis(
         {}, {}, _needs_thresholds,
-        lambda a, view: view.exceedances.times.size == 0, _nonexceed),
+        lambda a, view: view.exceedances.times.size == 0, _nonexceed,
+        _on_m4(_nonexceed_target)),
     "runs": Analysis(
         {"m": _integer}, {}, _check_runs,
-        lambda a, view: evt.runs_theta(view.exceedances, a["m"]), _estimates),
+        lambda a, view: evt.runs_theta(view.exceedances, a["m"]), _estimates,
+        _on_m4(lambda a, spec, u: {"theta": m4.runs_limit(spec, u.tau,
+                                                          a["m"])})),
     "blocks": Analysis(
         {"b": _integer}, {}, _check_blocks,
         lambda a, view: evt.blocks_theta(view.exceedances, a["b"]),
@@ -260,14 +293,15 @@ REGISTRY = {
         {"m": _integer, "lambda_target": _number}, _check_pointproc,
         lambda a, view: pointproc.gapped_blocks(view.exceedances,
                                                 _gap_config(a)),
-        _poisson),
+        _poisson, _on_m4(_pointproc_target)),
     "dprime": Analysis(
         {"k_list": _integers}, {}, _check_dprime,
         lambda a, view: evt.dprime_path(view.exceedances, a["k_list"]),
-        _dprime),
+        _dprime, _dprime_target),
     "scan": Analysis(
         {}, {}, _check_scan,
-        lambda a, view: evt.pair_exceedances(view.Y, view.u.u), _scan),
+        lambda a, view: evt.pair_exceedances(view.Y, view.u.u), _scan,
+        _scan_target),
     "gauss-tools": Analysis({}, {"nblock": _integer}, _check_gauss_tools, None,
                             _gauss_tools),
 }
@@ -308,6 +342,13 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        # the name prefixes every output file, so it names no other directory
+        if not (isinstance(self.name, str)
+                and re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", self.name)):
+            raise SpecError(f"name={self.name!r} must be letters, digits, _, "
+                            "- and ., not starting with . (field: name)")
+        if self.out is not None and not isinstance(self.out, str):
+            raise SpecError(f"out={self.out!r} must be a string (field: out)")
         if self.reps < 1:
             raise SpecError("reps must be >= 1 (field: reps)")
         if self.n < 1:
@@ -391,6 +432,17 @@ def check(gen: Generator, analyses, reps: int) -> None:
             REGISTRY[a["type"]].check(a, gen, reps)
         except SpecError as exc:
             raise SpecError(f"analyses[{idx}] ({a['type']}): {exc}") from None
+
+
+def targets(cfg: ExperimentConfig) -> dict:
+    """The closed-form limit of each analysis's summary entry, keyed
+    "<index>:<type>" as the summary's analyses; an analysis without one is
+    absent. Builds the generator and runs `check`, but draws no path."""
+    gen = Generator(*_build_generator(cfg))
+    check(gen, cfg.analyses, cfg.reps)
+    found = {f"{idx}:{a['type']}": REGISTRY[a["type"]].target(a, gen)
+             for idx, a in enumerate(cfg.analyses)}
+    return {key: value for key, value in found.items() if value is not None}
 
 
 def replicate(gen: Generator, analyses, reps: int, base_seed: int):

@@ -4,9 +4,9 @@ Draws maxima-of-moving-maxima replications (Smith & Weissman 1996) over
 either i.i.d. Pareto innovations (the oracle mode) or Pareto-transformed
 Gaussian linear processes, and evaluates the closed-form limit objects: the
 tail constants A_i, the i.i.d. limit G(tau), the multivariate extremal index
-theta(tau), its lag-truncated version, and analytic thresholds. `build` is
-the dense definition of a path; a run reads a `Draw`'s exceedance times off
-its innovations (`evt.m4_exceedances`) and builds none.
+theta(tau), its lag-truncated version, the runs limit theta(m), and analytic
+thresholds. `build` is the dense definition of a path; a run reads a `Draw`'s
+exceedance times off its innovations (`evt.m4_exceedances`) and builds none.
 """
 
 from __future__ import annotations
@@ -225,30 +225,6 @@ def G_limit(spec: M4Spec, tau) -> float:
     return float(np.exp(-np.sum(_weight_table(spec, tau))))
 
 
-def tail_limit(spec: M4Spec, tau) -> float:
-    """Limit of n * P(Y_0 not <= u_n(tau)); equals -log G(tau).
-
-    Deliberately written with explicit loops, independent of the vectorized
-    G_limit code path, so the identity can be cross-checked.
-    """
-    tau = check_tau(spec.d, tau)
-    A = [0.0] * spec.d
-    nlags = spec.r_hi - spec.r_lo + 1
-    for ri in range(nlags):
-        for i in range(spec.d):
-            for j in range(spec.d):
-                A[i] += float(spec.a[ri, i, j]) ** spec.alpha
-    total = 0.0
-    for ri in range(nlags):
-        for j in range(spec.d):
-            best = 0.0
-            for i in range(spec.d):
-                term = float(spec.a[ri, i, j]) ** spec.alpha * tau[i] / A[i]
-                best = max(best, term)
-            total += best
-    return total
-
-
 def theta(spec: M4Spec, tau) -> float:
     """Multivariate extremal index of the M4 limit:
     [sum_j max_r w_{r,j}] / [sum_j sum_r w_{r,j}] with
@@ -269,14 +245,27 @@ def theta_2m(spec: M4Spec, tau, m_trunc: int) -> float:
     truncation covers the whole lag window.
     """
     if m_trunc < 0:
-        raise SpecError("m_trunc must be >= 0 (field: m-trunc)")
+        raise SpecError("m_trunc must be >= 0 (field: m_trunc)")
     tau = check_tau(spec.d, tau)
     w = _weight_table(spec, tau)
     keep = np.abs(spec.lag_values()) <= m_trunc
     w = w[keep]
     if w.size == 0 or np.sum(w) == 0:
-        raise SpecError("truncation removed every active lag (field: m-trunc)")
+        raise SpecError("truncation removed every active lag (field: m_trunc)")
     return float(np.sum(np.max(w, axis=0)) / np.sum(w))
+
+
+def runs_limit(spec: M4Spec, tau, m: int) -> float:
+    """Limit of the runs estimator of run length m (Weissman & Novak 1998):
+    sum_{r,j} (w_{r,j} - max_{1<=i<=m} w_{r+i,j})_+ / sum_{r,j} w_{r,j}, with
+    w `theta`'s weight table and w = 0 past r_hi. It is 1 at m = 0 and
+    telescopes to theta once m covers the lag window."""
+    tau = check_tau(spec.d, tau)
+    w = _weight_table(spec, tau)
+    later = np.zeros_like(w)
+    for i in range(1, min(m, len(w) - 1) + 1):
+        np.maximum(later[:-i], w[i:], out=later[:-i])
+    return float(np.sum(np.maximum(w - later, 0.0)) / np.sum(w))
 
 
 def pareto_levels(A, n: int, tau, alpha):

@@ -8,7 +8,9 @@ generator builder it uses (E4 hands its truncated build to the engine
 directly). E7's hypercontractivity and canonical-correlation checks draw no
 path. Every `harness.run` writes its files to a temporary directory, and
 their sha256 must match tests/golden/shipped_sha256.json, so the suite pins
-the bytes of each config it runs at no extra draw.
+the bytes of each config it runs at no extra draw. Each gate's target comes
+from `harness.targets` on its config, except E1's exact finite-n law, E4's
+hand values and E7(c)'s exact tail, which say why where they are used.
 """
 
 import dataclasses
@@ -31,6 +33,12 @@ SHA256 = Path(__file__).resolve().parent / "golden" / "shipped_sha256.json"
 
 def _cfg(stem):
     return ExperimentConfig.from_json((CONFIGS / f"{stem}.json").read_text())
+
+
+def _targets(stem):
+    """The closed-form limits of configs/<stem>.json's analyses, keyed as
+    its summary's; draws no path."""
+    return harness.targets(_cfg(stem))
 
 
 def _run(stem, out_dir, cfg=None):
@@ -73,9 +81,26 @@ def e2_theta_hats(tmp_path_factory):
     return [summary["analyses"][f"{m}:runs"]["estimate"] for m in range(4)]
 
 
+@pytest.fixture(scope="module")
+def e2_p_hat(tmp_path_factory):
+    """E2's non-exceedance rate; shared by E2 and its negative control."""
+    summary = _run("e2", tmp_path_factory.mktemp("e2"))
+    return summary["analyses"]["0:nonexceed"]["p_hat"]
+
+
+@pytest.fixture(scope="module")
+def e3_p_hats(tmp_path_factory):
+    """The non-exceedance rates of e3 and e3b; shared by E3 and its negative
+    control."""
+    out = tmp_path_factory.mktemp("e3")
+    return {stem: _run(stem, out)["analyses"]["0:nonexceed"]["p_hat"]
+            for stem in ("e3", "e3b")}
+
+
 def test_e1_iid_baseline(capsys, tmp_path):
     cfg = _cfg("e1")
     p = _run("e1", tmp_path)["analyses"]["0:nonexceed"]["p_hat"]
+    # the exact law of an i.i.d. path of n steps, not a limit: no target
     want = (1 - 1 / cfg.n) ** cfg.n
     err = abs(p - want)
     _emit(capsys, "E1", err <= 0.016,
@@ -83,28 +108,59 @@ def test_e1_iid_baseline(capsys, tmp_path):
           f"tol=0.016")
 
 
-def test_e2_extremal_index_quarter(capsys, tmp_path, e2_theta_hats):
-    theta3 = e2_theta_hats[3]
-    p = _run("e2", tmp_path)["analyses"]["0:nonexceed"]["p_hat"]
-    want = math.exp(-0.25)
-    ok = abs(theta3 - 0.25) <= 0.05 and abs(p - want) <= 0.03
+def _e2_gate(theta3, p):
+    """E2: the runs estimate at m = 3 within 0.05 of its runs limit, and the
+    non-exceedance rate within 0.03 of G^theta. Returns (ok, both targets)."""
+    theta = _targets("e2_runs")["3:runs"]["theta"]
+    want = _targets("e2")["0:nonexceed"]["limit"]
+    return abs(theta3 - theta) <= 0.05 and abs(p - want) <= 0.03, theta, want
+
+
+def test_e2_extremal_index_quarter(capsys, e2_theta_hats, e2_p_hat):
+    theta3, p = e2_theta_hats[3], e2_p_hat
+    ok, theta, want = _e2_gate(theta3, p)
     _emit(capsys, "E2", ok,
-          f"runs theta_hat={theta3:.4f} (target 0.25±0.05); "
+          f"runs theta_hat={theta3:.4f} (target {theta:g}±0.05); "
           f"nonexceed p_hat={p:.4f} (target {want:.4f}±0.03)")
 
 
-def test_e3_bivariate_limit(capsys, tmp_path):
+def _e3_gate(stem, p):
+    """E3: the non-exceedance rate within 0.03 of G^theta. Returns (ok,
+    target)."""
+    want = _targets(stem)["0:nonexceed"]["limit"]
+    return abs(p - want) <= 0.03, want
+
+
+def test_e3_bivariate_limit(capsys, e3_p_hats):
     details = []
     ok = True
     for stem in ("e3", "e3b"):
         cfg = _cfg(stem)
-        spec = harness._build_generator(cfg).spec
-        p = _run(stem, tmp_path)["analyses"]["0:nonexceed"]["p_hat"]
-        want = m4.G_limit(spec, cfg.tau) ** m4.theta(spec, cfg.tau)
-        ok = ok and abs(p - want) <= 0.03
+        p = e3_p_hats[stem]
+        stem_ok, want = _e3_gate(stem, p)
+        ok = ok and stem_ok
         details.append(f"tau={tuple(cfg.tau)}: p_hat={p:.4f} "
                        f"target={want:.4f}")
     _emit(capsys, "E3", ok, "; ".join(details) + " (tol 0.03)")
+
+
+@pytest.mark.parametrize("unclustered", [False, True],
+                         ids=["real-targets", "theta-forced-to-1"])
+def test_e2_e3_gates_reject_an_unclustered_limit(monkeypatch, e2_theta_hats,
+                                                 e2_p_hat, e3_p_hats,
+                                                 unclustered):
+    # negative control on the same p_hats, no path drawn: with theta forced
+    # to 1 in the targets, the limit G^theta is the i.i.d. one, G, so E2's
+    # target reads 0.368 against p_hat 0.770 (0.779 with the real theta),
+    # e3's 0.135 against 0.229 (0.223) and e3b's 0.223 against 0.371
+    # (0.368), and each gate must fail; with the real targets each passes
+    if unclustered:
+        monkeypatch.setattr(m4, "theta", lambda spec, tau: 1.0)
+    ok, _, want = _e2_gate(e2_theta_hats[3], e2_p_hat)
+    assert ok is not unclustered
+    assert (want == _targets("e2")["0:nonexceed"]["G"]) is unclustered
+    for stem in ("e3", "e3b"):
+        assert _e3_gate(stem, e3_p_hats[stem])[0] is not unclustered, stem
 
 
 def test_e4_truncation(capsys):
@@ -126,14 +182,15 @@ def test_e4_truncation(capsys):
     p_t, ci_t = nonexceed(1)
     gap = abs(p_f - p_t)
     tol = 0.02 + 2 * math.sqrt(ci_f**2 + ci_t**2)
-    # hand values for the truncated extremal index (full normalizer kept)
+    # hand values for the truncated extremal index (full normalizer kept),
+    # not targets: they are the oracle for theta_2m, and for theta's target
     prof = [m4.theta_2m(spec, cfg.tau, mt) for mt in range(1, 6)]
     want_m1 = (1 / 2.05 + 1.0) / (2 / 2.05 + 1.0)
     want_full = (1 / 2.05 + 1.0) / 2.0
     exact = (
         abs(prof[0] - want_m1) < 1e-12
         and abs(prof[-1] - want_full) < 1e-12
-        and abs(m4.theta(spec, cfg.tau) - want_full) < 1e-12
+        and abs(_targets("e4")["0:nonexceed"]["theta"] - want_full) < 1e-12
         and all(a >= b - 1e-12 for a, b in zip(prof, prof[1:]))
     )
     ok = gap <= tol and exact
@@ -146,20 +203,27 @@ def test_e5_point_process(capsys, tmp_path, e2_theta_hats):
     cfg = _cfg("e5")
     (a,) = cfg.analyses
     gc = pointproc.GapConfig(a["r"], a["p"], a["m"])
+    # the plug-in intensity: e2_runs' estimates theta_hat(0..3) at the G of
+    # the same spec and tau=1 (E2's), beside the closed form at theta(0..3)
     lam = pointproc.lambda_rp(e2_theta_hats, e2_theta_hats[3],
-                              math.exp(-1.0), gc)
+                              _targets("e2")["0:nonexceed"]["G"], gc)
+    lam_rp = _targets("e5")["0:pointproc"]["lambda_rp"]
     cfg = dataclasses.replace(cfg, analyses=({**a, "lambda_target": lam},))
     rep = _run("e5", tmp_path, cfg)["analyses"]["0:pointproc"]
     rel = abs(rep["mean_count"] - lam) / lam
+    rel_rp = abs(rep["mean_count"] - lam_rp) / lam_rp
     ok = (
         0.85 <= rep["dispersion_index"] <= 1.15
         and rel <= 0.10
         and rep["ks_interarrival"] < 0.08
+        and rel_rp <= 0.10
     )
     _emit(capsys, "E5", ok,
           f"dispersion={rep['dispersion_index']:.3f} (0.85..1.15); "
           f"mean={rep['mean_count']:.4f} vs lambda={lam:.4f} "
-          f"(rel err {rel:.3f} ≤ 0.10); KS={rep['ks_interarrival']:.4f} < 0.08")
+          f"(rel err {rel:.3f} ≤ 0.10); KS={rep['ks_interarrival']:.4f} < 0.08"
+          f"; closed-form lambda_rp={lam_rp:.4f} "
+          f"(rel err {rel_rp:.3f} ≤ 0.10)")
 
 
 def test_e6_decay_profile(capsys):
@@ -176,11 +240,11 @@ def test_e6_decay_profile(capsys):
 
 
 def _e7():
-    """E7(c)'s config, the correlation rho of its generator and the marginal
-    tail tau/n of its thresholds; draws no path."""
+    """E7(c)'s config, and the correlation rho and the marginal tail Fbar of
+    its scan target; draws no path."""
     cfg = _cfg("e7")
-    rho = harness.scan_rho(harness._build_generator(cfg).spec)
-    return cfg, rho, cfg.tau[0] / cfg.n
+    target = harness.targets(cfg)["0:scan"]
+    return cfg, target["rho"], target["Fbar"][0]
 
 
 def _e7_joint_gate(joint, exact, nsamp):
@@ -242,6 +306,8 @@ def test_e7_inequalities(capsys, tmp_path):
     joint, bound, nsamp = entry["joint_exceed"], entry["bound"], cfg.n
     se = math.sqrt(max(joint, 1e-12) * (1 - joint) / nsamp)
     tail_ok = joint <= bound + 4 * se
+    # the exact tail is this gate's oracle, not a target: a scan pair with
+    # Pareto parts or unequal tau has no one-call exact tail
     exact_ok, z = _e7_joint_gate(joint, chaos.folded_joint_tail(rho, fbar),
                                  nsamp)
 
@@ -275,15 +341,14 @@ def test_e7_exact_gate_rejects_weaker_dependence(rho):
 
 
 def _e8_gate(cfg, entry):
-    """Whether D'(k) lies within 3 se of tau^2/k, its value for a process
-    without clusters, at every k of a dprime entry; and the largest |z|."""
-    (a,) = cfg.analyses
-    tau = cfg.tau[0]
+    """Whether D'(k) lies within 3 se of its target tau^2/k, its value for a
+    process without clusters, at every k of a dprime entry; and the largest
+    |z|."""
     ok, zmax = True, 0.0
-    for k in a["k_list"]:
-        v, se = entry["stats"][str(k)], entry["stderr"][str(k)]
-        ok = ok and abs(v - tau**2 / k) <= 3 * se
-        zmax = max(zmax, abs(v - tau**2 / k) / se)
+    for k, want in harness.targets(cfg)["0:dprime"]["stats"].items():
+        v, se = entry["stats"][k], entry["stderr"][k]
+        ok = ok and abs(v - want) <= 3 * se
+        zmax = max(zmax, abs(v - want) / se)
     return ok, zmax
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from subgauss import evt, gausslin, harness, pointproc
+from subgauss import evt, gausslin, harness, m4, pointproc
 from subgauss.cli import build_parser
 from subgauss.cli import main as cli_main
 from subgauss.gausslin import SpecError
@@ -226,8 +226,7 @@ class TestRun:
         cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
             generator={"kind": "gauss", "lin": lin}, tau=[5.0, 5.0],
             analyses=[{"type": "scan"}])))
-        source = harness._build_generator(cfg).spec
-        assert abs(harness.scan_rho(source) - rho) <= 1e-12
+        assert abs(harness.targets(cfg)["0:scan"]["rho"] - rho) <= 1e-12
 
     def test_scan_counts_fold_over_replications(self):
         # two replications count what the one-replication runs at seeds
@@ -299,10 +298,56 @@ class TestSeedPrecedence:
         assert harness.effective_base_seed(None, 1) == 1
 
 
+class TestTargets:
+    def test_keyed_as_the_summary_and_drawing_no_path(self, monkeypatch):
+        # an m4 generator has a target for nonexceed, runs, pointproc and
+        # dprime, and blocks has none; targets draws no path
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            tau=[40.0], reps=1, analyses=[
+                {"type": "nonexceed"}, {"type": "runs", "m": 1},
+                {"type": "blocks", "b": 20},
+                {"type": "pointproc", "r": 50, "p": 5, "m": 1},
+                {"type": "dprime", "k_list": [2, 4]}])))
+        summary = harness.run(cfg)
+        monkeypatch.setattr(m4, "path", lambda *args: pytest.fail("drew"))
+        got = harness.targets(cfg)
+        assert set(got) == set(summary["analyses"]) - {"2:blocks"}
+        assert got["0:nonexceed"] == {"G": math.exp(-40.0), "theta": 0.5,
+                                      "limit": math.exp(-40.0) ** 0.5,
+                                      "u": [100.0]}
+        assert got["1:runs"] == {"theta": 0.5}
+        # lambda_rp = [(r - m) theta(1) + theta(0)] / (r + p) * tau
+        assert got["3:pointproc"]["lambda_rp"] == pytest.approx(
+            (49 * 0.5 + 1.0) / 55 * 40.0, rel=1e-14)
+        assert got["4:dprime"] == {"stats": {"2": 800.0, "4": 400.0}}
+
+    def test_gauss_generator_has_no_m4_target(self):
+        # nonexceed, runs and pointproc have closed forms on an m4 generator
+        # only; a scan's target is its rho, tails and ceiling
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            generator={"kind": "gauss", "lin": RHO_HALF}, tau=[5.0, 5.0],
+            analyses=[{"type": "nonexceed"}, {"type": "runs", "m": 1},
+                      {"type": "pointproc", "r": 50, "p": 5},
+                      {"type": "scan"}])))
+        got = harness.targets(cfg)
+        assert set(got) == {"3:scan"}
+        assert got["3:scan"]["Fbar"] == [0.0025, 0.0025]
+        assert got["3:scan"]["bound"] == pytest.approx(
+            0.0025 ** (2 / 1.5), rel=1e-12)
+
+    def test_scan_entry_repeats_its_target(self):
+        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
+            generator={"kind": "gauss", "lin": RHO_HALF}, n=20_000,
+            tau=[400.0, 400.0], reps=1, analyses=[{"type": "scan"}])))
+        entry = harness.run(cfg)["analyses"]["0:scan"]
+        target = harness.targets(cfg)["0:scan"]
+        assert {key: entry[key] for key in target} == target
+
+
 class TestCli:
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
-            cli_main(["theta", "--help"])
+            cli_main(["limits", "--help"])
         assert exc.value.code == 0
 
     def test_malformed_json_config_exit_2(self, tmp_path):
@@ -310,26 +355,36 @@ class TestCli:
         bad.write_text("{not json")
         assert cli_main(["run", "--config", str(bad)]) == 2
 
-    def test_missing_spec_file_exit_2(self):
-        assert cli_main(["theta", "--spec", "/nonexistent.json", "--tau", "1"]) == 2
+    def test_missing_spec_file_exit_2(self, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        assert cli_main(["simulate", "--spec", missing, "--n", "1"]) == 2
+        assert cli_main(["limits", "--config", missing]) == 2
 
     def test_theta_json_output(self, tmp_path, capsys):
-        spec = tiny_config()["generator"]["spec"]
-        f = tmp_path / "m4.json"
-        f.write_text(json.dumps(spec))
-        assert cli_main(["theta", "--spec", str(f), "--tau", "1.0"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        np.testing.assert_allclose(out["theta"], 0.5)
+        # `limits` prints each analysis's closed-form limit as sorted,
+        # indented JSON: theta = 1/2 for two equal lags, and a run of
+        # length 1 covers the window
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(tiny_config(tau=[1.0])))
+        assert cli_main(["limits", "--config", str(f)]) == 0
+        text = capsys.readouterr().out
+        out = json.loads(text)
+        assert text == json.dumps(out, indent=2, sort_keys=True) + "\n"
+        assert out["0:nonexceed"]["theta"] == out["1:runs"]["theta"] == 0.5
 
+    # A `limits` case puts its value at a path into tiny_config. Its id
+    # names the retired command, `theta` or `m4-verify`, whose spec case it
+    # is, so the case keeps its name across the change.
     @pytest.mark.parametrize("command, path, value, field", [
-        pytest.param(["theta", "--tau", "1.0"], ["alpha"], "one",
+        pytest.param(["limits"], ["generator", "spec", "alpha"], "one",
                      "field: alpha", id="theta-alpha-string"),
-        pytest.param(["m4-verify", "--tau", "1.0"], ["extra"], 1,
+        pytest.param(["limits"], ["generator", "spec", "extra"], 1,
                      "field: extra", id="m4-verify-unknown-key"),
-        pytest.param(["theta", "--tau", "1.0"], ["innovation", "alpha"], "one",
-                     "field: alpha", id="theta-innovation-alpha-string"),
-        pytest.param(["theta", "--tau", "1.0"], ["innovation", "alpha"], 2.0,
-                     "field: alpha", id="theta-innovation-alpha-differs"),
+        pytest.param(["limits"], ["generator", "spec", "innovation", "alpha"],
+                     "one", "field: alpha",
+                     id="theta-innovation-alpha-string"),
+        pytest.param(["limits"], ["generator", "spec", "innovation", "alpha"],
+                     2.0, "field: alpha", id="theta-innovation-alpha-differs"),
         pytest.param(["acf", "--hmax", "3"], ["params", "q"], "two",
                      "field: q", id="acf-q-string"),
         pytest.param(["simulate", "--n", "10"], ["family"], "fractal",
@@ -337,21 +392,19 @@ class TestCli:
         pytest.param(["gauss-tools"], ["params", "B0"], 1, "field: B0",
                      id="gauss-tools-params-unknown-key"),
         # a value out of range, in the spec or a flag, names its field
-        pytest.param(["theta", "--tau", "1.0,1.0"], [], {}, "field: tau",
+        pytest.param(["limits"], ["tau"], [1.0, 1.0], "field: tau",
                      id="theta-tau-length"),
-        pytest.param(["m4-verify", "--tau=-1.0"], [], {}, "field: tau",
+        pytest.param(["limits"], ["tau"], [-1.0], "field: tau",
                      id="m4-verify-tau-negative"),
-        pytest.param(["theta", "--tau", "1.0", "--m-trunc", "-1"], [], {},
-                     "field: m-trunc", id="theta-m-trunc-negative"),
-        pytest.param(["theta", "--tau", "1.0"], ["lags"], [1, 2],
+        pytest.param(["limits"], ["generator", "spec", "lags"], [1, 2],
                      "field: lags", id="theta-lags-without-zero"),
-        pytest.param(["theta", "--tau", "1.0"], ["a"], [[[1.0]]], "field: a",
-                     id="theta-a-shape"),
-        pytest.param(["m4-verify", "--tau", "1.0"], ["a"], [[[-1.0]], [[1.0]]],
-                     "field: a", id="m4-verify-a-negative"),
-        pytest.param(["theta", "--tau", "1.0"], ["a"], [[[0.0]], [[0.0]]],
+        pytest.param(["limits"], ["generator", "spec", "a"], [[[1.0]]],
+                     "field: a", id="theta-a-shape"),
+        pytest.param(["limits"], ["generator", "spec", "a"],
+                     [[[-1.0]], [[1.0]]], "field: a", id="m4-verify-a-negative"),
+        pytest.param(["limits"], ["generator", "spec", "a"], [[[0.0]], [[0.0]]],
                      "field: a", id="theta-a-zero-row"),
-        pytest.param(["theta", "--tau", "1.0"], ["alpha"], 0.0,
+        pytest.param(["limits"], ["generator", "spec", "alpha"], 0.0,
                      "field: alpha", id="theta-alpha-zero"),
         pytest.param(["simulate", "--n", "0"], [], {}, "field: n",
                      id="simulate-n-zero"),
@@ -377,13 +430,15 @@ class TestCli:
     def test_spec_error_exit_2_names_field(self, tmp_path, capsys, command,
                                            path, value, field):
         # the --spec commands parse their file with the checks that
-        # `subgauss run` applies to a config's spec and lin
-        if command[0] in ("theta", "m4-verify"):
-            spec = tiny_config()["generator"]["spec"]
+        # `subgauss run` applies to a config's lin, and `limits` reads a
+        # config as `run` does
+        if command == ["limits"]:
+            spec, flag = tiny_config(), "--config"
         else:
-            spec = json.loads(gausslin.make_coeffs(gausslin.LinearProcessSpec(
-                d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)),
-                L=16)).to_json())
+            spec, flag = json.loads(gausslin.make_coeffs(
+                gausslin.LinearProcessSpec(
+                    d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)),
+                    L=16)).to_json()), "--spec"
         # the value at path, or with an empty path, keys merged into spec
         node = spec
         for key in path[:-1]:
@@ -394,18 +449,9 @@ class TestCli:
             spec.update(value)
         f = tmp_path / "spec.json"
         f.write_text(json.dumps(spec))
-        assert cli_main(command + ["--spec", str(f)]) == 2
+        assert cli_main(command + [flag, str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
-
-    def test_m4_verify(self, tmp_path, capsys):
-        spec = tiny_config()["generator"]["spec"]
-        f = tmp_path / "m4.json"
-        f.write_text(json.dumps(spec))
-        assert cli_main(["m4-verify", "--spec", str(f), "--tau", "1.0"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["ok"]
-        assert out["identity_gap"] <= 1e-12
 
     def test_simulate_csv_header(self, tmp_path):
         lin = gausslin.make_coeffs(
@@ -586,6 +632,16 @@ class TestCli:
                      id="seed-flag-negative"),
         pytest.param({"analyses": {"type": "nonexceed"}}, [],
                      "field: analyses", id="analyses-object"),
+        # the name prefixes every output file, so it is a plain file-name
+        # stem; out is a path
+        pytest.param({"name": "../escaped"}, [], "field: name",
+                     id="name-parent-directory"),
+        pytest.param({"name": "a/b"}, [], "field: name", id="name-slash"),
+        pytest.param({"name": ["x"]}, [], "field: name", id="name-list"),
+        pytest.param({"name": ""}, [], "field: name", id="name-empty"),
+        pytest.param({"name": ".hidden"}, [], "field: name",
+                     id="name-leading-dot"),
+        pytest.param({"out": 3}, [], "field: out", id="out-number"),
         # a key that nothing reads
         pytest.param({"base_sed": 1001}, [], "field: base_sed",
                      id="base-seed-typo"),
@@ -795,29 +851,28 @@ class TestCli:
         assert drawn == []
 
     @pytest.mark.parametrize("argv, flag", [
-        pytest.param(["theta", "--tau", "one"], "--tau", id="theta-tau"),
+        pytest.param(["run", "--reps", "many", "--config"], "--reps",
+                     id="run-reps"),
+        pytest.param(["simulate", "--n", "ten", "--spec"], "--n",
+                     id="simulate-n"),
     ])
     def test_malformed_flag_value_exit_2_names_flag(self, tmp_path, capsys,
                                                     argv, flag):
-        spec = tmp_path / "m4.json"
-        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
+        # argparse rejects the value before the file is read
         with pytest.raises(SystemExit) as exc:
-            cli_main(argv + ["--spec", str(spec)])
+            cli_main(argv + [str(tmp_path / "in.json")])
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        pytest.param(["theta", "--tau", "1.0"], id="theta"),
-        pytest.param(["m4-verify", "--tau", "1.0"], id="m4-verify"),
-        pytest.param(["gauss-tools"], id="gauss-tools"),
+        pytest.param(["limits", "--config"], id="limits"),
+        pytest.param(["gauss-tools", "--spec"], id="gauss-tools"),
     ])
     def test_format_on_json_only_command_exit_2(self, tmp_path, capsys,
                                                 argv):
         # these commands always write JSON, so they take no --format
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps(tiny_config()["generator"]["spec"]))
         with pytest.raises(SystemExit) as exc:
-            cli_main(argv + ["--spec", str(spec), "--format", "csv"])
+            cli_main(argv + [str(tmp_path / "in.json"), "--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
 
@@ -986,8 +1041,8 @@ POINTPROC = {"type": "pointproc", "r": 50, "p": 5, "m": 1}
 class TestCliGolden:
     """`run` on one-analysis configs over tiny_config's spec, with n 2000 and
     base_seed 3, reproduces the goldens: the CSV artifact byte for byte, the
-    JSON files as summary entries. maxima.json's limits come from `theta`
-    and `m4-verify` on the same spec and tau."""
+    JSON files as summary entries. maxima.json adds the entry's closed-form
+    limits, as `limits` prints them for the same config."""
 
     @pytest.mark.parametrize("golden, tau, reps, analysis", [
         pytest.param("maxima.json", 1.0, 100, {"type": "nonexceed"},
@@ -1014,18 +1069,8 @@ class TestCliGolden:
         summary = json.loads((tmp_path / "tiny_summary.json").read_text())
         (entry,) = summary["analyses"].values()
         if golden == "maxima.json":
-            spec = obj["generator"]["spec"]
-            spec_file = tmp_path / "m4.json"
-            spec_file.write_text(json.dumps(spec))
-            limits = {}
-            for command in ("theta", "m4-verify"):
-                assert cli_main([command, "--spec", str(spec_file),
-                                 "--tau", str(tau)]) == 0
-                limits.update(json.loads(capsys.readouterr().out))
-            g, th = limits["G_limit"], limits["theta"]
-            entry.update(G=g, theta=th, limit=g**th,
-                         u=[(a * obj["n"] / tau) ** (1 / spec["alpha"])
-                            for a in limits["A"]])
+            assert cli_main(["limits", "--config", str(f)]) == 0
+            entry.update(json.loads(capsys.readouterr().out)["0:nonexceed"])
         assert entry == json.loads(want)
 
 
@@ -1033,16 +1078,23 @@ class TestShippedConfigs:
     @pytest.mark.parametrize(
         "path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem
     )
-    def test_config_validates_and_builds(self, path):
-        # configs are edited by hand; each keeps the one canonical layout
+    def test_config_validates_and_builds(self, path, tmp_path, monkeypatch):
+        # configs are edited by hand; each keeps the one canonical layout.
+        # `limits` builds its generator, checks its analyses and prints
+        # their targets, keyed as the summary's, without drawing a path
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2,
                                   sort_keys=True) + "\n"
         cfg = ExperimentConfig.from_json(text)
         drawn = []
-        gen = harness._build_generator(cfg)
-        harness.check(gen._replace(path_fn=drawn.append), cfg.analyses,
-                      cfg.reps)
+        build = harness._build_generator
+        monkeypatch.setattr(harness, "_build_generator",
+                            lambda cfg: build(cfg)._replace(path_fn=drawn.append))
+        out = tmp_path / "limits.json"
+        assert cli_main(["limits", "--config", str(path), "--out",
+                         str(out)]) == 0
+        keys = {f"{idx}:{a['type']}" for idx, a in enumerate(cfg.analyses)}
+        assert set(json.loads(out.read_text())) <= keys
         assert drawn == []
 
     def test_acceptance_suite_reads_every_config(self):

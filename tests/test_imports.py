@@ -2,7 +2,8 @@
 
 `pointproc` computes its diagnostics over `scipy.special`, and only
 `chaos.bvn_joint_tail` reads `scipy.integrate`, which it imports on its first
-call. A fresh interpreter shows which modules a run has loaded.
+call. A fresh interpreter shows which modules `run` and then `limits` on the
+same config have loaded.
 """
 
 import json
@@ -36,8 +37,12 @@ HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.linalg")
 config, out = sys.argv[1], sys.argv[2]
 code = subgauss.cli.main(["run", "--config", config, "--out", out])
 after_run = [m for m in HEAVY if m in sys.modules]
+limits = subgauss.cli.main(["limits", "--config", config,
+                            "--out", out + "/limits.json"])
+after_limits = [m for m in HEAVY if m in sys.modules]
 chaos.bvn_joint_tail(0.5, 2.0)
-print(json.dumps({"code": code, "after_run": after_run,
+print(json.dumps({"code": code, "after_run": after_run, "limits": limits,
+                  "after_limits": after_limits,
                   "integrate": "scipy.integrate" in sys.modules}))
 """
 
@@ -57,4 +62,8 @@ def test_run_loads_no_stats_integrate_optimize_or_linalg(tmp_path):
     assert got["code"] == 0
     assert "chi2_pvalue" in summary["analyses"]["1:pointproc"]
     assert got["after_run"] == []
+    assert got["limits"] == 0
+    assert set(json.loads((tmp_path / "limits.json").read_text())) == {
+        "0:runs", "1:pointproc"}
+    assert got["after_limits"] == []
     assert got["integrate"]

@@ -172,15 +172,53 @@ class TestClosedForms:
         prof = [m4.theta_2m(spec, (1.0, 1.0), mt) for mt in range(1, 6)]
         assert all(a >= b - 1e-12 for a, b in zip(prof, prof[1:]))
 
+    def test_theta_2m_m_trunc_negative_names_field(self):
+        with pytest.raises(SpecError, match="field: m_trunc"):
+            m4.theta_2m(bivariate_spec(), (1.0, 1.0), -1)
+
     def test_tail_limit_is_minus_log_G(self):
-        # two independent code paths must agree to 1e-12
+        # the limit of n * P(Y_0 not <= u_n(tau)), written with explicit
+        # loops, apart from G_limit's vectorized code; the two must agree to
+        # 1e-12
+        def tail_limit(spec, tau):
+            A = [0.0] * spec.d
+            nlags = spec.r_hi - spec.r_lo + 1
+            for ri in range(nlags):
+                for i in range(spec.d):
+                    for j in range(spec.d):
+                        A[i] += float(spec.a[ri, i, j]) ** spec.alpha
+            total = 0.0
+            for ri in range(nlags):
+                for j in range(spec.d):
+                    best = 0.0
+                    for i in range(spec.d):
+                        term = (float(spec.a[ri, i, j]) ** spec.alpha
+                                * tau[i] / A[i])
+                        best = max(best, term)
+                    total += best
+            return total
+
         for spec, tau in [
             (equal_spec(), (0.7,)),
             (bivariate_spec(), (1.0, 0.5)),
             (bivariate_spec(extra_lag5=0.05), (0.3, 2.0)),
         ]:
             g = m4.G_limit(spec, tau)
-            assert abs(-np.log(g) - m4.tail_limit(spec, tau)) <= 1e-12
+            assert abs(-np.log(g) - tail_limit(spec, tau)) <= 1e-12
+
+    @pytest.mark.parametrize("spec, tau, want", [
+        pytest.param(equal_spec(), (1.0,), [1.0, 0.25, 0.25, 0.25], id="e2"),
+        pytest.param(bivariate_spec(extra_lag5=0.05), (1.0, 1.0),
+                     [1.0] + [(1.05 / 2.05 + 1.0) / 2.0] * 3
+                     + [(1 / 2.05 + 1.0) / 2.0] * 3, id="e4"),
+    ])
+    def test_runs_limit_hand_values(self, spec, tau, want):
+        # E2's spec: four equal lags, so any m >= 1 sees the whole cluster;
+        # E4's: a lag-5 coefficient 0.05 that only a run of m >= 4 joins to
+        # the cluster of lags 0 and 1
+        got = [m4.runs_limit(spec, tau, m) for m in range(len(want))]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        assert got[-1] == pytest.approx(m4.theta(spec, tau), abs=1e-15)
 
     def test_G_bounds(self):
         # e^{-sum tau} <= G <= e^{-max tau}
@@ -323,6 +361,31 @@ def test_theta_invariant_under_coefficient_scaling(scale, tau1, tau2):
     np.testing.assert_allclose(
         m4.G_limit(scaled, tau), m4.G_limit(base, tau), rtol=1e-10
     )
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_runs_limit_falls_from_one_to_theta(data):
+    # theta(0) = 1, theta(m) is nonincreasing in m, and a run that covers
+    # the lag window counts one exceedance per cluster: theta(span) = theta
+    d = data.draw(st.integers(1, 3), label="d")
+    r_lo = data.draw(st.integers(-2, 0), label="r_lo")
+    r_hi = data.draw(st.integers(0, 3), label="r_hi")
+    coef = st.sampled_from([0.0, 0.05, 0.5]) | st.floats(0.0, 3.0)
+    a = np.array(data.draw(st.lists(coef, min_size=(r_hi - r_lo + 1) * d * d,
+                                    max_size=(r_hi - r_lo + 1) * d * d),
+                           label="a")).reshape(r_hi - r_lo + 1, d, d)
+    a[0, :, 0] += 0.1  # every output component needs a positive coefficient
+    spec = M4Spec(d=d, alpha=data.draw(st.floats(0.5, 3.0), label="alpha"),
+                  lags=(r_lo, r_hi), a=a)
+    tau = data.draw(st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d),
+                    label="tau")
+    span = r_hi - r_lo
+    prof = [m4.runs_limit(spec, tau, m) for m in range(span + 3)]
+    assert prof[0] == 1.0
+    assert all(b <= a + 1e-12 for a, b in zip(prof, prof[1:]))
+    for value in prof[span:]:
+        assert abs(value - m4.theta(spec, tau)) <= 1e-12
 
 
 def _result_or_error(fn, *args):
