@@ -24,11 +24,13 @@ import numpy as np
 import pytest
 import scipy
 
-from subgauss import chaos, gausslin, harness, m4, pointproc
+from subgauss import chaos, evt, gausslin, harness, m4, pointproc
 from subgauss.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHA256 = Path(__file__).resolve().parent / "golden" / "shipped_sha256.json"
+DRAW_SHA256 = Path(__file__).resolve().parent / "golden" / "draw_sha256.json"
+M4_STEMS = ("e1", "e2", "e2_runs", "e3", "e3b", "e4", "e5")
 
 
 def _cfg(stem):
@@ -61,6 +63,38 @@ def _run(stem, out_dir, cfg=None):
             f"{digest} (golden recorded with {golden['versions']}, this run "
             f"has {versions})")
     return summary
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+def _draw_digests(stem):
+    """The sha256 of replication 0's dense innovations (float64, row-major)
+    and of its exceedance times (int64) as the run reads them, for the M4
+    config configs/<stem>.json; the times must equal those of the built
+    path."""
+    cfg = _cfg(stem)
+    gen = harness._build_generator(cfg)
+    spec, seed = gen.spec, cfg.base_seed ^ 0
+    W = m4.innovations(spec, cfg.n + spec.r_hi - spec.r_lo, seed)
+    times = harness.Replication(gen.path_fn(seed), gen.u).exceedances.times
+    built = evt.exceedances(m4.build(W, spec), gen.u).times
+    np.testing.assert_array_equal(times, built)
+    return {"innovations": _sha256(W.values),
+            "times": _sha256(times.astype(np.int64)),
+            "count": int(times.size)}
+
+
+@pytest.mark.parametrize("stem", M4_STEMS)
+def test_replication_zero_draw_bytes(stem):
+    # pins the draw itself, not only what the run writes: a drift in the
+    # innovations or the exceedance times that flips no summary byte shows
+    # here
+    golden = json.loads(DRAW_SHA256.read_text())
+    assert _draw_digests(stem) == golden["draws"][stem], (
+        f"config {stem}: replication 0's draw differs from the golden "
+        f"(recorded with {golden['versions']})")
 
 
 def _emit(capsys, name, ok, detail):
