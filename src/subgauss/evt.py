@@ -9,8 +9,8 @@ The runs and blocks estimators (Smith & Weissman 1994), the gapped-block
 point process and D' read a path only through its sorted exceedance times,
 the rows k with Y_k not <= u: `exceedances` finds them with one strict
 comparison per column of a dense path, `m4_exceedances` off an M4 draw's
-innovations without building its path. Each estimator then reads them in
-O(number of exceedances).
+base draw, lifting only its candidate rows and building no path. Each
+estimator then reads them in O(number of exceedances).
 """
 
 from __future__ import annotations
@@ -100,15 +100,20 @@ def exceedances(Y, u) -> Exceedances:
 
 
 def m4_exceedances(draw: Draw, u: ThresholdVector) -> Exceedances:
-    """`exceedances(m4.build(draw.W, draw.spec, draw.m_trunc), u)`, bit for
-    bit, read off the innovations without building the path.
+    """`exceedances(m4.build(m4.lift(draw.spec, draw.V), draw.spec,
+    draw.m_trunc), u)`, bit for bit, read off the base draw without lifting
+    it whole or building the path.
 
     Y_{k,i} > u_i when a kept lag r and a column j have a_{ij,r} W_{k-r,j} >
-    u_i, so only the rows t with W_{t,j} > min over i, r of u_i / a_{ij,r}
-    (less MARGIN) make build's products and strict comparisons. A product
-    in the path that is not finite raises as the built path would.
+    u_i, so only the rows t with W_{t,j} > c_j = min over i, r of u_i /
+    a_{ij,r} (less MARGIN) make build's products and strict comparisons.
+    W rises with the base value, so those rows lie above the innovation's
+    floor at c_j: only the rows above it are lifted, with the operations of
+    the dense lift. A lifted value or a product in the path that is not
+    finite raises as the dense innovations or the built path would.
     """
-    spec, W, n = draw.spec, draw.W.values, draw.n
+    spec, V, n = draw.spec, draw.V, draw.n
+    inn, alpha = spec.innovation, spec.alpha
     lags = spec.lag_values()
     kept = np.abs(lags) <= (np.inf if draw.m_trunc is None else draw.m_trunc)
     a = spec.a[kept]                        # [r][i][j]
@@ -118,8 +123,15 @@ def m4_exceedances(draw: Draw, u: ThresholdVector) -> Exceedances:
         c = np.min(uu / a, axis=(0, 1), initial=np.inf) * (1.0 - MARGIN)
     hits = [np.empty(0, dtype=np.intp)]
     for j in range(spec.d):
-        t = np.flatnonzero(W[:, j] > c[j])
-        prod = a[:, :, j, None] * W[t, j]   # [r][i][candidate]
+        v = V[:, j]
+        t = np.flatnonzero((np.abs(v) if inn.folded else v)
+                           > inn.floor(c[j], j, alpha))
+        w = inn.lift(v[t], j, alpha)
+        if not np.all(np.isfinite(w)):
+            raise SpecError("values must be finite")
+        above = w > c[j]
+        t, w = t[above], w[above]
+        prod = a[:, :, j, None] * w         # [r][i][candidate]
         k = t - off                         # [r][candidate]
         inside = (k >= 0) & (k < n)
         if not np.all(np.isfinite(prod) | ~inside[:, None, :]):

@@ -7,9 +7,10 @@ i draws the path with seed base_seed XOR i once, every per-path analysis maps
 over that path, and results are folded in index order, so output bytes
 depend only on (config, base_seed), never on execution order. Every per-path
 analysis but `scan` reads the replication's sorted exceedance times over the
-generator's tau thresholds, found once, on first use: off the innovations of
-an M4 draw (`evt.m4_exceedances`, which builds no path) or in one pass over a
-dense path (`evt.exceedances`). `scan` reads the dense Gaussian path.
+generator's tau thresholds, found once, on first use: off the base draw of
+an M4 draw (`evt.m4_exceedances`, which lifts only the rows that can exceed
+and builds no path) or in one pass over a dense path (`evt.exceedances`).
+`scan` reads the dense Gaussian path.
 
 A registry entry's target is the closed-form limit of its summary entry;
 `targets(cfg)` collects them, keyed as the summary's, and draws no path.
@@ -217,7 +218,7 @@ def _pointproc_target(a, spec, u):
     gap = _gap_config(a)
     thetas = [m4.runs_limit(spec, u.tau, m) for m in range(gap.m + 1)]
     return {"lambda_rp": float(pointproc.lambda_rp(
-        thetas, thetas[-1], m4.G_limit(spec, u.tau), gap))}
+        thetas, thetas[-1], m4.log_G(spec, u.tau), gap))}
 
 
 def _dprime_target(a, gen):

@@ -5,8 +5,10 @@ either i.i.d. Pareto innovations (the oracle mode) or Pareto-transformed
 Gaussian linear processes, and evaluates the closed-form limit objects: the
 tail constants A_i, the i.i.d. limit G(tau), the multivariate extremal index
 theta(tau), its lag-truncated version, the runs limit theta(m), and analytic
-thresholds. `build` is the dense definition of a path; a run reads a `Draw`'s
-exceedance times off its innovations (`evt.m4_exceedances`) and builds none.
+thresholds. `build` is the dense definition of a path over the innovations W
+that `innovations` draws. A run builds neither: a `Draw` holds the base draw
+V that W lifts from, column by column, through a monotone transform, and
+`evt.m4_exceedances` lifts only the rows of V above the innovation's floor.
 """
 
 from __future__ import annotations
@@ -15,12 +17,27 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtri
 
 from subgauss import gausslin, subordinate
 from subgauss.gausslin import (LinearProcessSpec, SeriesMatrix, SpecError,
                                _integer, _integers, _keys, _nested, _number,
                                _object)
-from subgauss.subordinate import Part, WindowTransform
+from subgauss.subordinate import Part
+
+# A floor reads the tail P(W > c) = c^(-alpha) widened by FLOOR_SLACK, which
+# bounds the rounding of the lift, and never below FLOOR_TINY, where the
+# Gaussian tail ndtr loses its relative precision.
+FLOOR_SLACK = 1e-6
+FLOOR_TINY = 1e-300
+
+
+def _floor_tail(c, alpha) -> float:
+    """The widened tail at level c. A level past the largest float reads as
+    that float, so that a base value lifting to inf lies above every floor."""
+    with np.errstate(divide="ignore", over="ignore"):
+        p = np.minimum(c, np.finfo(float).max) ** -alpha * (1.0 + FLOOR_SLACK)
+    return max(float(p), FLOOR_TINY)
 
 
 @dataclass(frozen=True)
@@ -35,6 +52,21 @@ class IidPareto:
         if not self.alpha > 0:
             raise SpecError(f"iid_pareto alpha={self.alpha} must be > 0 "
                             "(field: alpha)")
+
+    # A base draw is a column of uniforms U in [0, 1), and W = h(U) rises
+    # with U; `folded` says whether `floor` bounds |U| instead.
+    folded = False
+
+    def lift(self, u, j, alpha) -> np.ndarray:
+        """W = (1 - U)^(-1/alpha) of column j's uniforms u."""
+        w = np.subtract(1.0, u)
+        w **= -1.0 / alpha
+        return w
+
+    def floor(self, c, j, alpha) -> float:
+        """A uniform at most this lifts to at most c: 1 - P(W > c), less the
+        rounding of 1 - U."""
+        return 1.0 - _floor_tail(c, alpha) - 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -65,6 +97,26 @@ class SubGauss:
     @property
     def coeffs(self) -> gausslin.CoeffTable:
         return self.source.table
+
+    # A base draw is a column of the raw Gaussian rows X, and W = h(X / sd)
+    # rises with X, or with |X| when folded.
+    @property
+    def folded(self) -> bool:
+        return self.transform == "folded_pareto"
+
+    def lift(self, x, j, alpha) -> np.ndarray:
+        """W = h(x / sd_j) of column j's Gaussian values x, through the
+        transform's own `Part`."""
+        part = Part(kind=self.transform, coord=j, alpha=alpha)
+        return part.evaluate((x / self.source.sd[j])[None])
+
+    def floor(self, c, j, alpha) -> float:
+        """A value (|value| when folded) at most this lifts to at most c:
+        sd_j times the Gaussian quantile of P(W > c), or of half of it."""
+        p = _floor_tail(c, alpha)
+        if p >= 1.0:
+            return -np.inf
+        return self.source.sd[j] * -ndtri(p / 2 if self.folded else p)
 
 
 @dataclass(frozen=True)
@@ -219,10 +271,16 @@ def _weight_table(spec: M4Spec, tau: np.ndarray) -> np.ndarray:
     return np.max(spec.a**spec.alpha * (tau / A)[None, :, None], axis=1)
 
 
-def G_limit(spec: M4Spec, tau) -> float:
-    """G(tau) = exp(-sum_r sum_j max_i a_{ij,r}^alpha tau_i / A_i)."""
+def log_G(spec: M4Spec, tau) -> float:
+    """log G(tau) = -sum_r sum_j max_i a_{ij,r}^alpha tau_i / A_i, finite
+    where G itself underflows to 0."""
     tau = check_tau(spec.d, tau)
-    return float(np.exp(-np.sum(_weight_table(spec, tau))))
+    return float(-np.sum(_weight_table(spec, tau)))
+
+
+def G_limit(spec: M4Spec, tau) -> float:
+    """G(tau) = exp(log G(tau)), the i.i.d. limit."""
+    return float(np.exp(log_G(spec, tau)))
 
 
 def theta(spec: M4Spec, tau) -> float:
@@ -290,24 +348,32 @@ def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
 # Path construction
 # ---------------------------------------------------------------------------
 
+def _path_rows(spec: M4Spec, shape: tuple) -> int:
+    """The n path rows that an innovation array of this shape gives."""
+    if len(shape) != 2 or shape[1] != spec.d:
+        raise SpecError(f"innovation path has shape {shape}, spec needs "
+                        f"d={spec.d} columns")
+    span = spec.r_hi - spec.r_lo
+    if shape[0] <= span:
+        raise SpecError("innovation path shorter than the lag window")
+    return shape[0] - span
+
+
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """One M4 replication: the path build(W, spec, m_trunc) of n rows, held
-    as the innovations that build it."""
+    """One M4 replication: the path build(lift(spec, V), spec, m_trunc) of n
+    rows, held as its base draw V, the (n + span, d) array that the
+    innovations lift from (`base`)."""
 
-    W: SeriesMatrix
+    V: np.ndarray
     spec: M4Spec
     m_trunc: int | None = None
     n: int = field(init=False)
 
     def __post_init__(self):
-        W, spec = self.W, self.spec
-        if W.d != spec.d:
-            raise SpecError(f"innovation path has d={W.d}, spec needs {spec.d}")
-        span = spec.r_hi - spec.r_lo
-        if W.n <= span:
-            raise SpecError("innovation path shorter than the lag window")
-        object.__setattr__(self, "n", W.n - span)
+        if self.spec.innovation is None:
+            raise SpecError("spec has no innovation mode (field: innovation)")
+        object.__setattr__(self, "n", _path_rows(self.spec, self.V.shape))
 
 
 def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMatrix:
@@ -319,7 +385,7 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
     The result is an (n, d) view of a (d, n) array: each output component is
     one contiguous column.
     """
-    n_out = Draw(W, spec).n
+    n_out = _path_rows(spec, W.values.shape)
     out = np.zeros((spec.d, n_out))
     buf = np.empty(n_out)
     for ri, r in enumerate(spec.lag_values()):
@@ -336,43 +402,44 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
     return SeriesMatrix(values=out.T, meta=W.meta)
 
 
-def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
-    """Draw the innovation path W; marginal exact Pareto(alpha) in both modes.
-
-    Oracle mode returns a column-major (n, d) view, as `build` does. SubGauss
-    mode draws a standardized path from the innovation's Gaussian source and
-    applies the (folded) Pareto transform columnwise.
-    """
+def base(spec: M4Spec, n: int, seed: int) -> tuple:
+    """The base draw of n innovation rows and its meta: Philox uniforms in
+    oracle mode, the raw rows of `gausslin.simulate` in SubGauss mode."""
     inn = spec.innovation
     if inn is None:
         raise SpecError("spec has no innovation mode")
     if isinstance(inn, IidPareto):
         rng = np.random.Generator(np.random.Philox(key=seed))
-        U = rng.random((n, spec.d))
-        # W = (1 - U)^(-1/alpha), formed in a (d, n) array so that each
-        # column of the (n, d) transpose is contiguous for its readers
-        W = np.subtract(1.0, U.T, out=np.empty((spec.d, n)))
-        W **= -1.0 / inn.alpha
-        return SeriesMatrix(
-            values=W.T,
-            meta={"seed": seed, "generator": gausslin.GENERATOR_ID,
-                  "innovation": "iid_pareto"},
-        )
-    t = WindowTransform(
-        m=0,
-        parts=tuple(
-            Part(kind=inn.transform, coord=j, alpha=spec.alpha)
-            for j in range(spec.d)
-        ),
-    )
-    return subordinate.apply(inn.source.path(n, seed), t)
+        return rng.random((n, spec.d)), {"seed": seed,
+                                         "generator": gausslin.GENERATOR_ID,
+                                         "innovation": "iid_pareto"}
+    X = gausslin.simulate(inn.coeffs, n, seed)
+    return X.values, X.meta
+
+
+def lift(spec: M4Spec, V: np.ndarray) -> np.ndarray:
+    """The innovations W of base draw V, each column lifted by the spec's
+    innovation: an (n, d) view of a (d, n) array, so that each column is
+    contiguous for its readers."""
+    W = np.empty((spec.d, len(V)))
+    for j in range(spec.d):
+        W[j] = spec.innovation.lift(V[:, j], j, spec.alpha)
+    return W.T
+
+
+def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
+    """The innovation path W of n rows, the dense lift of the base draw;
+    marginal exact Pareto(alpha) in both modes."""
+    V, meta = base(spec, n, seed)
+    return SeriesMatrix(values=lift(spec, V), meta=meta)
 
 
 def path(spec: M4Spec, n: int, seed: int, m_trunc: int | None = None) -> Draw:
-    """An M4 replication of n rows over the n + span innovations of seed.
+    """An M4 replication of n rows over the base draw of the n + span
+    innovation rows of seed.
 
-    Full and truncated draws of one seed share their innovations (common
+    Full and truncated draws of one seed share their base draw (common
     random numbers).
     """
-    return Draw(innovations(spec, n + spec.r_hi - spec.r_lo, seed), spec,
-                m_trunc)
+    V, _ = base(spec, n + spec.r_hi - spec.r_lo, seed)
+    return Draw(V, spec, m_trunc)

@@ -78,24 +78,27 @@ def gapped_blocks(ex: Exceedances, cfg: GapConfig) -> PointPattern:
     return PointPattern(times=times, blocks=j)
 
 
-def lambda_rp(theta_list, theta_m: float, G: float, cfg: GapConfig) -> float:
+def lambda_rp(theta_list, theta_m: float, log_G: float,
+              cfg: GapConfig) -> float:
     """Poisson intensity of the gapped-block process:
     [(r-m)/(r+p) * theta_m + R/(r+p)] * (-log G), R = sum of theta_0..theta_{m-1}.
 
     theta_list carries theta_0..theta_m; only the first m entries enter R.
     The value is normalized to be nonnegative (the source formula carries a
-    leading minus against log G < 0).
+    leading minus against log G < 0). It reads log G, not G, which
+    underflows to 0 at a large tau.
     """
+    if not -np.inf < log_G < 0.0:
+        raise SpecError(f"log G={log_G} must be negative and finite: the "
+                        "tail weights sum to -log G > 0 (field: tau)")
     theta_list = list(theta_list)
     if len(theta_list) != cfg.m + 1:
         raise SpecError(f"need theta_0..theta_{cfg.m} ({cfg.m + 1} values)")
     if not all(0.0 <= t <= 1.0 for t in theta_list) or not 0.0 <= theta_m <= 1.0:
         raise SpecError("theta values must lie in [0, 1]")
-    if not 0.0 < G < 1.0:
-        raise SpecError("G must lie in (0, 1)")
     R = float(np.sum(theta_list[: cfg.m]))
     r, p, m = cfg.r, cfg.p, cfg.m
-    return ((r - m) / (r + p) * theta_m + R / (r + p)) * (-np.log(G))
+    return ((r - m) / (r + p) * theta_m + R / (r + p)) * -log_G
 
 
 @dataclass(frozen=True)

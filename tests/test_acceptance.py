@@ -131,15 +131,41 @@ def e3_p_hats(tmp_path_factory):
             for stem in ("e3", "e3b")}
 
 
+def _e1_gate(p, n):
+    """E1: the non-exceedance rate within 0.016 of (1 - 1/n)^n, the exact
+    law of an i.i.d. path of n steps, not a limit: no target. Returns (ok,
+    that law, |err|)."""
+    want = (1 - 1 / n) ** n
+    err = abs(p - want)
+    return err <= 0.016, want, err
+
+
 def test_e1_iid_baseline(capsys, tmp_path):
     cfg = _cfg("e1")
     p = _run("e1", tmp_path)["analyses"]["0:nonexceed"]["p_hat"]
-    # the exact law of an i.i.d. path of n steps, not a limit: no target
-    want = (1 - 1 / cfg.n) ** cfg.n
-    err = abs(p - want)
-    _emit(capsys, "E1", err <= 0.016,
+    ok, want, err = _e1_gate(p, cfg.n)
+    _emit(capsys, "E1", ok,
           f"iid nonexceed p_hat={p:.4f} target={want:.4f} |err|={err:.4f} "
           f"tol=0.016")
+
+
+def test_e1_gate_rejects_paired_innovations(monkeypatch):
+    # negative control at E1's seed and scale: with each odd uniform of the
+    # base draw a copy of the even one before it, a path of n steps holds
+    # n/2 independent values, so p_hat is near (1 - 1/n)^(n/2) = 0.607
+    # against the i.i.d. 0.368, and E1's gate must fail
+    base = m4.base
+
+    def paired(spec, n, seed):
+        V, meta = base(spec, n, seed)
+        V[1::2] = V[:-1:2]
+        return V, meta
+
+    monkeypatch.setattr(m4, "base", paired)
+    cfg = _cfg("e1")
+    p = harness.run(cfg)["analyses"]["0:nonexceed"]["p_hat"]
+    assert not _e1_gate(p, cfg.n)[0]
+    assert abs(p - (1 - 1 / cfg.n) ** (cfg.n / 2)) <= 0.016
 
 
 def _e2_gate(theta3, p):
@@ -233,24 +259,40 @@ def test_e4_truncation(capsys):
           f"{prof[0]:.6f}->{prof[-1]:.6f} matches hand values={exact}")
 
 
-def test_e5_point_process(capsys, tmp_path, e2_theta_hats):
+@pytest.fixture(scope="module")
+def e5_report(tmp_path_factory, e2_theta_hats):
+    """E5's pointproc entry and its plug-in intensity lambda: e2_runs'
+    estimates theta_hat(0..3) at the G of the same spec and tau=1 (E2's),
+    which the run takes as its lambda_target; shared by E5 and its negative
+    control."""
     cfg = _cfg("e5")
     (a,) = cfg.analyses
     gc = pointproc.GapConfig(a["r"], a["p"], a["m"])
-    # the plug-in intensity: e2_runs' estimates theta_hat(0..3) at the G of
-    # the same spec and tau=1 (E2's), beside the closed form at theta(0..3)
     lam = pointproc.lambda_rp(e2_theta_hats, e2_theta_hats[3],
-                              _targets("e2")["0:nonexceed"]["G"], gc)
-    lam_rp = _targets("e5")["0:pointproc"]["lambda_rp"]
+                              math.log(_targets("e2")["0:nonexceed"]["G"]),
+                              gc)
     cfg = dataclasses.replace(cfg, analyses=({**a, "lambda_target": lam},))
-    rep = _run("e5", tmp_path, cfg)["analyses"]["0:pointproc"]
+    out = tmp_path_factory.mktemp("e5")
+    return _run("e5", out, cfg)["analyses"]["0:pointproc"], lam
+
+
+def _e5_closed_form_gate(mean):
+    """E5: the mean count within 10% of the closed form lambda_rp at
+    theta(0..3). Returns (ok, lambda_rp, rel err)."""
+    lam_rp = _targets("e5")["0:pointproc"]["lambda_rp"]
+    rel = abs(mean - lam_rp) / lam_rp
+    return rel <= 0.10, lam_rp, rel
+
+
+def test_e5_point_process(capsys, e5_report):
+    rep, lam = e5_report
     rel = abs(rep["mean_count"] - lam) / lam
-    rel_rp = abs(rep["mean_count"] - lam_rp) / lam_rp
+    rp_ok, lam_rp, rel_rp = _e5_closed_form_gate(rep["mean_count"])
     ok = (
         0.85 <= rep["dispersion_index"] <= 1.15
         and rel <= 0.10
         and rep["ks_interarrival"] < 0.08
-        and rel_rp <= 0.10
+        and rp_ok
     )
     _emit(capsys, "E5", ok,
           f"dispersion={rep['dispersion_index']:.3f} (0.85..1.15); "
@@ -258,6 +300,18 @@ def test_e5_point_process(capsys, tmp_path, e2_theta_hats):
           f"(rel err {rel:.3f} ≤ 0.10); KS={rep['ks_interarrival']:.4f} < 0.08"
           f"; closed-form lambda_rp={lam_rp:.4f} "
           f"(rel err {rel_rp:.3f} ≤ 0.10)")
+
+
+def test_e5_gate_rejects_an_unclustered_intensity(monkeypatch, e5_report):
+    # negative control on E5's run, no path drawn: with theta(0..3) forced
+    # to 1 in the target, the closed form lambda_rp is 50/55 = 0.909
+    # against the mean count 0.234 (0.2409 with the real runs limits), and
+    # the closed-form gate must fail; with the real target it passes
+    mean = e5_report[0]["mean_count"]
+    assert _e5_closed_form_gate(mean)[0]
+    monkeypatch.setattr(m4, "runs_limit", lambda spec, tau, m: 1.0)
+    ok, lam_rp, _ = _e5_closed_form_gate(mean)
+    assert not ok and lam_rp == pytest.approx(50 / 55)
 
 
 def test_e6_decay_profile(capsys):

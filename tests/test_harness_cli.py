@@ -453,6 +453,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
 
+    @pytest.mark.parametrize("tau, code", [([800.0], 0), ([5e-324], 2)],
+                             ids=["G-underflows", "weight-vanishes"])
+    def test_limits_reads_log_G(self, tmp_path, capsys, tau, code):
+        # over E5's spec at n = 5000, tau = 800 makes G = exp(-800), which
+        # underflows to 0; lambda_rp reads log G = -800 and is finite and
+        # positive. At tau = 5e-324 the tail weight rounds to 0, log G is 0
+        # and the error names tau
+        obj = {**json.loads((CONFIGS / "e5.json").read_text()), "n": 5000,
+               "tau": tau}
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(obj))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["limits", "--config", str(f)]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert err.startswith("config error") and "field: tau" in err
+            return
+        thetas = [m4.runs_limit(m4.M4Spec.from_json(json.dumps(
+            obj["generator"]["spec"])), tau, m) for m in range(4)]
+        want = (47 * thetas[3] + sum(thetas[:3])) / 55 * 800.0
+        lam = json.loads(out)["0:pointproc"]["lambda_rp"]
+        assert math.isfinite(lam) and lam > 0
+        assert lam == pytest.approx(want, rel=1e-12)
+
     def test_simulate_csv_header(self, tmp_path):
         lin = gausslin.make_coeffs(
             gausslin.LinearProcessSpec(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from subgauss import evt, gausslin, harness, m4
 from subgauss.gausslin import SpecError
@@ -309,15 +309,16 @@ class TestBuildAndInnovations:
             )
 
     def test_path_is_a_draw_of_the_innovations(self):
-        # full and truncated draws of a seed share its innovations, and the
-        # draw's rows are those of the path it builds
+        # full and truncated draws of a seed share its base draw, which
+        # lifts to the seed's innovations, and the draw's rows are those of
+        # the path they build
         spec = bivariate_spec(extra_lag5=0.05)
         full, trunc = m4.path(spec, 400, 3), m4.path(spec, 400, 3, m_trunc=1)
-        np.testing.assert_array_equal(full.W.values,
-                                      m4.innovations(spec, 405, 3).values)
-        np.testing.assert_array_equal(trunc.W.values, full.W.values)
+        W = m4.innovations(spec, 405, 3)
+        np.testing.assert_array_equal(m4.lift(spec, full.V), W.values)
+        np.testing.assert_array_equal(trunc.V, full.V)
         assert (full.n, full.m_trunc, trunc.m_trunc) == (400, None, 1)
-        assert m4.build(full.W, spec).n == 400
+        assert m4.build(W, spec).n == 400
 
     def test_innovations_reproducible(self):
         a = m4.innovations(equal_spec(), 100, 3).values
@@ -395,13 +396,32 @@ def _result_or_error(fn, *args):
         return str(exc)
 
 
+def _dense_exceedances(spec, V, m_trunc, u):
+    """The oracle of `evt.m4_exceedances`: the exceedances of the path built
+    over the dense lift of base draw V, or the text of the error it raises."""
+    with np.errstate(over="ignore", divide="ignore"):
+        return _result_or_error(lambda: evt.exceedances(m4.build(
+            gausslin.SeriesMatrix(values=m4.lift(spec, V)), spec, m_trunc), u))
+
+
+def _assert_same_exceedances(got, want, n):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.n == want.n == n
+        assert got.times.dtype == want.times.dtype
+        np.testing.assert_array_equal(got.times, want.times)
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_m4_exceedances_equal_the_built_path(data):
-    # the exceedances read off the innovations are those of the built path,
-    # bit for bit: truncated lags, zero coefficients, a column that no kept
-    # lag reads, W planted at a level u_i / a and at its float neighbours
-    # (ties at u), and an overflowing product, which raises as build does
+    # the exceedances read off the base draw are those of the path built
+    # over its innovations, bit for bit: truncated lags, zero coefficients,
+    # a column that no kept lag reads, levels u_i planted at a product
+    # a W that build compares and at its float neighbours (ties at u, and
+    # quotients u_i / a that round up to W), and an overflowing product,
+    # which raises as build does
     d = data.draw(st.integers(1, 3), label="d")
     r_lo = data.draw(st.integers(-2, 0), label="r_lo")
     r_hi = data.draw(st.integers(0, 2), label="r_hi")
@@ -419,11 +439,19 @@ def test_m4_exceedances_equal_the_built_path(data):
         # column d-1 has positive coefficients only at dropped lags, if any
         a[:, :, d - 1] *= (np.abs(np.arange(r_lo, r_hi + 1)) >
                            (span if m_trunc is None else m_trunc))[:, None]
+    overflow = data.draw(st.booleans(), label="overflow")
+    if overflow:
+        a[-r_lo, 0, 0] = 1e308
     spec = M4Spec(d=d, alpha=alpha, lags=(r_lo, r_hi), a=a,
                   innovation=IidPareto(alpha))
     n = data.draw(st.integers(1, 60), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    W = 1.0 + rng.pareto(alpha, size=(n + span, d))
+    V = rng.random((n + span, d))
+    if overflow:
+        # W >= 4^(1/alpha) >= 2 at a lag-0 row: a product past the largest
+        # float
+        V[data.draw(st.integers(r_hi, r_hi + n - 1)), 0] = 0.75
+    W = m4.lift(spec, V)
     uu = np.array(data.draw(st.lists(st.floats(1.0, 1e4), min_size=d,
                                      max_size=d), label="u"))
     lags = np.arange(r_lo, r_hi + 1)
@@ -440,36 +468,145 @@ def test_m4_exceedances_equal_the_built_path(data):
                  if data.draw(st.booleans()) else
                  data.draw(st.sampled_from(np.argwhere(np.isfinite(levels))
                                            .tolist())))
-        c = a[ri, i, j]
-        if data.draw(st.booleans(), label="rounds low"):
-            # lower u_i to a level whose quotient u_i / a rounds low, so
-            # that W = u_i / a exceeds it: a few percent of levels do
-            for _ in range(400):
-                if c * (uu[i] / c) > uu[i]:
+        c, w = a[ri, i, j], W[t, j]
+        with np.errstate(over="ignore"):
+            y = c * w  # the product that build compares with u_i
+        if not np.isfinite(y):
+            continue
+        if data.draw(st.booleans(), label="rounds up"):
+            # a level below y whose quotient u_i / a rounds to W or above:
+            # W exceeds only by the margin of the candidate level
+            for step in range(8):
+                y = np.nextafter(y, 0.0)
+                if y / c >= w:
                     break
-                uu[i] = np.nextafter(uu[i], 0.0)
-        step = data.draw(st.sampled_from([-1, 0, 1]))
-        w = uu[i] / c
-        W[t, j] = np.nextafter(w, np.inf * step) if step else w
+            uu[i] = y
+        else:
+            step = data.draw(st.sampled_from([-1, 0, 1]))
+            uu[i] = np.nextafter(y, np.inf * step) if step else y
     u = m4.ThresholdVector(n=n, tau=np.ones(d), u=uu)
-    overflow = data.draw(st.booleans(), label="overflow")
-    if overflow:
-        a[-r_lo, 0, 0] = 2.5
-        spec = M4Spec(d=d, alpha=alpha, lags=(r_lo, r_hi), a=a,
-                      innovation=IidPareto(alpha))
-        W[data.draw(st.integers(r_hi, r_hi + n - 1)), 0] = 1e308
-    W = gausslin.SeriesMatrix(values=W, meta={})
 
-    with np.errstate(over="ignore"):
-        want = _result_or_error(
-            lambda: evt.exceedances(m4.build(W, spec, m_trunc), u))
-        got = _result_or_error(evt.m4_exceedances, m4.Draw(W, spec, m_trunc),
-                              u)
+    want = _dense_exceedances(spec, V, m_trunc, u)
+    got = _result_or_error(evt.m4_exceedances, m4.Draw(V, spec, m_trunc), u)
     if overflow:
         assert want == "values must be finite"
-    if isinstance(want, str):
-        assert got == want
+    _assert_same_exceedances(got, want, n)
+
+
+def _subgauss(d, transform):
+    """A SubGauss innovation of d columns whose marginal sds differ from 1."""
+    return SubGauss(lin=custom_subgauss_spec(d).innovation.lin,
+                    transform=transform)
+
+
+SUBGAUSS = {(d, kind): _subgauss(d, kind) for d in (1, 2)
+            for kind in ("pareto", "folded_pareto")}
+
+
+def _exact_floor(inn, c, j, alpha):
+    """The base value whose exact lift is c, by the closed forms, beside the
+    widened `floor`."""
+    p = float(c) ** -alpha
+    if isinstance(inn, IidPareto):
+        return 1.0 - p
+    if p >= 1.0:
+        return -np.inf
+    return inn.source.sd[j] * -ndtri(p / 2 if inn.folded else p)
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_only_candidate_rows_lift_above_the_level(data):
+    # for each innovation kind, every base value that lifts above its
+    # column's level lies above the innovation's floor, so the exceedances
+    # read off the candidate rows are those of the path built over the
+    # dense lift: the same times, dtype and error text. Base values are
+    # planted at the floor, at the values whose exact lifts are the level
+    # and u_i / a, and a float either side of each; one draw has a
+    # candidate that lifts to inf, which raises as the dense innovations do
+    kind = data.draw(st.sampled_from(["iid_pareto", "pareto",
+                                      "folded_pareto"]), label="kind")
+    d = data.draw(st.integers(1, 2), label="d")
+    r_lo = data.draw(st.integers(-1, 0), label="r_lo")
+    r_hi = data.draw(st.integers(0, 2), label="r_hi")
+    span = r_hi - r_lo
+    overflow = data.draw(st.booleans(), label="overflow")
+    # below alpha = 53 / 1024 a uniform of 1 - 2^-53 lifts to inf
+    alpha = (0.05 if overflow and kind == "iid_pareto" else
+             data.draw(st.sampled_from([0.05, 0.5, 1.0, 2.0, 7.0]),
+                       label="alpha"))
+    coef = st.sampled_from([0.0, 0.1, 0.5, 1.0, 2.5])
+    a = np.array(data.draw(st.lists(coef, min_size=(span + 1) * d * d,
+                                    max_size=(span + 1) * d * d),
+                           label="a")).reshape(span + 1, d, d)
+    a[-r_lo, :, 0] = 1.0
+    m_trunc = data.draw(st.none() | st.integers(0, span), label="m_trunc")
+    inn = (IidPareto(alpha) if kind == "iid_pareto" else
+           SUBGAUSS[d, kind])
+    spec = M4Spec(d=d, alpha=alpha, lags=(r_lo, r_hi), a=a, innovation=inn)
+    n = data.draw(st.integers(1, 60), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "iid_pareto":
+        V = rng.random((n + span, d))
     else:
-        assert got.n == want.n == n
-        assert got.times.dtype == want.times.dtype
-        np.testing.assert_array_equal(got.times, want.times)
+        V = rng.standard_normal((n + span, d)) * inn.source.sd * 2.0
+    uu = np.array(data.draw(st.lists(st.floats(0.5, 1e4), min_size=d,
+                                     max_size=d), label="u"))
+    # the column levels of m4_exceedances
+    kept = np.abs(spec.lag_values()) <= (span if m_trunc is None else m_trunc)
+    with np.errstate(divide="ignore"):
+        c = (np.min(uu[None, :, None] / a[kept], axis=(0, 1),
+                    initial=np.inf) * (1.0 - evt.MARGIN))
+    for _ in range(data.draw(st.integers(0, 6), label="plants")):
+        t = data.draw(st.integers(0, n + span - 1))
+        j = data.draw(st.integers(0, d - 1))
+        # the floor, or the value whose exact lift is the column's level or
+        # its lowest u_i / a, without the margin
+        at = data.draw(st.sampled_from(["floor", "level", "u / a"]))
+        level = (inn.floor(c[j], j, alpha) if at == "floor" else
+                 _exact_floor(inn, c[j] / (1.0 - evt.MARGIN)
+                              if at == "u / a" else c[j], j, alpha))
+        step = data.draw(st.sampled_from([-1, 0, 1]))
+        value = np.nextafter(level, np.inf * step) if step else level
+        if kind == "folded_pareto" and data.draw(st.booleans()):
+            value = -value
+        if np.isfinite(value) and (kind != "iid_pareto" or 0 <= value < 1):
+            V[t, j] = value
+    if overflow:
+        # ndtr(-60) is 0, whose power is inf
+        j = data.draw(st.integers(0, d - 1))
+        V[data.draw(st.integers(0, n + span - 1)), j] = (
+            1.0 - 2.0**-53 if kind == "iid_pareto" else 60.0 * inn.source.sd[j])
+    u = m4.ThresholdVector(n=n, tau=np.ones(d), u=uu)
+
+    want = _dense_exceedances(spec, V, m_trunc, u)
+    with np.errstate(divide="ignore"):
+        got = _result_or_error(evt.m4_exceedances, m4.Draw(V, spec, m_trunc),
+                               u)
+    if overflow:
+        assert want == "values must be finite"
+    _assert_same_exceedances(got, want, n)
+
+
+@pytest.mark.parametrize("kind", ["iid_pareto", "pareto", "folded_pareto"])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 7.0])
+def test_floor_admits_every_value_lifting_above_the_level(kind, alpha):
+    # at the top of the base range: the uniforms 1 - k 2^-53, whose spacing
+    # is as wide as the tail 1 - U itself, and Gaussian values out to where
+    # ndtr underflows. At each lifted value as the level, and a float
+    # either side, every value that lifts above it lies above the floor.
+    inn = IidPareto(alpha) if kind == "iid_pareto" else SUBGAUSS[1, kind]
+    if kind == "iid_pareto":
+        base = 1.0 - np.arange(1, 200) * 2.0**-53
+    else:
+        base = inn.source.sd[0] * np.linspace(-3.0, 39.0, 2000)
+    with np.errstate(divide="ignore"):
+        w = inn.lift(base, 0, alpha)
+    levels = w[np.isfinite(w)]
+    folded = np.abs(base) if inn.folded else base
+    for c in np.concatenate([levels, np.nextafter(levels, 0.0),
+                             np.nextafter(levels, np.inf)]):
+        assert np.all(folded[w > c] > inn.floor(c, 0, alpha)), c
+    # a value that lifts to inf is a candidate even in a column that no
+    # level reads
+    assert np.all(folded[np.isinf(w)] > inn.floor(np.inf, 0, alpha))

@@ -139,17 +139,17 @@ class TestLambdaRp:
         # m=0: theta_0-run-free case collapses to r/(r+p) * (-log G)
         cfg = GapConfig(r=10, p=1, m=0)
         np.testing.assert_allclose(
-            pointproc.lambda_rp([1.0], 1.0, np.exp(-1.0), cfg), 10.0 / 11.0,
+            pointproc.lambda_rp([1.0], 1.0, -1.0, cfg), 10.0 / 11.0,
             rtol=1e-12,
         )
         cfg = GapConfig(r=50, p=5, m=3)
         lam = pointproc.lambda_rp([1.0, 0.25, 0.25, 0.25], 0.25,
-                                  np.exp(-1.0), cfg)
+                                  -1.0, cfg)
         np.testing.assert_allclose(lam, (47 / 55) * 0.25 + 1.5 / 55, rtol=1e-12)
 
     def test_large_r_tends_to_theta_logG(self):
         lam = pointproc.lambda_rp(
-            [1.0, 0.25, 0.25, 0.25], 0.25, np.exp(-1.0),
+            [1.0, 0.25, 0.25, 0.25], 0.25, -1.0,
             GapConfig(r=100_000, p=5, m=3),
         )
         np.testing.assert_allclose(lam, 0.25, atol=1e-3)
@@ -157,7 +157,7 @@ class TestLambdaRp:
     def test_rejects_bad_inputs(self):
         cfg = GapConfig(r=10, p=2, m=0)
         with pytest.raises(SpecError):
-            pointproc.lambda_rp([1.0], 1.5, np.exp(-1.0), cfg)
+            pointproc.lambda_rp([1.0], 1.5, -1.0, cfg)
         with pytest.raises(SpecError):
             pointproc.lambda_rp([1.0], 0.5, 1.5, cfg)
 

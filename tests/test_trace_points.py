@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from subgauss import chaos, evt, harness, m4, pointproc
+from subgauss import chaos, evt, gausslin, harness, m4, pointproc, subordinate
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -124,12 +124,14 @@ def test_traced_expansions_see_every_check(monkeypatch, tmp_path):
 
 
 def test_one_exceedance_indicator_per_replication(monkeypatch):
-    # an M4 replication's exceedance times are read off its innovations:
-    # on pareto_estimators (runs m=0..3, blocks and pointproc) and on
+    # an M4 replication's exceedance times are read off its base draw: on
+    # pareto_estimators (runs m=0..3, blocks and pointproc) and on
     # subgauss_mc (nonexceed), each replication makes one sparse
     # m4_exceedances call, builds no path and makes no dense indicator
     # pass, through evt or through pointproc's binding, which both stay
-    # trace points
+    # trace points. Nor does it lift its innovations whole, through
+    # m4.innovations or subordinate.apply: a subgauss replication's one
+    # call below m4 is gausslin.simulate, and an iid one makes none
     workloads = load_workloads()
     calls = []
 
@@ -143,19 +145,23 @@ def test_one_exceedance_indicator_per_replication(monkeypatch):
 
     for module, attr in ((evt, "_exceed_indicator"),
                          (pointproc, "_exceed_indicator"),
-                         (evt, "m4_exceedances"), (m4, "build")):
+                         (evt, "m4_exceedances"), (m4, "build"),
+                         (m4, "innovations"), (subordinate, "apply"),
+                         (gausslin, "simulate")):
         counted(module, attr)
-    for inputs, types, reps in (
+    for inputs, types, reps, per_rep in (
             (workloads.pareto_inputs,
-             ["runs"] * 4 + ["blocks", "pointproc"], 3),
-            (workloads.mc_inputs, ["nonexceed"], 2)):
+             ["runs"] * 4 + ["blocks", "pointproc"], 3,
+             ["subgauss.evt.m4_exceedances"]),
+            (workloads.mc_inputs, ["nonexceed"], 2,
+             ["subgauss.gausslin.simulate", "subgauss.evt.m4_exceedances"])):
         config = inputs(1, "tiny")["config"]
         assert [a["type"] for a in config["analyses"]] == types
         calls.clear()
         summary = harness.run(harness.ExperimentConfig.from_json(
             json.dumps({**config, "reps": reps})))
         assert summary["failures"] == []
-        assert calls == ["subgauss.evt.m4_exceedances"] * reps
+        assert calls == per_rep * reps
 
 
 def test_trace_points_name_package_functions():
