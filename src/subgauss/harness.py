@@ -463,6 +463,7 @@ def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     results = {idx: {} for idx in mapped}
     failures = []
     for rep in range(reps if mapped else 0):
+        view = None  # the last replication's path is freed before the next
         try:
             view = Replication(gen.path_fn(base_seed ^ rep), gen.u)
             got = [kinds[idx].per_path(analyses[idx], view) for idx in mapped]

@@ -26,8 +26,9 @@ from subgauss.gausslin import (LinearProcessSpec, SeriesMatrix, SpecError,
 from subgauss.subordinate import Part
 
 # A floor reads the tail P(W > c) = c^(-alpha) widened by FLOOR_SLACK, which
-# bounds the rounding of the lift, and never below FLOOR_TINY, where the
-# Gaussian tail ndtr loses its relative precision.
+# bounds the rounding of the lift, and never below FLOOR_TINY: a Gaussian
+# floor stays under 37 sd, below every value whose tail ndtr underflows to 0
+# and whose lift overflows.
 FLOOR_SLACK = 1e-6
 FLOOR_TINY = 1e-300
 

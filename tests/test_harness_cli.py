@@ -195,9 +195,9 @@ class TestRun:
             if enabled:
                 gc.enable()
         assert failures == []
-        # while replication i draws, only replication i - 1's path, still
-        # bound in the engine's loop, may be alive
-        assert alive == [0] + [1] * (cfg.reps - 1)
+        # while replication i draws, no earlier path is alive: the engine
+        # drops replication i - 1's before the next draw
+        assert alive == [0] * cfg.reps
         assert len(after) == cfg.reps and not any(after)
 
     def test_gauss_generator_with_scan(self, tmp_path):

@@ -476,7 +476,7 @@ def test_m4_exceedances_equal_the_built_path(data):
         if data.draw(st.booleans(), label="rounds up"):
             # a level below y whose quotient u_i / a rounds to W or above:
             # W exceeds only by the margin of the candidate level
-            for step in range(8):
+            for _ in range(8):
                 y = np.nextafter(y, 0.0)
                 if y / c >= w:
                     break
