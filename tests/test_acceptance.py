@@ -8,7 +8,9 @@ generator builder it uses (E4 hands its truncated build to the engine
 directly). E7's hypercontractivity and canonical-correlation checks draw no
 path. Every `harness.run` writes its files to a temporary directory, and
 their sha256 must match tests/golden/shipped_sha256.json, so the suite pins
-the bytes of each config it runs at no extra draw. Each gate's target comes
+the bytes of each config it runs at no extra draw; replication 0's
+innovations and exceedance times of each M4 config are pinned in
+tests/golden/draw_sha256.json. Each gate's target comes
 from `harness.targets` on its config, except E1's exact finite-n law, E4's
 hand values and E7(c)'s exact tail, which say why where they are used.
 """

@@ -459,7 +459,7 @@ def test_m4_exceedances_equal_the_built_path(data):
     for _ in range(data.draw(st.integers(0, 6), label="plants")):
         t = data.draw(st.integers(0, n + span - 1))
         j = data.draw(st.integers(0, d - 1))
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             levels = np.where(kept[:, None], uu[None, :] / a[:, :, j], np.inf)
         if not np.isfinite(levels).any():
             continue
@@ -487,7 +487,9 @@ def test_m4_exceedances_equal_the_built_path(data):
     u = m4.ThresholdVector(n=n, tau=np.ones(d), u=uu)
 
     want = _dense_exceedances(spec, V, m_trunc, u)
-    got = _result_or_error(evt.m4_exceedances, m4.Draw(V, spec, m_trunc), u)
+    with np.errstate(over="ignore"):
+        got = _result_or_error(evt.m4_exceedances, m4.Draw(V, spec, m_trunc),
+                               u)
     if overflow:
         assert want == "values must be finite"
     _assert_same_exceedances(got, want, n)
@@ -580,7 +582,7 @@ def test_only_candidate_rows_lift_above_the_level(data):
     u = m4.ThresholdVector(n=n, tau=np.ones(d), u=uu)
 
     want = _dense_exceedances(spec, V, m_trunc, u)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         got = _result_or_error(evt.m4_exceedances, m4.Draw(V, spec, m_trunc),
                                u)
     if overflow:
@@ -600,7 +602,7 @@ def test_floor_admits_every_value_lifting_above_the_level(kind, alpha):
         base = 1.0 - np.arange(1, 200) * 2.0**-53
     else:
         base = inn.source.sd[0] * np.linspace(-3.0, 39.0, 2000)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         w = inn.lift(base, 0, alpha)
     levels = w[np.isfinite(w)]
     folded = np.abs(base) if inn.folded else base
