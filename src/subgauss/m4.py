@@ -372,8 +372,6 @@ class Draw:
     n: int = field(init=False)
 
     def __post_init__(self):
-        if self.spec.innovation is None:
-            raise SpecError("spec has no innovation mode (field: innovation)")
         object.__setattr__(self, "n", _path_rows(self.spec, self.V.shape))
 
 
