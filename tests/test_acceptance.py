@@ -9,8 +9,8 @@ directly). E7's hypercontractivity and canonical-correlation checks draw no
 path. Every `harness.run` writes its files to a temporary directory, and
 their sha256 must match tests/golden/shipped_sha256.json, so the suite pins
 the bytes of each config it runs at no extra draw; replication 0's
-innovations and exceedance times of each M4 config are pinned in
-tests/golden/draw_sha256.json. Each gate's target comes
+draw (an M4 config's innovations, a gauss config's path) and exceedance
+times are pinned in tests/golden/draw_sha256.json. Each gate's target comes
 from `harness.targets` on its config, except E1's exact finite-n law, E4's
 hand values and E7(c)'s exact tail, which say why where they are used.
 """
@@ -33,6 +33,7 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHA256 = Path(__file__).resolve().parent / "golden" / "shipped_sha256.json"
 DRAW_SHA256 = Path(__file__).resolve().parent / "golden" / "draw_sha256.json"
 M4_STEMS = ("e1", "e2", "e2_runs", "e3", "e3b", "e4", "e5")
+GAUSS_STEMS = ("e7", "e8_gauss", "e8_iid")
 
 
 def _cfg(stem):
@@ -72,27 +73,31 @@ def _sha256(array) -> str:
 
 
 def _draw_digests(stem):
-    """The sha256 of replication 0's dense innovations (float64, row-major)
-    and of its exceedance times (int64) as the run reads them, for the M4
-    config configs/<stem>.json; the times must equal those of the built
-    path."""
+    """The sha256 of replication 0's draw (float64, row-major) and of its
+    exceedance times (int64) as the run reads them, for configs/<stem>.json.
+    An M4 config's draw is its dense innovations, and its times must equal
+    those of the built path; a gauss config's draw is its dense path."""
     cfg = _cfg(stem)
     gen = harness._build_generator(cfg)
-    spec, seed = gen.spec, cfg.base_seed ^ 0
-    W = m4.innovations(spec, cfg.n + spec.r_hi - spec.r_lo, seed)
-    times = harness.Replication(gen.path_fn(seed), gen.u).exceedances.times
-    built = evt.exceedances(m4.build(W, spec), gen.u).times
-    np.testing.assert_array_equal(times, built)
-    return {"innovations": _sha256(W.values),
-            "times": _sha256(times.astype(np.int64)),
+    seed = cfg.base_seed ^ 0
+    view = harness.Replication(gen.path_fn(seed), gen.u)
+    times = view.exceedances.times
+    if isinstance(gen.spec, m4.M4Spec):
+        spec = gen.spec
+        W = m4.innovations(spec, cfg.n + spec.r_hi - spec.r_lo, seed)
+        built = evt.exceedances(m4.build(W, spec), gen.u).times
+        np.testing.assert_array_equal(times, built)
+        draw = {"innovations": _sha256(W.values)}
+    else:
+        draw = {"path": _sha256(view.Y.values)}
+    return {**draw, "times": _sha256(times.astype(np.int64)),
             "count": int(times.size)}
 
 
-@pytest.mark.parametrize("stem", M4_STEMS)
+@pytest.mark.parametrize("stem", M4_STEMS + GAUSS_STEMS)
 def test_replication_zero_draw_bytes(stem):
     # pins the draw itself, not only what the run writes: a drift in the
-    # innovations or the exceedance times that flips no summary byte shows
-    # here
+    # draw or the exceedance times that flips no summary byte shows here
     golden = json.loads(DRAW_SHA256.read_text())
     assert _draw_digests(stem) == golden["draws"][stem], (
         f"config {stem}: replication 0's draw differs from the golden "
