@@ -5,9 +5,11 @@ validation failure (bad spec or config file, malformed flag value), with a
 message naming the offending field or flag. The SUBGAUSS_SEED environment
 variable, when set, overrides any base seed from flags or config files; a
 seed that is not a Philox key exits 2 naming where it came from.
-`run` is the only command that draws replications: it runs a config through
-the engine, `harness.run`. `limits` prints the closed-form limits of a
-config's analyses, `harness.targets`, and draws no path.
+`run` is the only command that draws paths: it runs a config through the
+engine, `harness.run`. `limits` prints the closed-form limits of a config's
+analyses, `harness.targets`, and draws no path. `gauss-tools` prints the
+covariance diagnostics of a coefficient table, `harness.gauss_tools`, from a
+spec file checked as a config's `lin` is. Every command writes JSON.
 """
 
 from __future__ import annotations
@@ -30,41 +32,9 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_coeffs(path: str) -> gausslin.CoeffTable:
-    return gausslin.CoeffTable.from_json(Path(path).read_text())
-
-
-def _cmd_simulate(args) -> int:
-    table = _load_coeffs(args.spec)
-    seed = effective_base_seed(args.seed, 0)
-    X = gausslin.simulate(table, args.n, seed)
-    if args.format == "csv":
-        _write(X.to_csv(), args.out)
-    else:
-        payload = {"meta": X.meta, "values": X.values.tolist()}
-        _write(json.dumps(payload) + "\n", args.out)
-    return 0
-
-
-def _cmd_acf(args) -> int:
-    table = _load_coeffs(args.spec)
-    gammas = gausslin.autocov_all(table, args.hmax)
-    tail = gausslin.tail_bound(table, args.hmax)
-    if args.format == "csv":
-        lines = ["h," + ",".join(f"g{i}{k}" for i in range(table.spec.d0)
-                                 for k in range(table.spec.d0))]
-        for h in range(args.hmax + 1):
-            lines.append(f"{h}," + ",".join(repr(float(v)) for v in gammas[h].ravel()))
-        _write("\n".join(lines) + "\n", args.out)
-    else:
-        _write(json.dumps({"gamma": gammas.tolist(), "tail_bound": tail}) + "\n",
-               args.out)
-    return 0
-
-
 def _cmd_gauss_tools(args) -> int:
-    report = harness.gauss_tools(_load_coeffs(args.spec), args.nblock,
-                                 args.berman_hmax)
+    table = gausslin.CoeffTable.from_json(Path(args.spec).read_text())
+    report = harness.gauss_tools(table, args.nblock, args.berman_hmax)
     _write(json.dumps(report) + "\n", args.out)
     return 0
 
@@ -96,22 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "transformed Gaussian linear processes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # --format only on the commands that can write CSV as well as JSON
-    p = sub.add_parser("simulate", help="sample a Gaussian linear process path")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("acf", help="autocovariances with truncation bound")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--hmax", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_acf)
 
     p = sub.add_parser("gauss-tools", help="decay / rank / mixing diagnostics")
     p.add_argument("--spec", required=True)

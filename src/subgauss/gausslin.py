@@ -3,19 +3,18 @@
 Construction of moving-average coefficient families whose entries decay fast
 enough for the Berman-type condition, exact (truncated) autocovariances with
 analytic tail bounds, nonsingularity checks of the block-Toeplitz path
-covariance, and seeded simulation.
+covariance, and seeded simulation. A sample path is a `SeriesMatrix`: its
+values alone, a pure function of the table, the length and the seed.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft
-
-GENERATOR_ID = "philox4x64-numpy"
 
 # Relative eigenvalue floor below which a covariance is treated as singular.
 RANK_TOL = 1e-10
@@ -41,8 +40,12 @@ def _integer(name: str, value) -> int:
 
 
 def _number(name: str, value):
+    """A finite JSON number: `json.loads` reads NaN and Infinity too."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{name} must be a number, not {value!r} "
+                        f"(field: {name})")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SpecError(f"{name} must be a finite number, not {value!r} "
                         f"(field: {name})")
     return value
 
@@ -175,11 +178,6 @@ class CoeffTable:
     def L(self) -> int:
         return self.spec.L
 
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.to_json().encode())
-        return h.hexdigest()[:16]
-
     def to_json(self) -> str:
         fam = self.spec.family
         if isinstance(fam, Polynomial):
@@ -228,7 +226,6 @@ class SeriesMatrix:
     """A finite stationary sample path, time-major, d columns."""
 
     values: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         v = self.values
@@ -244,14 +241,6 @@ class SeriesMatrix:
     @property
     def d(self) -> int:
         return self.values.shape[1]
-
-    def to_csv(self) -> str:
-        header = "t," + ",".join(f"x{i + 1}" for i in range(self.d))
-        lines = [header]
-        for t in range(self.n):
-            row = ",".join(repr(float(x)) for x in self.values[t])
-            lines.append(f"{t},{row}")
-        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +442,4 @@ def simulate(coeffs: CoeffTable, n: int, seed: int) -> SeriesMatrix:
         psi_hat = coeffs._psi_hat[N] = fft.rfft(coeffs.psi, n=N, axis=0)
     eps_hat = fft.rfft(eps, n=N, axis=0)
     X = fft.irfft(np.einsum("fij,fj->fi", psi_hat, eps_hat), n=N, axis=0)
-    meta = {
-        "seed": seed,
-        "spec": coeffs.fingerprint(),
-        "generator": GENERATOR_ID,
-    }
-    return SeriesMatrix(values=X[L : L + n], meta=meta)
+    return SeriesMatrix(values=X[L : L + n])

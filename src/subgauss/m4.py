@@ -243,8 +243,10 @@ class ThresholdVector:
     u: np.ndarray
 
     def __post_init__(self):
-        if not np.all(np.asarray(self.u) > 0):  # NaN fails too
-            raise SpecError("thresholds must be positive (field: tau)")
+        u = np.asarray(self.u)
+        if not np.all(np.isfinite(u) & (u > 0)):
+            raise SpecError(f"thresholds u={u.tolist()} must be finite and "
+                            "positive (field: tau)")
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +331,10 @@ def runs_limit(spec: M4Spec, tau, m: int) -> float:
 
 def pareto_levels(A, n: int, tau, alpha):
     """The Pareto threshold rule u = (A n / tau)^(1/alpha), componentwise:
-    n P(W > u) = tau for a tail P(W > u) = A u^(-alpha)."""
-    return (A * n / tau) ** (1.0 / alpha)
+    n P(W > u) = tau for a tail P(W > u) = A u^(-alpha). A level past the
+    largest float is inf, which `ThresholdVector` rejects."""
+    with np.errstate(over="ignore"):
+        return (A * n / tau) ** (1.0 / alpha)
 
 
 def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
@@ -398,22 +402,19 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
             for i in range(spec.d):
                 np.multiply(w, spec.a[ri, i, j], out=buf)
                 np.maximum(out[i], buf, out=out[i])
-    return SeriesMatrix(values=out.T, meta=W.meta)
+    return SeriesMatrix(values=out.T)
 
 
-def base(spec: M4Spec, n: int, seed: int) -> tuple:
-    """The base draw of n innovation rows and its meta: Philox uniforms in
-    oracle mode, the raw rows of `gausslin.simulate` in SubGauss mode."""
+def base(spec: M4Spec, n: int, seed: int) -> np.ndarray:
+    """The base draw of n innovation rows: Philox uniforms in oracle mode,
+    the raw rows of `gausslin.simulate` in SubGauss mode."""
     inn = spec.innovation
     if inn is None:
         raise SpecError("spec has no innovation mode")
     if isinstance(inn, IidPareto):
         rng = np.random.Generator(np.random.Philox(key=seed))
-        return rng.random((n, spec.d)), {"seed": seed,
-                                         "generator": gausslin.GENERATOR_ID,
-                                         "innovation": "iid_pareto"}
-    X = gausslin.simulate(inn.coeffs, n, seed)
-    return X.values, X.meta
+        return rng.random((n, spec.d))
+    return gausslin.simulate(inn.coeffs, n, seed).values
 
 
 def lift(spec: M4Spec, V: np.ndarray) -> np.ndarray:
@@ -429,8 +430,7 @@ def lift(spec: M4Spec, V: np.ndarray) -> np.ndarray:
 def innovations(spec: M4Spec, n: int, seed: int) -> SeriesMatrix:
     """The innovation path W of n rows, the dense lift of the base draw;
     marginal exact Pareto(alpha) in both modes."""
-    V, meta = base(spec, n, seed)
-    return SeriesMatrix(values=lift(spec, V), meta=meta)
+    return SeriesMatrix(values=lift(spec, base(spec, n, seed)))
 
 
 def path(spec: M4Spec, n: int, seed: int, m_trunc: int | None = None) -> Draw:
@@ -440,5 +440,4 @@ def path(spec: M4Spec, n: int, seed: int, m_trunc: int | None = None) -> Draw:
     Full and truncated draws of one seed share their base draw (common
     random numbers).
     """
-    V, _ = base(spec, n + spec.r_hi - spec.r_lo, seed)
-    return Draw(V, spec, m_trunc)
+    return Draw(base(spec, n + spec.r_hi - spec.r_lo, seed), spec, m_trunc)

@@ -125,7 +125,7 @@ def apply(X: SeriesMatrix, t: WindowTransform) -> SeriesMatrix:
             [X.values[t.m - l : t.m - l + n_out, part.coord] for l in range(t.m + 1)]
         )
         out[:, i] = part.evaluate(window)
-    return SeriesMatrix(values=out, meta=X.meta)
+    return SeriesMatrix(values=out)
 
 
 @dataclass(frozen=True)
@@ -158,5 +158,5 @@ class GaussianSource:
         rows."""
         m = self.transform.m if self.transform else 0
         X = gausslin.simulate(self.table, n + m, seed)
-        Z = SeriesMatrix(values=X.values / self.sd, meta=X.meta)
+        Z = SeriesMatrix(values=X.values / self.sd)
         return apply(Z, self.transform) if self.transform else Z

@@ -164,9 +164,9 @@ def test_e1_gate_rejects_paired_innovations(monkeypatch):
     base = m4.base
 
     def paired(spec, n, seed):
-        V, meta = base(spec, n, seed)
+        V = base(spec, n, seed)
         V[1::2] = V[:-1:2]
-        return V, meta
+        return V
 
     monkeypatch.setattr(m4, "base", paired)
     cfg = _cfg("e1")

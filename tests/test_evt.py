@@ -21,7 +21,7 @@ E7 = CONFIGS / "e7.json"
 def iid_fn(n, d=1):
     def fn(seed):
         rng = np.random.Generator(np.random.Philox(key=seed))
-        return SeriesMatrix(values=rng.pareto(1.0, size=(n, d)) + 1.0, meta={})
+        return SeriesMatrix(values=rng.pareto(1.0, size=(n, d)) + 1.0)
 
     return fn
 
@@ -341,7 +341,7 @@ class TestScan:
                       [3.0, 2.5]])
         # strict: a value at its level is no exceedance
         assert evt.pair_exceedances(v, [2.0, 2.0]) == (2, 3)
-        assert evt.pair_exceedances(SeriesMatrix(values=v, meta={}),
+        assert evt.pair_exceedances(SeriesMatrix(values=v),
                                     [1.0, 2.5]) == (1, 2)
 
     def test_bound_column_uses_hyper_bound(self):

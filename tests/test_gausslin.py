@@ -97,12 +97,7 @@ class TestMakeCoeffs:
         t = make_coeffs(poly_spec(beta=0.8, L=16, d0=2, b=0.7))
         t2 = CoeffTable.from_json(t.to_json())
         np.testing.assert_allclose(t2.psi, t.psi)
-        assert t2.fingerprint() == t.fingerprint()
-
-    def test_fingerprint_distinguishes_specs(self):
-        a = make_coeffs(poly_spec(beta=0.8, L=16))
-        b = make_coeffs(poly_spec(beta=0.9, L=16))
-        assert a.fingerprint() != b.fingerprint()
+        assert t2.to_json() == t.to_json()
 
 
 class TestAutocov:
@@ -252,7 +247,6 @@ class TestSimulate:
         a = gausslin.simulate(t, 200, 17)
         b = gausslin.simulate(t, 200, 17)
         np.testing.assert_array_equal(a.values, b.values)
-        assert a.meta["seed"] == 17
 
     def test_seed_changes_path(self):
         t = make_coeffs(poly_spec(beta=1.0, L=30))
@@ -281,12 +275,6 @@ class TestSimulate:
         X = gausslin.simulate(t, 300_000, 9).values
         emp = np.mean(X[:, 0] * X[:, 1])
         np.testing.assert_allclose(emp, 0.8, atol=0.02)
-
-    def test_csv_header(self):
-        t = make_coeffs(poly_spec(beta=1.0, L=2, d0=2))
-        out = gausslin.simulate(t, 3, 0).to_csv()
-        assert out.splitlines()[0] == "t,x1,x2"
-        assert len(out.splitlines()) == 4
 
     @pytest.mark.parametrize("d0", [1, 2])
     @pytest.mark.parametrize("L", [0, 1, 37])

@@ -34,6 +34,26 @@ IID8 = {"d0": 1, "family": "iid", "params": {}, "L": 8}
 RHO_HALF = json.loads((CONFIGS / "e7.json").read_text())["generator"]["lin"]
 
 
+# A lin holding a non-finite number, keyed by the field that holds it; each
+# is a gauss config's lin and a gauss-tools spec.
+NONFINITE_LIN = {
+    "table": {"d0": 1, "family": "custom",
+              "params": {"table": [[[math.nan]]]}, "L": 0},
+    "B": {"d0": 1, "family": "log_boundary",
+          "params": {"q": 2.0, "B": [[math.inf]]}, "L": 8},
+    "beta": {"d0": 1, "family": "polynomial",
+             "params": {"beta": math.inf, "B": [[1.0]]}, "L": 8},
+    "q": {"d0": 1, "family": "log_boundary",
+          "params": {"q": -math.inf, "B": [[1.0]]}, "L": 8},
+}
+
+
+def tiny_gauss_config(lin=IID8):
+    """tiny_config over the Gaussian table lin, one column by default."""
+    return tiny_config(generator={"kind": "gauss", "lin": lin}, tau=[5.0],
+                       analyses=[{"type": "nonexceed"}])
+
+
 def tiny_config(**overrides):
     obj = {
         "name": "tiny",
@@ -357,7 +377,7 @@ class TestCli:
 
     def test_missing_spec_file_exit_2(self, tmp_path):
         missing = str(tmp_path / "missing.json")
-        assert cli_main(["simulate", "--spec", missing, "--n", "1"]) == 2
+        assert cli_main(["gauss-tools", "--spec", missing]) == 2
         assert cli_main(["limits", "--config", missing]) == 2
 
     def test_theta_json_output(self, tmp_path, capsys):
@@ -372,9 +392,10 @@ class TestCli:
         assert text == json.dumps(out, indent=2, sort_keys=True) + "\n"
         assert out["0:nonexceed"]["theta"] == out["1:runs"]["theta"] == 0.5
 
-    # A `limits` case puts its value at a path into tiny_config. Its id
-    # names the retired command, `theta` or `m4-verify`, whose spec case it
-    # is, so the case keeps its name across the change.
+    # A case puts its value at a path into tiny_config (`limits`), into
+    # tiny_gauss_config (`run`) or into a coefficient spec (`gauss-tools`).
+    # Its id names the retired command, `theta`, `m4-verify`, `simulate` or
+    # `acf`, whose case it is, so the case keeps its name across the change.
     @pytest.mark.parametrize("command, path, value, field", [
         pytest.param(["limits"], ["generator", "spec", "alpha"], "one",
                      "field: alpha", id="theta-alpha-string"),
@@ -385,10 +406,10 @@ class TestCli:
                      id="theta-innovation-alpha-string"),
         pytest.param(["limits"], ["generator", "spec", "innovation", "alpha"],
                      2.0, "field: alpha", id="theta-innovation-alpha-differs"),
-        pytest.param(["acf", "--hmax", "3"], ["params", "q"], "two",
-                     "field: q", id="acf-q-string"),
-        pytest.param(["simulate", "--n", "10"], ["family"], "fractal",
-                     "field: family", id="simulate-unknown-family"),
+        pytest.param(["gauss-tools"], ["params", "q"], "two", "field: q",
+                     id="acf-q-string"),
+        pytest.param(["gauss-tools"], ["family"], "fractal", "field: family",
+                     id="simulate-unknown-family"),
         pytest.param(["gauss-tools"], ["params", "B0"], 1, "field: B0",
                      id="gauss-tools-params-unknown-key"),
         # a value out of range, in the spec or a flag, names its field
@@ -406,39 +427,39 @@ class TestCli:
                      "field: a", id="theta-a-zero-row"),
         pytest.param(["limits"], ["generator", "spec", "alpha"], 0.0,
                      "field: alpha", id="theta-alpha-zero"),
-        pytest.param(["simulate", "--n", "0"], [], {}, "field: n",
-                     id="simulate-n-zero"),
-        pytest.param(["simulate", "--n", "10", "--seed", "-1"], [], {},
-                     "field: --seed", id="simulate-seed-negative"),
-        pytest.param(["acf", "--hmax", "3"], ["L"], -1, "field: L",
+        pytest.param(["run"], ["n"], 0, "field: n", id="simulate-n-zero"),
+        pytest.param(["run", "--seed", "-1"], [], {}, "field: --seed",
+                     id="simulate-seed-negative"),
+        pytest.param(["gauss-tools"], ["L"], -1, "field: L",
                      id="acf-L-negative"),
-        pytest.param(["simulate", "--n", "10"], ["d0"], 0, "field: d0",
+        pytest.param(["gauss-tools"], ["d0"], 0, "field: d0",
                      id="simulate-d0-zero"),
-        pytest.param(["acf", "--hmax", "3"], ["params", "q"], 1.0, "field: q",
+        pytest.param(["gauss-tools"], ["params", "q"], 1.0, "field: q",
                      id="acf-q-one"),
-        pytest.param(["acf", "--hmax", "3"], ["params", "B"], [[-1.0]],
-                     "field: B", id="acf-B-negative"),
+        pytest.param(["gauss-tools"], ["params", "B"], [[-1.0]], "field: B",
+                     id="acf-B-negative"),
         pytest.param(["gauss-tools"], ["params", "B"], [[1.0, 0.0]],
                      "field: B", id="gauss-tools-B-not-square"),
-        pytest.param(["acf", "--hmax", "3"], [], {
+        pytest.param(["gauss-tools"], [], {
             "family": "polynomial", "params": {"beta": 0.5, "B": [[1.0]]}},
             "field: beta", id="acf-beta-half"),
-        pytest.param(["simulate", "--n", "10"], [], {
+        pytest.param(["gauss-tools"], [], {
             "family": "custom", "params": {"table": [[[1.0]]]}},
             "field: table", id="simulate-custom-table-shape"),
     ])
     def test_spec_error_exit_2_names_field(self, tmp_path, capsys, command,
                                            path, value, field):
-        # the --spec commands parse their file with the checks that
-        # `subgauss run` applies to a config's lin, and `limits` reads a
-        # config as `run` does
-        if command == ["limits"]:
-            spec, flag = tiny_config(), "--config"
-        else:
+        # `gauss-tools` parses its spec with the checks that `subgauss run`
+        # applies to a config's lin, and `limits` reads a config as `run`
+        # does
+        if command[0] == "gauss-tools":
             spec, flag = json.loads(gausslin.make_coeffs(
                 gausslin.LinearProcessSpec(
                     d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)),
                     L=16)).to_json()), "--spec"
+        else:
+            spec = tiny_config() if command == ["limits"] else tiny_gauss_config()
+            flag = "--config"
         # the value at path, or with an empty path, keys merged into spec
         node = spec
         for key in path[:-1]:
@@ -458,14 +479,13 @@ class TestCli:
     def test_limits_reads_log_G(self, tmp_path, capsys, tau, code):
         # over E5's spec at n = 5000, tau = 800 makes G = exp(-800), which
         # underflows to 0; lambda_rp reads log G = -800 and is finite and
-        # positive. At tau = 5e-324 the tail weight rounds to 0, log G is 0
-        # and the error names tau
+        # positive. At tau = 5e-324 the threshold is inf and the error
+        # names tau
         obj = {**json.loads((CONFIGS / "e5.json").read_text()), "n": 5000,
                "tau": tau}
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(obj))
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli_main(["limits", "--config", str(f)]) == code
+        assert cli_main(["limits", "--config", str(f)]) == code
         out, err = capsys.readouterr()
         if code:
             assert err.startswith("config error") and "field: tau" in err
@@ -477,61 +497,86 @@ class TestCli:
         assert math.isfinite(lam) and lam > 0
         assert lam == pytest.approx(want, rel=1e-12)
 
-    def test_simulate_csv_header(self, tmp_path):
-        lin = gausslin.make_coeffs(
-            gausslin.LinearProcessSpec(
-                d0=2,
-                family=gausslin.Polynomial(beta=1.0, B=np.eye(2)),
-                L=4,
-            )
-        )
-        f = tmp_path / "lin.json"
-        f.write_text(lin.to_json())
-        out = tmp_path / "path.csv"
-        assert (
-            cli_main(
-                ["simulate", "--spec", str(f), "--n", "10", "--seed", "3",
-                 "--out", str(out)]
-            )
-            == 0
-        )
-        lines = out.read_text().splitlines()
-        assert lines[0] == "t,x1,x2"
-        assert len(lines) == 11
+    @pytest.mark.parametrize("command, field", [
+        (command, field) for field in NONFINITE_LIN
+        for command in ("limits", "run", "gauss-tools")] + [
+        (command, field) for field in ("alpha", "tau", "lambda_target")
+        for command in ("limits", "run")])
+    def test_nonfinite_number_exit_2_names_field(self, tmp_path, capsys,
+                                                 monkeypatch, command, field):
+        # json.loads reads NaN and Infinity; either is a config error that
+        # names its field, before any path is drawn
+        nonfinite = {
+            "alpha": tiny_config(),
+            "tau": tiny_config(tau=[math.inf]),
+            "lambda_target": tiny_config(analyses=[{
+                "type": "pointproc", "r": 50, "p": 5,
+                "lambda_target": math.inf}]),
+        }
+        nonfinite["alpha"]["generator"]["spec"]["alpha"] = math.nan
+        if field in NONFINITE_LIN:
+            obj = (NONFINITE_LIN[field] if command == "gauss-tools"
+                   else tiny_gauss_config(NONFINITE_LIN[field]))
+        else:
+            obj = nonfinite[field]
+        f = tmp_path / "in.json"
+        f.write_text(json.dumps(obj))
+        drawn = []
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: drawn.append(kw))
+        flag = "--spec" if command == "gauss-tools" else "--config"
+        assert cli_main([command, flag, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "must be a finite" in err
+        assert f"(field: {field})" in err
+        assert drawn == []
 
-    def test_env_seed_changes_output(self, tmp_path, monkeypatch):
-        lin = gausslin.make_coeffs(
-            gausslin.LinearProcessSpec(
-                d0=1, family=gausslin.Polynomial(beta=1.0, B=np.eye(1)), L=4
-            )
-        )
-        f = tmp_path / "lin.json"
-        f.write_text(lin.to_json())
-        o1, o2, o3 = (tmp_path / n for n in ("a.csv", "b.csv", "c.csv"))
-        monkeypatch.setenv("SUBGAUSS_SEED", "123")
-        cli_main(["simulate", "--spec", str(f), "--n", "20", "--seed", "7",
-                  "--out", str(o1)])
-        monkeypatch.delenv("SUBGAUSS_SEED")
-        cli_main(["simulate", "--spec", str(f), "--n", "20", "--seed", "123",
-                  "--out", str(o2)])
-        cli_main(["simulate", "--spec", str(f), "--n", "20", "--seed", "7",
-                  "--out", str(o3)])
-        assert o1.read_text() == o2.read_text()  # env overrode --seed 7
-        assert o1.read_text() != o3.read_text()
+    @pytest.mark.parametrize("command", ["limits", "run"])
+    @pytest.mark.parametrize("stem", ["e1", "e8_iid"], ids=["m4", "gauss"])
+    def test_infinite_threshold_exit_2_names_tau(self, tmp_path, capsys,
+                                                 monkeypatch, stem, command):
+        # at tau = 5e-324 the Pareto rule's A n / tau overflows, and a raw
+        # Gaussian column's ndtri(1 - tau / n) is ndtri(1) = inf
+        obj = {**json.loads((CONFIGS / f"{stem}.json").read_text()),
+               "tau": [5e-324]}
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(obj))
+        drawn = []
+        monkeypatch.setattr(np.random, "Philox", lambda **kw: drawn.append(kw))
+        assert cli_main([command, "--config", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "finite" in err
+        assert "field: tau" in err
+        assert drawn == []
+
+    def test_env_seed_changes_output(self, tmp_path, monkeypatch, capsys):
+        # SUBGAUSS_SEED beats --seed: a run under the env seed 123 and
+        # --seed 7 prints the summary bytes of --seed 123
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(tiny_config()))
+
+        def summary(seed):
+            assert cli_main(["run", "--config", str(f), "--seed", seed]) == 0
+            return capsys.readouterr().out
+
+        monkeypatch.setenv(harness.ENV_SEED, "123")
+        env = summary("7")
+        monkeypatch.delenv(harness.ENV_SEED)
+        assert env == summary("123")
+        assert json.loads(env)["analyses"] != json.loads(summary("7"))["analyses"]
 
     @pytest.mark.parametrize("value", ["-1", "abc", str(2**128)])
-    @pytest.mark.parametrize("command", ["run", "simulate"])
+    # an id names the command whose case it is: `simulate` drew a gauss path
+    @pytest.mark.parametrize("config", [
+        pytest.param(tiny_config(), id="run"),
+        pytest.param(tiny_gauss_config(), id="simulate"),
+    ])
     def test_env_seed_error_exit_2_names_it(self, tmp_path, capsys,
-                                            monkeypatch, command, value):
+                                            monkeypatch, config, value):
         # SUBGAUSS_SEED is config input: a value that is not a Philox key
         # exits 2 naming it, before any path is drawn
         f = tmp_path / "in.json"
-        if command == "run":
-            f.write_text(json.dumps(tiny_config()))
-            argv = ["run", "--config", str(f)]
-        else:
-            f.write_text(json.dumps(IID8))
-            argv = ["simulate", "--spec", str(f), "--n", "10"]
+        f.write_text(json.dumps(config))
+        argv = ["run", "--config", str(f)]
         drawn = []
         monkeypatch.setattr(np.random, "Philox", lambda **kw: drawn.append(kw))
         monkeypatch.setenv(harness.ENV_SEED, value)
@@ -877,8 +922,8 @@ class TestCli:
     @pytest.mark.parametrize("argv, flag", [
         pytest.param(["run", "--reps", "many", "--config"], "--reps",
                      id="run-reps"),
-        pytest.param(["simulate", "--n", "ten", "--spec"], "--n",
-                     id="simulate-n"),
+        pytest.param(["gauss-tools", "--nblock", "ten", "--spec"], "--nblock",
+                     id="gauss-tools-nblock"),
     ])
     def test_malformed_flag_value_exit_2_names_flag(self, tmp_path, capsys,
                                                     argv, flag):
@@ -891,32 +936,15 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         pytest.param(["limits", "--config"], id="limits"),
         pytest.param(["gauss-tools", "--spec"], id="gauss-tools"),
+        pytest.param(["run", "--config"], id="run"),
     ])
     def test_format_on_json_only_command_exit_2(self, tmp_path, capsys,
                                                 argv):
-        # these commands always write JSON, so they take no --format
+        # every command writes JSON, so none takes --format
         with pytest.raises(SystemExit) as exc:
             cli_main(argv + [str(tmp_path / "in.json"), "--format", "csv"])
         assert exc.value.code == 2
         assert "--format" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        pytest.param(["simulate", "--n", "10"], id="simulate"),
-        pytest.param(["acf", "--hmax", "4"], id="acf"),
-    ])
-    def test_format_changes_output(self, tmp_path, argv):
-        # every command that takes --format reads it
-        (tmp_path / "spec.json").write_text(gausslin.make_coeffs(
-            gausslin.LinearProcessSpec(
-                d0=1, family=gausslin.Polynomial(beta=1.0, B=np.eye(1)),
-                L=4)).to_json())
-        written = {}
-        for fmt in ("csv", "json"):
-            out = tmp_path / f"out.{fmt}"
-            assert cli_main(argv + ["--spec", str(tmp_path / "spec.json"),
-                                    "--format", fmt, "--out", str(out)]) == 0
-            written[fmt] = out.read_bytes()
-        assert written["csv"] != written["json"]
 
     def test_console_script_entrypoint(self):
         proc = subprocess.run(
@@ -925,7 +953,7 @@ class TestCli:
             text=True,
         )
         assert proc.returncode == 0
-        assert "simulate" in proc.stdout
+        assert "{gauss-tools,limits,run}" in proc.stdout
 
     def test_readme_cli_block_lists_every_command(self):
         # the `subgauss <command>` lines of README's CLI block are exactly
@@ -940,9 +968,9 @@ class TestCli:
 
 
 class TestCovarianceCli:
-    """`acf` and `gauss-tools` against per-lag `autocov` and a dense
-    eigensolve built from it; values, not bytes, since the FFT kernel may
-    move the last bit."""
+    """`gauss-tools` against per-lag `autocov` and a dense eigensolve built
+    from it; values, not bytes, since the FFT kernel may move the last
+    bit."""
 
     @pytest.fixture
     def spec(self, tmp_path):
@@ -963,25 +991,6 @@ class TestCovarianceCli:
         big = np.block([[gamma(b - a) for b in range(nblock)]
                         for a in range(nblock)])
         return np.linalg.eigvalsh(big)[0]
-
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_acf_matches_autocov(self, tmp_path, spec, fmt):
-        f, table = spec
-        out = tmp_path / f"acf.{fmt}"
-        argv = ["acf", "--spec", str(f), "--hmax", "8", "--format", fmt,
-                "--out", str(out)]
-        assert cli_main(argv) == 0
-        if fmt == "csv":
-            lines = out.read_text().splitlines()
-            assert lines[0] == "h,g00,g01,g10,g11"
-            got = np.array([[float(v) for v in line.split(",")[1:]]
-                            for line in lines[1:]]).reshape(9, 2, 2)
-        else:
-            obj = json.loads(out.read_text())
-            got = np.array(obj["gamma"])
-            assert obj["tail_bound"] == gausslin.autocov(table, 8)[1]
-        want = np.array([gausslin.autocov(table, h)[0] for h in range(9)])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     def test_gauss_tools_matches_dense_reference(self, tmp_path, spec):
         f, table = spec

@@ -238,9 +238,7 @@ class TestBuildAndInnovations:
     def test_build_hand_check(self):
         # Y_k = max(W_k, W_{k-1}) for the 2-lag equal spec
         spec = equal_spec(nlags=2)
-        W = gausslin.SeriesMatrix(
-            values=np.array([[5.0], [1.0], [7.0], [2.0]]), meta={}
-        )
+        W = gausslin.SeriesMatrix(values=np.array([[5.0], [1.0], [7.0], [2.0]]))
         Y = m4.build(W, spec)
         np.testing.assert_allclose(Y.values[:, 0], [5.0, 7.0, 7.0])
 

@@ -79,7 +79,7 @@ class TestGappedBlocks:
         vals[0, 0] = 9.0   # block 0, scanned part -> point
         vals[6, 0] = 9.0   # block 1, gap part -> no point
         vals[9, 0] = 9.0   # block 2, scanned part -> point
-        Y = SeriesMatrix(values=vals, meta={})
+        Y = SeriesMatrix(values=vals)
         u = m4.ThresholdVector(n=12, tau=(1.0,), u=np.array([5.0]))
         pat = pointproc.gapped_blocks(evt.exceedances(Y, u),
                                       GapConfig(r=2, p=2, m=0))
@@ -90,7 +90,7 @@ class TestGappedBlocks:
     def test_partial_trailing_block_dropped(self):
         vals = np.zeros((10, 1))
         vals[9, 0] = 9.0  # inside the incomplete final block
-        Y = SeriesMatrix(values=vals, meta={})
+        Y = SeriesMatrix(values=vals)
         u = m4.ThresholdVector(n=10, tau=(1.0,), u=np.array([5.0]))
         pat = pointproc.gapped_blocks(evt.exceedances(Y, u),
                                       GapConfig(r=2, p=2, m=0))
@@ -99,14 +99,14 @@ class TestGappedBlocks:
     def test_gap_values_ignored(self):
         rng = np.random.default_rng(0)
         vals = rng.pareto(1.0, size=(800, 1)) + 1.0
-        Y = SeriesMatrix(values=vals, meta={})
+        Y = SeriesMatrix(values=vals)
         u = m4.ThresholdVector(n=800, tau=(1.0,), u=np.array([30.0]))
         cfg = GapConfig(r=6, p=2, m=0)
         base = pointproc.gapped_blocks(evt.exceedances(Y, u), cfg)
         jammed = vals.copy().reshape(100, 8, 1)
         jammed[:, 6:, :] = 1e9  # saturate every gap position
         pat = pointproc.gapped_blocks(evt.exceedances(
-            SeriesMatrix(values=jammed.reshape(800, 1), meta={}), u), cfg)
+            SeriesMatrix(values=jammed.reshape(800, 1)), u), cfg)
         np.testing.assert_array_equal(pat.times, base.times)
 
 
@@ -160,6 +160,9 @@ class TestLambdaRp:
             pointproc.lambda_rp([1.0], 1.5, -1.0, cfg)
         with pytest.raises(SpecError):
             pointproc.lambda_rp([1.0], 0.5, 1.5, cfg)
+        for log_G in (0.0, -0.0):  # G = 1: no tail weight
+            with pytest.raises(SpecError, match="log G"):
+                pointproc.lambda_rp([1.0], 1.0, log_G, cfg)
 
 
 class TestPoissonDiagnostics:
@@ -286,7 +289,7 @@ def test_pattern_times_valid(seed, r, p):
     rng = np.random.default_rng(seed)
     n = 40 * (r + p)
     vals = rng.pareto(1.0, size=(n, 1)) + 1.0
-    Y = SeriesMatrix(values=vals, meta={})
+    Y = SeriesMatrix(values=vals)
     u = m4.ThresholdVector(n=n, tau=(1.0,), u=np.array([15.0]))
     pat = pointproc.gapped_blocks(evt.exceedances(Y, u),
                                   GapConfig(r=r, p=p, m=0))

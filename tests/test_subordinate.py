@@ -57,7 +57,7 @@ class TestParts:
 class TestApply:
     def test_window_max_hand_check(self):
         vals = np.arange(10.0)[:, None]
-        X = SeriesMatrix(values=vals, meta={})
+        X = SeriesMatrix(values=vals)
         t = WindowTransform(
             m=2, parts=(Part(kind="window_max", lags=(0, 1, 2)),)
         )
@@ -76,9 +76,7 @@ class TestApply:
             ),
         )
         full = subordinate.apply(X, t)
-        shifted = subordinate.apply(
-            SeriesMatrix(values=X.values[5:], meta=X.meta), t
-        )
+        shifted = subordinate.apply(SeriesMatrix(values=X.values[5:]), t)
         np.testing.assert_allclose(full.values[5:], shifted.values)
 
     def test_lag_exceeding_window_rejected(self):
@@ -129,7 +127,7 @@ class TestGaussianSource:
         m = transform.m if transform else 0
         X = gausslin.simulate(table, n + m, seed)
         sd = np.sqrt(np.diag(gausslin.autocov(table, 0)[0]))
-        want = SeriesMatrix(values=X.values / sd, meta=X.meta)
+        want = SeriesMatrix(values=X.values / sd)
         if transform:
             want = subordinate.apply(want, transform)
         source = subordinate.GaussianSource(table, transform)
@@ -137,7 +135,6 @@ class TestGaussianSource:
         assert got.values.shape == (n, source.d)
         assert source.d == (3 if transform else 2)
         np.testing.assert_array_equal(got.values, want.values)
-        assert got.meta == want.meta
 
 
 def marginal_tail(part, u):

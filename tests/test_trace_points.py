@@ -224,8 +224,8 @@ def test_benchmark_inputs_pass_the_config_checks(monkeypatch, tmp_path):
         (argv,) = argvs
         args = cli.build_parser().parse_args(argv)
         assert args.func is cli._cmd_gauss_tools
-        # the spec file goes through the checks of every --spec command
-        table = cli._load_coeffs(args.spec)
+        # the spec file goes through the checks of `gauss-tools --spec`
+        table = gausslin.CoeffTable.from_json(Path(args.spec).read_text())
         harness.check_gauss_tools(table, args.nblock, args.berman_hmax)
 
 
