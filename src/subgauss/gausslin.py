@@ -10,7 +10,6 @@ values alone, a pure function of the table, the length and the seed.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,10 +40,8 @@ def _integer(name: str, value) -> int:
 
 def _number(name: str, value):
     """A finite JSON number: `json.loads` reads NaN and Infinity too."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{name} must be a number, not {value!r} "
-                        f"(field: {name})")
-    if isinstance(value, float) and not math.isfinite(value):
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not np.isfinite(value)):
         raise SpecError(f"{name} must be a finite number, not {value!r} "
                         f"(field: {name})")
     return value
