@@ -9,8 +9,9 @@ The runs and blocks estimators (Smith & Weissman 1994), the gapped-block
 point process and D' read a path only through its sorted exceedance times,
 the rows k with Y_k not <= u: `exceedances` finds them with one strict
 comparison per column of a dense path, `m4_exceedances` off an M4 draw's
-base draw, lifting only its candidate rows and building no path. Each
-estimator then reads them in O(number of exceedances).
+base draw, in one pass over it, lifting only its candidate rows and
+building no path. Each estimator then reads them in O(number of
+exceedances).
 """
 
 from __future__ import annotations
@@ -107,10 +108,13 @@ def m4_exceedances(draw: Draw, u: ThresholdVector) -> Exceedances:
     Y_{k,i} > u_i when a kept lag r and a column j have a_{ij,r} W_{k-r,j} >
     u_i, so only the rows t with W_{t,j} > c_j = min over i, r of u_i /
     a_{ij,r} (less MARGIN) make build's products and strict comparisons.
-    W rises with the base value, so those rows lie above the innovation's
-    floor at c_j: only the rows above it are lifted, with the operations of
-    the dense lift. A lifted value or a product in the path that is not
-    finite raises as the dense innovations or the built path would.
+    W rises with the base value (a Philox word, or a Gaussian value), so
+    those rows lie at or above the innovation's floor at c_j. One
+    contiguous pass over the flat base draw (|V| when folded) finds the
+    values at or above the lowest column floor; each column keeps those at
+    or above its own floor and lifts only them, with the operations of the
+    dense lift. A lifted value or a product in the path that is not finite
+    raises as the dense innovations or the built path would.
     """
     spec, V, n = draw.spec, draw.V, draw.n
     inn, alpha = spec.innovation, spec.alpha
@@ -121,12 +125,16 @@ def m4_exceedances(draw: Draw, u: ThresholdVector) -> Exceedances:
     uu = np.asarray(u.u, dtype=float)[None, :, None]
     with np.errstate(divide="ignore"):
         c = np.min(uu / a, axis=(0, 1), initial=np.inf) * (1.0 - MARGIN)
+    floors = [inn.floor(c[j], j, alpha) for j in range(spec.d)]
+    flat = V.reshape(-1)                    # row-major, whatever V's order
+    rows, cols = np.divmod(np.flatnonzero(
+        (np.abs(flat) if inn.folded else flat) >= min(floors)), spec.d)
     hits = [np.empty(0, dtype=np.intp)]
     for j in range(spec.d):
-        v = V[:, j]
-        t = np.flatnonzero((np.abs(v) if inn.folded else v)
-                           > inn.floor(c[j], j, alpha))
-        w = inn.lift(v[t], j, alpha)
+        t = rows[cols == j]
+        v = V[t, j]
+        keep = (np.abs(v) if inn.folded else v) >= floors[j]
+        t, w = t[keep], inn.lift(v[keep], j, alpha)
         if not np.all(np.isfinite(w)):
             raise SpecError("values must be finite")
         above = w > c[j]

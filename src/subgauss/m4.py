@@ -7,13 +7,16 @@ tail constants A_i, the i.i.d. limit G(tau), the multivariate extremal index
 theta(tau), its lag-truncated version, the runs limit theta(m), and analytic
 thresholds. `build` is the dense definition of a path over the innovations W
 that `innovations` draws. A run builds neither: a `Draw` holds the base draw
-V that W lifts from, column by column, through a monotone transform, and
-`evt.m4_exceedances` lifts only the rows of V above the innovation's floor.
+V that W lifts from, column by column, through a monotone transform (the
+raw Philox words of an i.i.d. draw, or the Gaussian rows of a subordinated
+one), and `evt.m4_exceedances` lifts only the rows of V at or above the
+innovation's floor.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,20 +57,24 @@ class IidPareto:
             raise SpecError(f"iid_pareto alpha={self.alpha} must be > 0 "
                             "(field: alpha)")
 
-    # A base draw is a column of uniforms U in [0, 1), and W = h(U) rises
-    # with U; `folded` says whether `floor` bounds |U| instead.
+    # A base draw is a column of raw Philox words w, whose uniforms
+    # U = (w >> 11) 2^-53 in [0, 1) are the doubles numpy's Generator.random
+    # makes of them, and W = h(U) rises with w; `folded` says whether
+    # `floor` bounds |value| instead.
     folded = False
 
-    def lift(self, u, j, alpha) -> np.ndarray:
-        """W = (1 - U)^(-1/alpha) of column j's uniforms u."""
-        w = np.subtract(1.0, u)
-        w **= -1.0 / alpha
-        return w
+    def lift(self, w, j, alpha) -> np.ndarray:
+        """W = (1 - U)^(-1/alpha) of column j's words w, U = (w >> 11) 2^-53."""
+        u = (w >> 11) * 2.0**-53
+        np.subtract(1.0, u, out=u)
+        u **= -1.0 / alpha
+        return u
 
-    def floor(self, c, j, alpha) -> float:
-        """A uniform at most this lifts to at most c: 1 - P(W > c), less the
-        rounding of 1 - U."""
-        return 1.0 - _floor_tail(c, alpha) - 2.0**-52
+    def floor(self, c, j, alpha) -> np.uint64:
+        """The least word whose uniform exceeds 1 - P(W > c), less the
+        rounding of 1 - U: a word below it lifts to at most c."""
+        f = (1.0 - _floor_tail(c, alpha) - 2.0**-52) * 2.0**53
+        return np.uint64((math.floor(f) + 1) << 11 if f >= 0 else 0)
 
 
 @dataclass(frozen=True)
@@ -112,7 +119,7 @@ class SubGauss:
         return part.evaluate((x / self.source.sd[j])[None])
 
     def floor(self, c, j, alpha) -> float:
-        """A value (|value| when folded) at most this lifts to at most c:
+        """A value (|value| when folded) below this lifts to at most c:
         sd_j times the Gaussian quantile of P(W > c), or of half of it."""
         p = _floor_tail(c, alpha)
         if p >= 1.0:
@@ -368,7 +375,8 @@ def _path_rows(spec: M4Spec, shape: tuple) -> int:
 class Draw:
     """One M4 replication: the path build(lift(spec, V), spec, m_trunc) of n
     rows, held as its base draw V, the (n + span, d) array that the
-    innovations lift from (`base`)."""
+    innovations lift from (`base`): uint64 Philox words for `iid_pareto`,
+    float Gaussian rows for `subgauss`."""
 
     V: np.ndarray
     spec: M4Spec
@@ -406,14 +414,15 @@ def build(W: SeriesMatrix, spec: M4Spec, m_trunc: int | None = None) -> SeriesMa
 
 
 def base(spec: M4Spec, n: int, seed: int) -> np.ndarray:
-    """The base draw of n innovation rows: Philox uniforms in oracle mode,
-    the raw rows of `gausslin.simulate` in SubGauss mode."""
+    """The base draw of n innovation rows: in oracle mode the raw Philox
+    words, row-major, that `Generator(Philox(seed)).random((n, d))` turns
+    into uniforms; the raw rows of `gausslin.simulate` in SubGauss mode."""
     inn = spec.innovation
     if inn is None:
         raise SpecError("spec has no innovation mode")
     if isinstance(inn, IidPareto):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        return rng.random((n, spec.d))
+        words = np.random.Philox(key=seed).random_raw(n * spec.d)
+        return words.reshape(n, spec.d)
     return gausslin.simulate(inn.coeffs, n, seed).values
 
 

@@ -10,7 +10,8 @@ path. Every `harness.run` writes its files to a temporary directory, and
 their sha256 must match tests/golden/shipped_sha256.json, so the suite pins
 the bytes of each config it runs at no extra draw; replication 0's
 draw (an M4 config's innovations, a gauss config's path) and exceedance
-times are pinned in tests/golden/draw_sha256.json. Each gate's target comes
+times are pinned in tests/golden/draw_sha256.json (e7's from the draw its
+run makes, so that its 1e7-row path is drawn once). Each gate's target comes
 from `harness.targets` on its config, except E1's exact finite-n law, E4's
 hand values and E7(c)'s exact tail, which say why where they are used.
 """
@@ -72,15 +73,17 @@ def _sha256(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def _draw_digests(stem):
+def _draw_digests(stem, Y=None):
     """The sha256 of replication 0's draw (float64, row-major) and of its
     exceedance times (int64) as the run reads them, for configs/<stem>.json.
     An M4 config's draw is its dense innovations, and its times must equal
-    those of the built path; a gauss config's draw is its dense path."""
+    those of the built path; a gauss config's draw is its dense path. Y is
+    replication 0's path when a run has drawn it already, else it is drawn
+    here."""
     cfg = _cfg(stem)
     gen = harness._build_generator(cfg)
     seed = cfg.base_seed ^ 0
-    view = harness.Replication(gen.path_fn(seed), gen.u)
+    view = harness.Replication(gen.path_fn(seed) if Y is None else Y, gen.u)
     times = view.exceedances.times
     if isinstance(gen.spec, m4.M4Spec):
         spec = gen.spec
@@ -94,12 +97,36 @@ def _draw_digests(stem):
             "count": int(times.size)}
 
 
+@pytest.fixture(scope="module")
+def e7_run(tmp_path_factory):
+    """harness.run's summary for e7, and the draw digests of the replication
+    0 that the run itself draws: E7(c) and e7's draw pin share one draw of
+    the 1e7-row path."""
+    build, drawn = harness._build_generator, {}
+
+    def recording(cfg):
+        gen = build(cfg)
+
+        def path_fn(seed):
+            drawn[seed] = gen.path_fn(seed)
+            return drawn[seed]
+        return gen._replace(path_fn=path_fn)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_build_generator", recording)
+        summary = _run("e7", tmp_path_factory.mktemp("e7"))
+    return summary, _draw_digests("e7", drawn.pop(_cfg("e7").base_seed ^ 0))
+
+
 @pytest.mark.parametrize("stem", M4_STEMS + GAUSS_STEMS)
-def test_replication_zero_draw_bytes(stem):
+def test_replication_zero_draw_bytes(stem, request):
     # pins the draw itself, not only what the run writes: a drift in the
-    # draw or the exceedance times that flips no summary byte shows here
+    # draw or the exceedance times that flips no summary byte shows here.
+    # e7's digests come from the draw of its run
     golden = json.loads(DRAW_SHA256.read_text())
-    assert _draw_digests(stem) == golden["draws"][stem], (
+    got = (request.getfixturevalue("e7_run")[1] if stem == "e7" else
+           _draw_digests(stem))
+    assert got == golden["draws"][stem], (
         f"config {stem}: replication 0's draw differs from the golden "
         f"(recorded with {golden['versions']})")
 
@@ -157,10 +184,11 @@ def test_e1_iid_baseline(capsys, tmp_path):
 
 
 def test_e1_gate_rejects_paired_innovations(monkeypatch):
-    # negative control at E1's seed and scale: with each odd uniform of the
-    # base draw a copy of the even one before it, a path of n steps holds
-    # n/2 independent values, so p_hat is near (1 - 1/n)^(n/2) = 0.607
-    # against the i.i.d. 0.368, and E1's gate must fail
+    # negative control at E1's seed and scale: with each odd row of the
+    # base draw's Philox words a copy of the even one before it, a path of
+    # n steps holds n/2 independent values, so p_hat is near
+    # (1 - 1/n)^(n/2) = 0.607 against the i.i.d. 0.368, and E1's gate must
+    # fail
     base = m4.base
 
     def paired(spec, n, seed):
@@ -364,7 +392,7 @@ def _e7_hyper_gate(lhs, rhs):
     return lhs <= rhs + 1e-9
 
 
-def test_e7_inequalities(capsys, tmp_path):
+def test_e7_inequalities(capsys, e7_run):
     # (a) hypercontractivity over the catalog x a-grid
     hyper_ok = True
     for f in E7_CATALOG:
@@ -397,7 +425,7 @@ def test_e7_inequalities(capsys, tmp_path):
 
     # (c) joint exceedance of the folded-pareto transformed bivariate normal
     cfg, rho, fbar = _e7()
-    entry = _run("e7", tmp_path)["analyses"]["0:scan"]
+    entry = e7_run[0]["analyses"]["0:scan"]
     joint, bound, nsamp = entry["joint_exceed"], entry["bound"], cfg.n
     se = math.sqrt(max(joint, 1e-12) * (1 - joint) / nsamp)
     tail_ok = joint <= bound + 4 * se

@@ -411,15 +411,27 @@ def _assert_same_exceedances(got, want, n):
         np.testing.assert_array_equal(got.times, want.times)
 
 
+def _words(rng, shape):
+    """Uniformly random 64-bit words, as an i.i.d. base draw holds."""
+    return rng.integers(0, 2**64, size=shape, dtype=np.uint64)
+
+
+# The words (2^53 - k) << 11 at the top of the range, whose uniforms
+# 1 - k 2^-53 lift highest, and the words either side of each: the word
+# below has the next lower uniform, the word above the same one.
+TOP_WORDS = st.builds(lambda k, step: ((2**53 - k) << 11) + step,
+                      st.integers(1, 2**20), st.sampled_from([-1, 0, 1]))
+
+
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_m4_exceedances_equal_the_built_path(data):
     # the exceedances read off the base draw are those of the path built
     # over its innovations, bit for bit: truncated lags, zero coefficients,
-    # a column that no kept lag reads, levels u_i planted at a product
-    # a W that build compares and at its float neighbours (ties at u, and
-    # quotients u_i / a that round up to W), and an overflowing product,
-    # which raises as build does
+    # a column that no kept lag reads, Philox words planted at the top of
+    # the range, levels u_i planted at a product a W that build compares
+    # and at its float neighbours (ties at u, and quotients u_i / a that
+    # round up to W), and an overflowing product, which raises as build does
     d = data.draw(st.integers(1, 3), label="d")
     r_lo = data.draw(st.integers(-2, 0), label="r_lo")
     r_hi = data.draw(st.integers(0, 2), label="r_hi")
@@ -444,11 +456,14 @@ def test_m4_exceedances_equal_the_built_path(data):
                   innovation=IidPareto(alpha))
     n = data.draw(st.integers(1, 60), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    V = rng.random((n + span, d))
+    V = _words(rng, (n + span, d))
+    for _ in range(data.draw(st.integers(0, 4), label="top words")):
+        V[data.draw(st.integers(0, n + span - 1)),
+          data.draw(st.integers(0, d - 1))] = data.draw(TOP_WORDS)
     if overflow:
-        # W >= 4^(1/alpha) >= 2 at a lag-0 row: a product past the largest
-        # float
-        V[data.draw(st.integers(r_hi, r_hi + n - 1)), 0] = 0.75
+        # the word of U = 0.75: W >= 4^(1/alpha) >= 2 at a lag-0 row, a
+        # product past the largest float
+        V[data.draw(st.integers(r_hi, r_hi + n - 1)), 0] = 3 << 62
     W = m4.lift(spec, V)
     uu = np.array(data.draw(st.lists(st.floats(1.0, 1e4), min_size=d,
                                      max_size=d), label="u"))
@@ -499,34 +514,46 @@ def _subgauss(d, transform):
                     transform=transform)
 
 
-SUBGAUSS = {(d, kind): _subgauss(d, kind) for d in (1, 2)
+SUBGAUSS = {(d, kind): _subgauss(d, kind) for d in (1, 2, 3)
             for kind in ("pareto", "folded_pareto")}
 
 
 def _exact_floor(inn, c, j, alpha):
     """The base value whose exact lift is c, by the closed forms, beside the
-    widened `floor`."""
+    widened `floor`: for Philox words, the first word k << 11 of the uniform
+    k 2^-53 nearest 1 - c^(-alpha)."""
     p = float(c) ** -alpha
     if isinstance(inn, IidPareto):
-        return 1.0 - p
+        return round((1.0 - p) * 2**53) << 11
     if p >= 1.0:
         return -np.inf
     return inn.source.sd[j] * -ndtri(p / 2 if inn.folded else p)
+
+
+def _beside(value, step):
+    """The base value step places above value: the next word, or the next
+    float."""
+    if isinstance(value, (int, np.integer)):
+        return int(value) + step
+    return np.nextafter(value, np.inf * step) if step else value
 
 
 @given(data=st.data())
 @settings(max_examples=300, deadline=None)
 def test_only_candidate_rows_lift_above_the_level(data):
     # for each innovation kind, every base value that lifts above its
-    # column's level lies above the innovation's floor, so the exceedances
-    # read off the candidate rows are those of the path built over the
-    # dense lift: the same times, dtype and error text. Base values are
-    # planted at the floor, at the values whose exact lifts are the level
-    # and u_i / a, and a float either side of each; one draw has a
-    # candidate that lifts to inf, which raises as the dense innovations do
+    # column's level lies at or above the innovation's floor, so the
+    # exceedances read off the candidate rows are those of the path built
+    # over the dense lift: the same times, dtype and error text. Columns
+    # with unequal floors share the one pass over the base draw. Base
+    # values are planted at the floor, at the values whose exact lifts are
+    # the level and u_i / a (for words, the top-of-range word k << 11 of
+    # the nearest uniform), and a word or float either side of each; one
+    # draw has a candidate that lifts to inf, which raises as the dense
+    # innovations do
     kind = data.draw(st.sampled_from(["iid_pareto", "pareto",
                                       "folded_pareto"]), label="kind")
-    d = data.draw(st.integers(1, 2), label="d")
+    d = data.draw(st.integers(1, 3), label="d")
     r_lo = data.draw(st.integers(-1, 0), label="r_lo")
     r_hi = data.draw(st.integers(0, 2), label="r_hi")
     span = r_hi - r_lo
@@ -547,7 +574,7 @@ def test_only_candidate_rows_lift_above_the_level(data):
     n = data.draw(st.integers(1, 60), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     if kind == "iid_pareto":
-        V = rng.random((n + span, d))
+        V = _words(rng, (n + span, d))
     else:
         V = rng.standard_normal((n + span, d)) * inn.source.sd * 2.0
     uu = np.array(data.draw(st.lists(st.floats(0.5, 1e4), min_size=d,
@@ -566,17 +593,18 @@ def test_only_candidate_rows_lift_above_the_level(data):
         level = (inn.floor(c[j], j, alpha) if at == "floor" else
                  _exact_floor(inn, c[j] / (1.0 - evt.MARGIN)
                               if at == "u / a" else c[j], j, alpha))
-        step = data.draw(st.sampled_from([-1, 0, 1]))
-        value = np.nextafter(level, np.inf * step) if step else level
+        value = _beside(level, data.draw(st.sampled_from([-1, 0, 1])))
         if kind == "folded_pareto" and data.draw(st.booleans()):
             value = -value
-        if np.isfinite(value) and (kind != "iid_pareto" or 0 <= value < 1):
+        if (0 <= value < 2**64 if kind == "iid_pareto" else
+                np.isfinite(value)):
             V[t, j] = value
     if overflow:
-        # ndtr(-60) is 0, whose power is inf
+        # the top word's uniform is 1 - 2^-53; ndtr(-60) is 0, whose power
+        # is inf
         j = data.draw(st.integers(0, d - 1))
         V[data.draw(st.integers(0, n + span - 1)), j] = (
-            1.0 - 2.0**-53 if kind == "iid_pareto" else 60.0 * inn.source.sd[j])
+            2**64 - 1 if kind == "iid_pareto" else 60.0 * inn.source.sd[j])
     u = m4.ThresholdVector(n=n, tau=np.ones(d), u=uu)
 
     want = _dense_exceedances(spec, V, m_trunc, u)
@@ -591,13 +619,16 @@ def test_only_candidate_rows_lift_above_the_level(data):
 @pytest.mark.parametrize("kind", ["iid_pareto", "pareto", "folded_pareto"])
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 7.0])
 def test_floor_admits_every_value_lifting_above_the_level(kind, alpha):
-    # at the top of the base range: the uniforms 1 - k 2^-53, whose spacing
-    # is as wide as the tail 1 - U itself, and Gaussian values out to where
-    # ndtr underflows. At each lifted value as the level, and a float
-    # either side, every value that lifts above it lies above the floor.
+    # at the top of the base range: the words (2^53 - k) << 11 of the
+    # uniforms 1 - k 2^-53, whose spacing is as wide as the tail 1 - U
+    # itself, and the words either side of each, and Gaussian values out to
+    # where ndtr underflows. At each lifted value as the level, and a float
+    # either side, every value that lifts above it lies at or above the
+    # floor.
     inn = IidPareto(alpha) if kind == "iid_pareto" else SUBGAUSS[1, kind]
     if kind == "iid_pareto":
-        base = 1.0 - np.arange(1, 200) * 2.0**-53
+        top = (2**53 - np.arange(1, 200, dtype=np.uint64)) << 11
+        base = np.concatenate([top - 1, top, top + 1])
     else:
         base = inn.source.sd[0] * np.linspace(-3.0, 39.0, 2000)
     with np.errstate(divide="ignore", over="ignore"):
@@ -606,7 +637,68 @@ def test_floor_admits_every_value_lifting_above_the_level(kind, alpha):
     folded = np.abs(base) if inn.folded else base
     for c in np.concatenate([levels, np.nextafter(levels, 0.0),
                              np.nextafter(levels, np.inf)]):
-        assert np.all(folded[w > c] > inn.floor(c, 0, alpha)), c
+        assert np.all(folded[w > c] >= inn.floor(c, 0, alpha)), c
     # a value that lifts to inf is a candidate even in a column that no
     # level reads
-    assert np.all(folded[np.isinf(w)] > inn.floor(np.inf, 0, alpha))
+    assert np.all(folded[np.isinf(w)] >= inn.floor(np.inf, 0, alpha))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 7, 1001])
+@pytest.mark.parametrize("key", [0, 5, 2**64 + 3, 2**128 - 1])
+def test_words_map_to_numpys_uniforms(key, n, d):
+    # an i.i.d. base draw keeps the Philox words and lifts them through
+    # U = (w >> 11) 2^-53, which must be numpy's own map from a word to a
+    # double, word for word and in row-major order
+    words = np.random.Philox(key=key).random_raw(n * d).reshape(n, d)
+    want = np.random.Generator(np.random.Philox(key=key)).random((n, d))
+    got = (words >> 11) * 2.0**-53
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(m4.base(equal_spec(), n * d, key)[:, 0],
+                                  words.reshape(-1))
+    for j in range(d):
+        np.testing.assert_array_equal(IidPareto(1.5).lift(words[:, j], j, 1.5),
+                                      (1.0 - want[:, j]) ** (-1.0 / 1.5))
+
+
+def test_a_level_below_one_makes_every_word_a_candidate():
+    # every word lifts to W >= 1, so below level 1 the floor is the least
+    # word, 0, and the words of uniform 0 (0 to 2047) are candidates too
+    spec = equal_spec(nlags=1)
+    V = np.array([[0], [1], [2047], [2048], [3 << 62], [2**64 - 1]],
+                 dtype=np.uint64)
+    u = m4.ThresholdVector(n=len(V), tau=np.ones(1), u=np.array([0.5]))
+    assert spec.innovation.floor(0.5, 0, 1.0) == 0
+    got = evt.m4_exceedances(m4.Draw(V, spec), u)
+    _assert_same_exceedances(got, _dense_exceedances(spec, V, None, u), len(V))
+    np.testing.assert_array_equal(got.times, np.arange(len(V)))
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+@pytest.mark.parametrize("kind", ["iid_pareto", "pareto", "folded_pareto"])
+def test_m4_exceedances_read_either_memory_order(kind, overflow):
+    # the one pass reads the base draw flat in row-major order whatever its
+    # memory order, so a Fortran-ordered V gives the C-ordered one's times,
+    # dtype and error text, and both equal the built path's
+    inn = IidPareto(1.5) if kind == "iid_pareto" else SUBGAUSS[3, kind]
+    a = np.full((2, 3, 3), 0.4)
+    a[0, :, 0] = 1.0
+    if overflow:
+        a[0, 0, 0] = 1e308  # every product at a lag-0 row with W > 2
+    spec = M4Spec(d=3, alpha=1.5, lags=(0, 1), a=a, innovation=inn)
+    n = 3000
+    u = (m4.ThresholdVector(n=n, tau=np.ones(3), u=np.full(3, 1e3))
+         if overflow else m4.thresholds(spec, n, [20.0, 40.0, 80.0]))
+    V = m4.base(spec, n + 1, 11)
+    want = _dense_exceedances(spec, V, None, u)
+    if overflow:
+        assert want == "values must be finite"
+    else:
+        assert len(want.times) >= 20
+    for order in ("C", "F"):
+        draw = m4.Draw(np.asarray(V, order=order), spec)
+        assert draw.V.flags[f"{order}_CONTIGUOUS"]
+        with np.errstate(over="ignore"):
+            got = _result_or_error(evt.m4_exceedances, draw, u)
+        _assert_same_exceedances(got, want, n)
