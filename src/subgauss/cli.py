@@ -2,27 +2,26 @@
 
 Exit codes: 0 success, 1 runtime failure (a computation raised), 2 config
 validation failure (bad spec or config file, malformed flag value), with a
-message naming the offending field or flag. The SUBGAUSS_SEED environment
-variable, when set, overrides any base seed from flags or config files; a
-seed that is not a Philox key exits 2 naming where it came from.
+message naming the offending field or flag.
 `run` is the only command that draws paths: it runs a config through the
-engine, `harness.run`. `limits` prints the closed-form limits of a config's
-analyses, `harness.targets`, and draws no path. `gauss-tools` prints the
-covariance diagnostics of a coefficient table, `harness.gauss_tools`, from a
-spec file checked as a config's `lin` is. Every command writes JSON.
+engine, `harness.run`, so its output is set by the config file alone (the
+seed is the config's `base_seed`). `limits` prints the closed-form limits
+of a config's analyses, `harness.targets`, and draws no path. `gauss-tools`
+prints the covariance diagnostics of a coefficient table,
+`harness.gauss_tools`, from a spec file checked as a config's `lin` is.
+Every command writes JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
 from subgauss import gausslin, harness
 from subgauss.gausslin import SpecError
-from subgauss.harness import ExperimentConfig, effective_base_seed
+from subgauss.harness import ExperimentConfig
 
 
 def _write(text: str, out: str | None) -> None:
@@ -47,14 +46,9 @@ def _cmd_limits(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_json(Path(args.config).read_text())
-    changes = {"base_seed": effective_base_seed(args.seed, cfg.base_seed)}
-    if args.reps is not None:
-        changes["reps"] = args.reps
-    cfg = dataclasses.replace(cfg, **changes)
-    out_dir = args.out or cfg.out
-    summary = harness.run(cfg, out_dir)
-    if out_dir is None:
+    summary = harness.run(
+        ExperimentConfig.from_json(Path(args.config).read_text()), args.out)
+    if not args.out:
         sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 0
 
@@ -81,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute an experiment config")
     p.add_argument("--config", required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_run)
 

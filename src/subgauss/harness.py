@@ -5,7 +5,7 @@ process), a sample size, a tau vector, a replication count and a base seed,
 plus a list of analyses. `replicate` is the one replication loop: replication
 i draws the path with seed base_seed XOR i once, every per-path analysis maps
 over that path, and results are folded in index order, so output bytes
-depend only on (config, base_seed), never on execution order. Every per-path
+depend only on the config, never on execution order. Every per-path
 analysis but `scan` reads the replication's sorted exceedance times over the
 generator's tau thresholds, found once, on first use: off the base draw of
 an M4 draw (`evt.m4_exceedances`, which lifts only the rows that can exceed
@@ -19,7 +19,6 @@ A registry entry's target is the closed-form limit of its summary entry;
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -31,8 +30,6 @@ from scipy.special import ndtri
 from subgauss import evt, gausslin, m4, pointproc, subordinate
 from subgauss.gausslin import (SpecError, _integer, _integers, _keys, _list,
                                _number, _numbers, _object)
-
-ENV_SEED = "SUBGAUSS_SEED"
 
 
 class Generator(NamedTuple):
@@ -327,7 +324,7 @@ def _analysis(a) -> dict:
 # The keys a config and each generator kind allow; any other key is a config
 # error.
 CONFIG_KEYS = {"name", "generator", "n", "tau", "reps", "base_seed",
-               "analyses", "out"}
+               "analyses"}
 GENERATOR_KEYS = {"m4": {"kind", "spec"}, "gauss": {"kind", "lin", "transform"}}
 
 
@@ -340,7 +337,6 @@ class ExperimentConfig:
     reps: int
     base_seed: int
     analyses: tuple
-    out: str | None = None
 
     def __post_init__(self):
         # the name prefixes every output file, so it names no other directory
@@ -348,13 +344,11 @@ class ExperimentConfig:
                 and re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", self.name)):
             raise SpecError(f"name={self.name!r} must be letters, digits, _, "
                             "- and ., not starting with . (field: name)")
-        if self.out is not None and not isinstance(self.out, str):
-            raise SpecError(f"out={self.out!r} must be a string (field: out)")
         if self.reps < 1:
             raise SpecError("reps must be >= 1 (field: reps)")
         if self.n < 1:
             raise SpecError("n must be >= 1 (field: n)")
-        check_seed("base_seed", self.base_seed)
+        check_seed(self.base_seed)
         analyses = []
         for idx, a in enumerate(self.analyses):
             try:
@@ -375,7 +369,6 @@ class ExperimentConfig:
                 reps=_integer("reps", obj["reps"]),
                 base_seed=_integer("base_seed", obj.get("base_seed", 0)),
                 analyses=tuple(_list("analyses", obj["analyses"])),
-                out=obj.get("out"),
             )
         except KeyError as exc:
             name = exc.args[0]
@@ -500,7 +493,7 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "failures": failures,
         "failure_rate": len(failures) / cfg.reps,
     }
-    if out_dir is not None:
+    if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for key, text in artifacts.items():
@@ -511,25 +504,8 @@ def run(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     return summary
 
 
-def check_seed(name: str, seed: int) -> int:
+def check_seed(seed: int) -> None:
     """A base seed: an integer key of Philox, in [0, 2**128)."""
     if not 0 <= seed < 2**128:
-        raise SpecError(f"{name}={seed} must lie in [0, 2**128) "
-                        f"(field: {name})")
-    return seed
-
-
-def effective_base_seed(cli_seed: int | None, cfg_seed: int) -> int:
-    """CLI --seed beats the config; the SUBGAUSS_SEED env var beats both.
-    Each seed given is checked, naming where it came from."""
-    if cli_seed is not None:
-        check_seed("--seed", cli_seed)
-    env = os.environ.get(ENV_SEED)
-    if env is None:
-        return cfg_seed if cli_seed is None else cli_seed
-    try:
-        seed = int(env)
-    except ValueError:
-        raise SpecError(f"{ENV_SEED}={env!r} must be an integer "
-                        f"(field: {ENV_SEED})") from None
-    return check_seed(ENV_SEED, seed)
+        raise SpecError(f"base_seed={seed} must lie in [0, 2**128) "
+                        "(field: base_seed)")

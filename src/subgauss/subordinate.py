@@ -23,7 +23,7 @@ from subgauss.gausslin import (SeriesMatrix, SpecError, _integer, _integers, _ke
 class Part:
     """One output coordinate of a window transform.
 
-    kinds (lag 0 unless stated):
+    kinds (lag 0 and no alpha unless stated; any other input is an error):
       identity(coord), abs(coord), square(coord),
       pareto(alpha, coord)        = (1 - Phi(x))^(-1/alpha),
       folded_pareto(alpha, coord) = (1 - F_|N|(|x|))^(-1/alpha),
@@ -46,6 +46,10 @@ class Part:
         if self.kind in ("pareto", "folded_pareto"):
             if self.alpha is None or self.alpha <= 0:
                 raise SpecError(f"{self.kind} requires alpha > 0 (field: alpha)")
+        elif self.alpha is not None:
+            raise SpecError(f"{self.kind} reads no alpha (field: alpha)")
+        if self.kind != "window_max" and self.lags != (0,):
+            raise SpecError(f"{self.kind} reads lag 0 only (field: lags)")
 
     def evaluate(self, window: np.ndarray) -> np.ndarray:
         """window has shape (nlags, nobs): row l is the coordinate at lag l."""

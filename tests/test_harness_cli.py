@@ -307,17 +307,6 @@ class TestRun:
                                             "2:dprime"}
 
 
-class TestSeedPrecedence:
-    def test_env_beats_all(self, monkeypatch):
-        monkeypatch.setenv(harness.ENV_SEED, "99")
-        assert harness.effective_base_seed(5, 1) == 99
-
-    def test_cli_beats_config(self, monkeypatch):
-        monkeypatch.delenv(harness.ENV_SEED, raising=False)
-        assert harness.effective_base_seed(5, 1) == 5
-        assert harness.effective_base_seed(None, 1) == 1
-
-
 class TestTargets:
     def test_keyed_as_the_summary_and_drawing_no_path(self, monkeypatch):
         # an m4 generator has a target for nonexceed, runs, pointproc and
@@ -428,8 +417,6 @@ class TestCli:
         pytest.param(["limits"], ["generator", "spec", "alpha"], 0.0,
                      "field: alpha", id="theta-alpha-zero"),
         pytest.param(["run"], ["n"], 0, "field: n", id="simulate-n-zero"),
-        pytest.param(["run", "--seed", "-1"], [], {}, "field: --seed",
-                     id="simulate-seed-negative"),
         pytest.param(["gauss-tools"], ["L"], -1, "field: L",
                      id="acf-L-negative"),
         pytest.param(["gauss-tools"], ["d0"], 0, "field: d0",
@@ -548,365 +535,389 @@ class TestCli:
         assert "field: tau" in err
         assert drawn == []
 
-    def test_env_seed_changes_output(self, tmp_path, monkeypatch, capsys):
-        # SUBGAUSS_SEED beats --seed: a run under the env seed 123 and
-        # --seed 7 prints the summary bytes of --seed 123
-        f = tmp_path / "cfg.json"
-        f.write_text(json.dumps(tiny_config()))
-
-        def summary(seed):
-            assert cli_main(["run", "--config", str(f), "--seed", seed]) == 0
-            return capsys.readouterr().out
-
-        monkeypatch.setenv(harness.ENV_SEED, "123")
-        env = summary("7")
-        monkeypatch.delenv(harness.ENV_SEED)
-        assert env == summary("123")
-        assert json.loads(env)["analyses"] != json.loads(summary("7"))["analyses"]
-
-    @pytest.mark.parametrize("value", ["-1", "abc", str(2**128)])
-    # an id names the command whose case it is: `simulate` drew a gauss path
-    @pytest.mark.parametrize("config", [
-        pytest.param(tiny_config(), id="run"),
-        pytest.param(tiny_gauss_config(), id="simulate"),
-    ])
-    def test_env_seed_error_exit_2_names_it(self, tmp_path, capsys,
-                                            monkeypatch, config, value):
-        # SUBGAUSS_SEED is config input: a value that is not a Philox key
-        # exits 2 naming it, before any path is drawn
-        f = tmp_path / "in.json"
-        f.write_text(json.dumps(config))
-        argv = ["run", "--config", str(f)]
-        drawn = []
-        monkeypatch.setattr(np.random, "Philox", lambda **kw: drawn.append(kw))
-        monkeypatch.setenv(harness.ENV_SEED, value)
-        assert cli_main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and "field: SUBGAUSS_SEED" in err
-        assert drawn == []
-
     def test_run_shipped_config(self, tmp_path):
         # reduced-reps pass over the shipped i.i.d. baseline config
-        assert (
-            cli_main(
-                ["run", "--config", str(CONFIGS / "e1.json"),
-                 "--reps", "200", "--out", str(tmp_path)]
-            )
-            == 0
-        )
+        f = tmp_path / "e1.json"
+        f.write_text(json.dumps({**json.loads((CONFIGS / "e1.json")
+                                              .read_text()), "reps": 200}))
+        assert cli_main(["run", "--config", str(f), "--out",
+                         str(tmp_path)]) == 0
         summary = json.loads(
             (tmp_path / "e1_iid_baseline_summary.json").read_text()
         )
         assert abs(summary["analyses"]["0:nonexceed"]["p_hat"] - 0.368) < 0.12
 
-    @pytest.mark.parametrize("change, flags, field", [
+    def test_settable_surface(self):
+        # every value a user can set: each command's flags, the config and
+        # generator keys, and no environment variable
+        (sub,) = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        flags = {name: sorted(opt for action in parser._actions
+                              for opt in action.option_strings
+                              if opt not in ("-h", "--help"))
+                 for name, parser in sub.choices.items()}
+        assert flags == {
+            "gauss-tools": ["--berman-hmax", "--nblock", "--out", "--spec"],
+            "limits": ["--config", "--out"],
+            "run": ["--config", "--out"],
+        }
+        assert harness.CONFIG_KEYS == {"name", "generator", "n", "tau",
+                                       "reps", "base_seed", "analyses"}
+        assert harness.GENERATOR_KEYS == {
+            "m4": {"kind", "spec"}, "gauss": {"kind", "lin", "transform"}}
+        assert not [path.name for path in (REPO / "src" / "subgauss").glob(
+            "*.py") if "environ" in path.read_text()]
+
+    def test_run_is_its_config(self, tmp_path, monkeypatch, capsys):
+        # the seed and the replication count come from the config alone:
+        # SUBGAUSS_SEED changes no output byte, and run takes neither
+        # --seed nor --reps
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(tiny_config()))
+
+        def summary():
+            assert cli_main(["run", "--config", str(f)]) == 0
+            return capsys.readouterr().out
+
+        monkeypatch.delenv("SUBGAUSS_SEED", raising=False)
+        want = summary()
+        for value in ("123", "abc"):
+            monkeypatch.setenv("SUBGAUSS_SEED", value)
+            assert summary() == want
+        for flag in ("--seed", "--reps"):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["run", "--config", str(f), flag, "1"])
+            assert exc.value.code == 2
+
+    @pytest.mark.parametrize("change, command, field", [
         pytest.param({"generator": {"kind": "m4", "spec": {
             "d": 1, "alpha": 1.0, "lags": [0, 0], "a": [[[1.0]]],
             "innovation": {"kind": "subgauss", "transform": "pareto", "lin": {
-                "d0": 2, "family": "iid", "params": {}, "L": 0}}}}}, [], "d0",
-            id="subgauss-d0-mismatch"),
+                "d0": 2, "family": "iid", "params": {}, "L": 0}}}}}, "run",
+            "d0", id="subgauss-d0-mismatch"),
         pytest.param({"analyses": [{"type": "nonexceed"}, {"type": "mystery"}]},
-                     [], "type", id="unknown-type"),
-        pytest.param({"analyses": [{"type": "runs"}]}, [], "'m'", id="runs-m"),
-        pytest.param({"analyses": [{"type": "pointproc", "r": 50}]}, [], "'p'",
-                     id="pointproc-p"),
-        pytest.param({"analyses": [{"type": "scan", "levels": [1.5]}]}, [],
+                     "run", "type", id="unknown-type"),
+        pytest.param({"analyses": [{"type": "runs"}]}, "run", "'m'",
+                     id="runs-m"),
+        pytest.param({"analyses": [{"type": "pointproc", "r": 50}]}, "run",
+                     "'p'", id="pointproc-p"),
+        pytest.param({"analyses": [{"type": "scan", "levels": [1.5]}]}, "run",
                      "field: levels", id="scan-levels"),
-        pytest.param({"analyses": [{"type": "scan", "rho": 0.5}]}, [],
+        pytest.param({"analyses": [{"type": "scan", "rho": 0.5}]}, "run",
                      "field: rho", id="scan-rho"),
-        pytest.param({"analyses": [{"type": "dprime"}]}, [], "'k_list'",
+        pytest.param({"analyses": [{"type": "dprime"}]}, "run", "'k_list'",
                      id="dprime-k_list"),
-        pytest.param({"tau": []}, [], "tau", id="no-thresholds"),
-        pytest.param({}, ["--reps", "0"], "reps", id="reps-flag-zero"),
+        pytest.param({"tau": []}, "run", "tau", id="no-thresholds"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [5.0], "analyses": [{"type": "scan"}]}, [],
+                      "tau": [5.0], "analyses": [{"type": "scan"}]}, "run",
                      "field: d", id="scan-univariate"),
         pytest.param({"tau": [5.0, 5.0], "analyses": [{"type": "scan"}],
                       "generator": {"kind": "m4", "spec": {
                           "d": 2, "alpha": 1.0, "lags": [0, 0],
                           "a": [[[1.0, 0.0], [0.0, 1.0]]],
                           "innovation": {"kind": "iid_pareto",
-                                         "alpha": 1.0}}}}, [],
+                                         "alpha": 1.0}}}}, "run",
                      "field: kind", id="scan-m4"),
         pytest.param({"generator": {"kind": "gauss", "lin": RHO_HALF},
-                      "tau": [], "analyses": [{"type": "scan"}]}, [],
+                      "tau": [], "analyses": [{"type": "scan"}]}, "run",
                      "field: tau", id="scan-without-tau"),
-        pytest.param({"analyses": [{"type": "dprime", "k_list": []}]}, [],
+        pytest.param({"analyses": [{"type": "dprime", "k_list": []}]}, "run",
                      "field: k_list", id="dprime-k_list-empty"),
-        pytest.param({"analyses": [{"type": "dprime", "k_list": [1, 2]}]}, [],
-                     "field: k_list", id="dprime-k-one"),
+        pytest.param({"analyses": [{"type": "dprime", "k_list": [1, 2]}]},
+                     "run", "field: k_list", id="dprime-k-one"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             "d": 2, "alpha": 1.0, "lags": [0, 0],
             "a": [[[1.0, 0.0], [0.0, 1.0]]],
             "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
             "tau": [80.0, 80.0], "analyses": [{"type": "dprime", "k_list": [2]}]},
-            [], "field: d", id="dprime-bivariate"),
-        pytest.param({"analyses": [{"type": "gauss-tools"}]}, [], "field: kind",
-                     id="gauss-tools-m4"),
+            "run", "field: d", id="dprime-bivariate"),
+        pytest.param({"analyses": [{"type": "gauss-tools"}]}, "run",
+                     "field: kind", id="gauss-tools-m4"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": 0}]},
-            [], "field: nblock", id="gauss-tools-nblock"),
+            "run", "field: nblock", id="gauss-tools-nblock"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": 2001}]},
-            [], "field: nblock", id="gauss-tools-dense-budget"),
+            "run", "field: nblock", id="gauss-tools-dense-budget"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 4}}, "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: L", id="gauss-tools-short-table"),
+            "run", "field: L", id="gauss-tools-short-table"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 5, "p": 5,
-                                    "m": 5}]}, [], "field: r",
+                                    "m": 5}]}, "run", "field: r",
                      id="pointproc-r-le-m"),
-        pytest.param({"analyses": [{"type": "runs", "m": 2000}]}, [],
+        pytest.param({"analyses": [{"type": "runs", "m": 2000}]}, "run",
                      "field: m", id="runs-m-ge-n"),
-        pytest.param({"analyses": [{"type": "blocks", "b": 100}]}, [],
+        pytest.param({"analyses": [{"type": "blocks", "b": 100}]}, "run",
                      "field: b", id="blocks-too-few"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 1990,
-                                    "p": 20}]}, [], "field: r, p",
+                                    "p": 20}]}, "run", "field: r, p",
                      id="pointproc-segment-exceeds-n"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 5,
-                                    "m": -1}]}, [], "field: m",
+                                    "m": -1}]}, "run", "field: m",
                      id="pointproc-m-negative"),
         pytest.param({"analyses": [{"type": "pointproc", "r": -1, "p": -2,
-                                    "m": -5}]}, [], "field: m",
+                                    "m": -5}]}, "run", "field: m",
                      id="pointproc-all-negative"),
         pytest.param({"reps": 200, "analyses": [{
             "type": "pointproc", "r": 50, "p": 5, "lambda_target": 0.0}]},
-            [], "field: lambda_target", id="pointproc-lambda-zero"),
+            "run", "field: lambda_target", id="pointproc-lambda-zero"),
         pytest.param({"reps": 200, "analyses": [{
             "type": "pointproc", "r": 50, "p": 5, "lambda_target": -1.0}]},
-            [], "field: lambda_target", id="pointproc-lambda-negative"),
+            "run", "field: lambda_target", id="pointproc-lambda-negative"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8},
             "standardize": False}, "tau": [], "reps": 1,
             "analyses": [{"type": "gauss-tools"}]},
-            [], "field: standardize", id="gauss-unknown-key"),
+            "run", "field: standardize", id="gauss-unknown-key"),
         pytest.param({"generator": {**tiny_config()["generator"], "m_trunc": 1}},
-                     [], "field: m_trunc", id="m4-unknown-key"),
+                     "run", "field: m_trunc", id="m4-unknown-key"),
         # a field of the wrong JSON type
-        pytest.param({"generator": "m4"}, [], "field: generator",
+        pytest.param({"generator": "m4"}, "run", "field: generator",
                      id="generator-not-object"),
-        pytest.param({"n": "many"}, [], "field: n", id="n-string"),
-        pytest.param({"tau": 1.0}, [], "field: tau", id="tau-number"),
-        pytest.param({"tau": ["80"]}, [], "field: tau", id="tau-string-entry"),
-        pytest.param({"reps": 2.5}, [], "field: reps", id="reps-fraction"),
-        pytest.param({"base_seed": True}, [], "field: base_seed",
+        pytest.param({"n": "many"}, "run", "field: n", id="n-string"),
+        pytest.param({"tau": 1.0}, "run", "field: tau", id="tau-number"),
+        pytest.param({"tau": ["80"]}, "run", "field: tau",
+                     id="tau-string-entry"),
+        pytest.param({"reps": 2.5}, "run", "field: reps", id="reps-fraction"),
+        pytest.param({"base_seed": True}, "run", "field: base_seed",
                      id="base-seed-bool"),
-        pytest.param({"base_seed": -1}, [], "field: base_seed",
+        pytest.param({"base_seed": -1}, "run", "field: base_seed",
                      id="base-seed-negative"),
-        pytest.param({"base_seed": 2**128}, [], "field: base_seed",
+        pytest.param({"base_seed": 2**128}, "run", "field: base_seed",
                      id="base-seed-past-philox-key"),
-        pytest.param({}, ["--seed", "-1"], "field: --seed",
-                     id="seed-flag-negative"),
-        pytest.param({"analyses": {"type": "nonexceed"}}, [],
+        pytest.param({"analyses": {"type": "nonexceed"}}, "run",
                      "field: analyses", id="analyses-object"),
         # the name prefixes every output file, so it is a plain file-name
-        # stem; out is a path
-        pytest.param({"name": "../escaped"}, [], "field: name",
+        # stem
+        pytest.param({"name": "../escaped"}, "run", "field: name",
                      id="name-parent-directory"),
-        pytest.param({"name": "a/b"}, [], "field: name", id="name-slash"),
-        pytest.param({"name": ["x"]}, [], "field: name", id="name-list"),
-        pytest.param({"name": ""}, [], "field: name", id="name-empty"),
-        pytest.param({"name": ".hidden"}, [], "field: name",
+        pytest.param({"name": "a/b"}, "run", "field: name", id="name-slash"),
+        pytest.param({"name": ["x"]}, "run", "field: name", id="name-list"),
+        pytest.param({"name": ""}, "run", "field: name", id="name-empty"),
+        pytest.param({"name": ".hidden"}, "run", "field: name",
                      id="name-leading-dot"),
-        pytest.param({"out": 3}, [], "field: out", id="out-number"),
-        # a key that nothing reads
-        pytest.param({"base_sed": 1001}, [], "field: base_sed",
+        # a key that nothing reads; the output directory is run's --out
+        pytest.param({"out": 3}, "run", "field: out", id="out-number"),
+        pytest.param({"out": "results"}, "run", "field: out", id="out-string"),
+        pytest.param({"base_sed": 1001}, "run", "field: base_sed",
                      id="base-seed-typo"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 5,
-                                    "bins": 10}]}, [], "field: bins",
+                                    "bins": 10}]}, "run", "field: bins",
                      id="pointproc-bins"),
-        pytest.param({"analyses": [{"type": "runs", "m": 1, "mm": 2}]}, [],
+        pytest.param({"analyses": [{"type": "runs", "m": 1, "mm": 2}]}, "run",
                      "field: mm", id="runs-unknown-key"),
         # a gauss generator's thresholds: a tau of the path's length, on
         # raw or pareto-type columns, with every level positive
         pytest.param({**json.loads((CONFIGS / "e7.json").read_text()),
-                      "tau": [1.0]}, [], "field: tau", id="e7-gauss-tau-length"),
+                      "tau": [1.0]}, "run", "field: tau",
+                     id="e7-gauss-tau-length"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
             "m": 1, "parts": [{"kind": "window_max", "lags": [0, 1]}]}},
-            "tau": [5.0], "reps": 1}, [], "field: tau",
+            "tau": [5.0], "reps": 1}, "run", "field: tau",
             id="gauss-window-max-tau"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [1500.0]}, [], "field: tau",
+                      "tau": [1500.0]}, "run", "field: tau",
                      id="gauss-threshold-negative"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [5000.0]}, [], "field: tau",
+                      "tau": [5000.0]}, "run", "field: tau",
                      id="gauss-threshold-nan"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [0.0]}, [], "field: tau", id="gauss-tau-zero"),
+                      "tau": [0.0]}, "run", "field: tau", id="gauss-tau-zero"),
         # a transform part must read a column of the table
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
             "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": 3}]}},
-            "tau": []}, [], "field: coord", id="parts-coord-past-d0"),
+            "tau": []}, "run", "field: coord", id="parts-coord-past-d0"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
             "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": -1}]}},
-            "tau": []}, [], "field: coord", id="parts-coord-negative"),
+            "tau": []}, "run", "field: coord", id="parts-coord-negative"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": []}}, "tau": []}, [], "field: parts",
+            "m": 0, "parts": []}}, "tau": []}, "run", "field: parts",
             id="transform-no-parts"),
         # a value out of range names its field
-        pytest.param({"tau": [80.0, 80.0]}, [], "field: tau", id="tau-length"),
-        pytest.param({"tau": [-1.0]}, [], "field: tau", id="tau-negative"),
-        pytest.param({"reps": 0}, [], "field: reps", id="reps-zero"),
-        pytest.param({"n": 0}, [], "field: n", id="n-zero"),
+        pytest.param({"tau": [80.0, 80.0]}, "run", "field: tau",
+                     id="tau-length"),
+        pytest.param({"tau": [-1.0]}, "run", "field: tau", id="tau-negative"),
+        pytest.param({"reps": 0}, "run", "field: reps", id="reps-zero"),
+        pytest.param({"n": 0}, "run", "field: n", id="n-zero"),
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "lags": [1, 2]}}}, [],
+            **tiny_config()["generator"]["spec"], "lags": [1, 2]}}}, "run",
             "field: lags", id="spec-lags-without-zero"),
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "a": [[[1.0]]]}}}, [],
+            **tiny_config()["generator"]["spec"], "a": [[[1.0]]]}}}, "run",
             "field: a", id="spec-a-shape"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"], "a": [[[-1.0]], [[1.0]]]}}},
-            [], "field: a", id="spec-a-negative"),
+            "run", "field: a", id="spec-a-negative"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"], "a": [[[0.0]], [[0.0]]]}}},
-            [], "field: a", id="spec-a-zero-row"),
+            "run", "field: a", id="spec-a-zero-row"),
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "alpha": 0.0}}}, [],
+            **tiny_config()["generator"]["spec"], "alpha": 0.0}}}, "run",
             "field: alpha", id="spec-alpha-zero"),
         pytest.param({"generator": {"kind": "gauss", "lin": {**IID8, "L": -1}},
-                      "tau": []}, [], "field: L", id="lin-L-negative"),
+                      "tau": []}, "run", "field: L", id="lin-L-negative"),
         pytest.param({"generator": {"kind": "gauss", "lin": {**IID8, "d0": 0}},
-                      "tau": []}, [], "field: d0", id="lin-d0-zero"),
+                      "tau": []}, "run", "field: d0", id="lin-d0-zero"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "log_boundary",
-            "params": {"q": 1.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, [],
+            "params": {"q": 1.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, "run",
             "field: q", id="params-q-one"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "polynomial",
-            "params": {"beta": 0.5, "B": [[1.0]]}, "L": 8}}, "tau": []}, [],
+            "params": {"beta": 0.5, "B": [[1.0]]}, "L": 8}}, "tau": []}, "run",
             "field: beta", id="params-beta-half"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "log_boundary",
-            "params": {"q": 2.0, "B": [[-1.0]]}, "L": 8}}, "tau": []}, [],
+            "params": {"q": 2.0, "B": [[-1.0]]}, "L": 8}}, "tau": []}, "run",
             "field: B", id="params-B-negative"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 2, "family": "log_boundary",
-            "params": {"q": 2.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, [],
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, "run",
             "field: B", id="params-B-d0-mismatch"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 2, "family": "custom", "params": {"table": [[[1.0]]]},
-            "L": 0}}, "tau": []}, [], "field: table", id="custom-table-shape"),
+            "L": 0}}, "tau": []}, "run", "field: table",
+            id="custom-table-shape"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
             "m": 0, "parts": [{"kind": "pareto", "alpha": 0.0}]}},
-            "tau": []}, [], "field: alpha", id="parts-pareto-alpha-zero"),
+            "tau": []}, "run", "field: alpha", id="parts-pareto-alpha-zero"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
             "m": 0, "parts": [{"kind": "window_max", "lags": [0, 1]}]}},
-            "tau": []}, [], "field: lags", id="parts-lag-outside-window"),
+            "tau": []}, "run", "field: lags", id="parts-lag-outside-window"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": -1, "parts": [{"kind": "identity"}]}}, "tau": []}, [],
+            "m": -1, "parts": [{"kind": "identity"}]}}, "tau": []}, "run",
             "field: m", id="transform-m-negative"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 2,
-                                    "m": 3}]}, [], "field: p",
+                                    "m": 3}]}, "run", "field: p",
                      id="pointproc-p-lt-m"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             "d": 2, "alpha": 1.0, "lags": [0, 0],
             "a": [[[1.0, 0.0], [0.0, 1.0]]]}}, "tau": [], "reps": 1,
             "analyses": [{"type": "nonexceed"}]},
-            [], "field: innovation", id="spec-without-innovation"),
+            "run", "field: innovation", id="spec-without-innovation"),
         # a nested field of the wrong JSON type, or missing
-        pytest.param({"generator": {"kind": "m4", "spec": "x"}}, [],
+        pytest.param({"generator": {"kind": "m4", "spec": "x"}}, "run",
                      "field: spec", id="spec-string"),
         pytest.param({"generator": {"kind": "gauss", "lin": "x"}, "tau": []},
-                     [], "field: lin", id="lin-string"),
+                     "run", "field: lin", id="lin-string"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": "x"},
-            "tau": []}, [], "field: transform", id="transform-string"),
+            "tau": []}, "run", "field: transform", id="transform-string"),
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "alpha": "one"}}}, [],
+            **tiny_config()["generator"]["spec"], "alpha": "one"}}}, "run",
             "field: alpha", id="spec-alpha-string"),
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "d": 1.5}}}, [],
+            **tiny_config()["generator"]["spec"], "d": 1.5}}}, "run",
             "field: d", id="spec-d-fraction"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"],
-            "innovation": {"kind": "iid_pareto"}}}}, [], "field: alpha",
+            "innovation": {"kind": "iid_pareto"}}}}, "run", "field: alpha",
             id="innovation-missing-alpha"),
-        pytest.param({"analyses": [{"type": "runs", "m": "3"}]}, [],
+        pytest.param({"analyses": [{"type": "runs", "m": "3"}]}, "run",
                      "field: m", id="runs-m-string"),
-        pytest.param({"analyses": [{"type": "blocks", "b": 1.5}]}, [],
+        pytest.param({"analyses": [{"type": "blocks", "b": 1.5}]}, "run",
                      "field: b", id="blocks-b-fraction"),
         pytest.param({"analyses": [{"type": "pointproc", "r": "50", "p": 5}]},
-                     [], "field: r", id="pointproc-r-string"),
+                     "run", "field: r", id="pointproc-r-string"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": None}]},
-                     [], "field: p", id="pointproc-p-null"),
+                     "run", "field: p", id="pointproc-p-null"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 5,
-                                    "lambda_target": "2"}]}, [],
+                                    "lambda_target": "2"}]}, "run",
                      "field: lambda_target", id="pointproc-lambda-string"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": "50"}]},
-            [], "field: nblock", id="gauss-tools-nblock-string"),
-        pytest.param({"analyses": [{"type": "dprime", "k_list": "2"}]}, [],
+            "run", "field: nblock", id="gauss-tools-nblock-string"),
+        pytest.param({"analyses": [{"type": "dprime", "k_list": "2"}]}, "run",
                      "field: k_list", id="dprime-k_list-string"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": [2, 2.5]}]},
-                     [], "field: k_list", id="dprime-k_list-fraction"),
+                     "run", "field: k_list", id="dprime-k_list-fraction"),
         # a key that nothing reads, or a field of the wrong JSON type, inside
         # a spec, an innovation, a table (lin), its params or a transform part
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "extra": 1}}}, [],
+            **tiny_config()["generator"]["spec"], "extra": 1}}}, "run",
             "field: extra", id="spec-unknown-key"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"],
             "innovation": {"kind": "iid_pareto", "alpha": 1.0, "beta": 2}}}},
-            [], "field: beta", id="innovation-unknown-key"),
+            "run", "field: beta", id="innovation-unknown-key"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"],
             "innovation": {"kind": "iid_pareto", "alpha": "one"}}}},
-            [], "field: alpha", id="innovation-alpha-string"),
+            "run", "field: alpha", id="innovation-alpha-string"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"],
             "innovation": {"kind": "iid_pareto", "alpha": -1.0}}}},
-            [], "field: alpha", id="innovation-alpha-negative"),
+            "run", "field: alpha", id="innovation-alpha-negative"),
         # draws from one alpha against thresholds from another
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"],
             "innovation": {"kind": "iid_pareto", "alpha": 2.0}}}},
-            [], "field: alpha", id="innovation-alpha-differs"),
+            "run", "field: alpha", id="innovation-alpha-differs"),
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "lags": [0, "1"]}}}, [],
+            **tiny_config()["generator"]["spec"], "lags": [0, "1"]}}}, "run",
             "field: lags", id="spec-lags-string"),
         pytest.param({"generator": {"kind": "m4", "spec": {
-            **tiny_config()["generator"]["spec"], "lags": [0, 1, 2]}}}, [],
+            **tiny_config()["generator"]["spec"], "lags": [0, 1, 2]}}}, "run",
             "field: lags", id="spec-lags-three"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8, "Lmax": 9}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: Lmax", id="lin-unknown-key"),
+            "run", "field: Lmax", id="lin-unknown-key"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8.5}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: L", id="lin-L-fraction"),
+            "run", "field: L", id="lin-L-fraction"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "log_boundary",
             "params": {"q": 2.0, "B": [[1.0]], "beta": 1.0}, "L": 8}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: beta", id="params-unknown-key"),
+            "run", "field: beta", id="params-unknown-key"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "log_boundary",
             "params": {"q": "two", "B": [[1.0]]}, "L": 8}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: q", id="params-q-string"),
+            "run", "field: q", id="params-q-string"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "log_boundary",
             "params": {"q": 2.0, "B": [["1"]]}, "L": 8}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: B", id="params-B-string"),
+            "run", "field: B", id="params-B-string"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
             "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "scale": 2}]}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: scale", id="parts-unknown-key"),
+            "run", "field: scale", id="parts-unknown-key"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
             "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": "0"}]}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            [], "field: coord", id="parts-coord-string"),
+            "run", "field: coord", id="parts-coord-string"),
+        # a transform part input that its kind does not read: lags other
+        # than [0] off window_max, alpha off pareto and folded_pareto
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 2, "parts": [{"kind": "pareto", "alpha": 1.0, "lags": [2]}]}},
+            "tau": [5.0]}, "run", "field: lags", id="parts-pareto-lags"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 0, "parts": [{"kind": "abs", "alpha": 3.0}]}}, "tau": [],
+            "reps": 1, "analyses": [{"type": "gauss-tools"}]}, "run",
+            "field: alpha", id="parts-abs-alpha"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 1, "parts": [{"kind": "folded_pareto", "alpha": 1.0,
+                               "lags": [0, 1]}]}}, "tau": [5.0]}, "limits",
+            "field: lags", id="limits-parts-folded-pareto-lags"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 1, "parts": [{"kind": "window_max", "alpha": 2.0,
+                               "lags": [0, 1]}]}}, "tau": [],
+            "analyses": [{"type": "gauss-tools"}]}, "limits", "field: alpha",
+            id="limits-parts-window-max-alpha"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
-                                                 monkeypatch, change, flags,
-                                                 field):
+                                                 monkeypatch, change,
+                                                 command, field):
         drawn = []
         build = harness._build_generator
 
@@ -914,14 +925,12 @@ class TestCli:
                             lambda cfg: build(cfg)._replace(path_fn=drawn.append))
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(tiny_config(**change)))
-        assert cli_main(["run", "--config", str(f)] + flags) == 2
+        assert cli_main([command, "--config", str(f)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and field in err
         assert drawn == []
 
     @pytest.mark.parametrize("argv, flag", [
-        pytest.param(["run", "--reps", "many", "--config"], "--reps",
-                     id="run-reps"),
         pytest.param(["gauss-tools", "--nblock", "ten", "--spec"], "--nblock",
                      id="gauss-tools-nblock"),
     ])
@@ -1086,9 +1095,8 @@ class TestCliGolden:
         pytest.param("dprime.json", 5.0, 50,
                      {"type": "dprime", "k_list": [2, 4, 8]}, id="dprime"),
     ])
-    def test_output_bytes(self, tmp_path, monkeypatch, capsys, golden, tau,
-                          reps, analysis):
-        monkeypatch.delenv(harness.ENV_SEED, raising=False)
+    def test_output_bytes(self, tmp_path, capsys, golden, tau, reps,
+                          analysis):
         obj = tiny_config(tau=[tau], reps=reps, base_seed=3,
                           analyses=[analysis])
         f = tmp_path / "cfg.json"
