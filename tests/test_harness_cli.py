@@ -54,6 +54,13 @@ def tiny_gauss_config(lin=IID8):
                        analyses=[{"type": "nonexceed"}])
 
 
+def subcommands() -> dict:
+    """The CLI's subcommands: name -> its argument parser."""
+    (sub,) = [action for action in build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    return sub.choices
+
+
 def tiny_config(**overrides):
     obj = {
         "name": "tiny",
@@ -550,12 +557,10 @@ class TestCli:
     def test_settable_surface(self):
         # every value a user can set: each command's flags, the config and
         # generator keys, and no environment variable
-        (sub,) = [action for action in build_parser()._actions
-                  if isinstance(action, argparse._SubParsersAction)]
         flags = {name: sorted(opt for action in parser._actions
                               for opt in action.option_strings
                               if opt not in ("-h", "--help"))
-                 for name, parser in sub.choices.items()}
+                 for name, parser in subcommands().items()}
         assert flags == {
             "gauss-tools": ["--berman-hmax", "--nblock", "--out", "--spec"],
             "limits": ["--config", "--out"],
@@ -971,9 +976,7 @@ class TestCli:
         block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1]
         listed = [line.split()[1] for line in block.split("```", 1)[0]
                   .splitlines() if line.startswith("subgauss ")]
-        (sub,) = [action for action in build_parser()._actions
-                  if isinstance(action, argparse._SubParsersAction)]
-        assert sorted(listed) == sorted(sub.choices)
+        assert sorted(listed) == sorted(subcommands())
 
 
 class TestCovarianceCli:
