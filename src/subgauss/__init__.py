@@ -1,5 +1,5 @@
 """Simulation and verification toolkit for extremes of subordinated Gaussian
-processes: Gaussian linear processes, moving-window subordination, M4 moving
+processes: Gaussian linear processes, Pareto-scale subordination, M4 moving
 maxima, closed-form extreme value limits, and Monte Carlo / quadrature oracles.
 """
 

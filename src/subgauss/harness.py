@@ -41,23 +41,22 @@ class Generator(NamedTuple):
 
 
 # Registry checks raise SpecError naming the config field at fault; they see
-# the generator and the replication count but draw no path. A path has gen.u.n
-# rows.
+# the generator but draw no path. A path has gen.u.n rows.
 
-def _needs_thresholds(a, gen, reps):
+def _needs_thresholds(a, gen):
     if gen.u is None:
         raise SpecError("needs thresholds: a nonempty tau (field: tau)")
 
 
-def _check_runs(a, gen, reps):
-    _needs_thresholds(a, gen, reps)
+def _check_runs(a, gen):
+    _needs_thresholds(a, gen)
     if not 0 <= a["m"] < gen.u.n:
         raise SpecError(f"run length m={a['m']} must lie in [0, n={gen.u.n}) "
                         "(field: m)")
 
 
-def _check_blocks(a, gen, reps):
-    _needs_thresholds(a, gen, reps)
+def _check_blocks(a, gen):
+    _needs_thresholds(a, gen)
     if a["b"] < 1 or gen.u.n // a["b"] < 50:
         raise SpecError(f"needs n/b >= 50 blocks, but n={gen.u.n}, b={a['b']} "
                         "(field: b)")
@@ -67,8 +66,8 @@ def _gap_config(a) -> pointproc.GapConfig:
     return pointproc.GapConfig(a["r"], a["p"], a.get("m", 0))
 
 
-def _check_pointproc(a, gen, reps):
-    _needs_thresholds(a, gen, reps)
+def _check_pointproc(a, gen):
+    _needs_thresholds(a, gen)
     gap = _gap_config(a)
     if not a.get("lambda_target", 1.0) > 0:
         raise SpecError(f"lambda_target={a['lambda_target']} must be positive "
@@ -78,17 +77,17 @@ def _check_pointproc(a, gen, reps):
                         f"n={gen.u.n} (field: r, p)")
 
 
-def _check_dprime(a, gen, reps):
-    _needs_thresholds(a, gen, reps)
+def _check_dprime(a, gen):
+    _needs_thresholds(a, gen)
     if len(gen.u.u) != 1:
         raise SpecError("needs a univariate generator (field: d)")
     evt.dprime_ks(a["k_list"])
 
 
-def _check_scan(a, gen, reps):
+def _check_scan(a, gen):
     if not isinstance(gen.spec, subordinate.GaussianSource):
         raise SpecError("needs a gauss generator (field: kind)")
-    _needs_thresholds(a, gen, reps)
+    _needs_thresholds(a, gen)
     if gen.spec.d < 2:
         raise SpecError(f"pairs columns 0 and 1, but the generator has "
                         f"d={gen.spec.d} (field: d)")
@@ -111,7 +110,7 @@ def check_gauss_tools(table: gausslin.CoeffTable, nblock: int,
                         f"[2, L={table.L}] (field: berman-hmax)")
 
 
-def _check_gauss_tools(a, gen, reps):
+def _check_gauss_tools(a, gen):
     if not isinstance(gen.spec, subordinate.GaussianSource):
         raise SpecError("needs a gauss generator (field: kind)")
     check_gauss_tools(gen.spec.table, a.get("nblock", 10))
@@ -263,7 +262,7 @@ class Replication:
 class Analysis(NamedTuple):
     fields: dict                 # required config field -> its JSON type
     optional: dict               # optional config field -> its JSON type
-    check: Callable              # (a, gen, reps): what it needs of the run
+    check: Callable              # (a, gen): what it needs of the generator
     per_path: Callable | None    # (a, Replication) -> result for one path
     summarize: Callable          # see the summarize steps above
     target: Callable = lambda a, gen: None  # see the targets above
@@ -379,16 +378,12 @@ class ExperimentConfig:
 def _gauss_thresholds(source: subordinate.GaussianSource, n: int,
                       tau) -> m4.ThresholdVector:
     """Levels u_i with n P(Y_i > u_i) = tau_i: ndtri(1 - tau_i / n) on a raw
-    column, the Pareto rule `m4.pareto_levels` with A = 1 on a pareto or
-    folded_pareto part; any other part has no closed-form level."""
+    column, and on a transform part, whose marginal is exact Pareto(alpha),
+    the Pareto rule `m4.pareto_levels` with A = 1."""
     tau = m4.check_tau(source.d, tau)
-    parts = source.transform.parts if source.transform else ()
-    kinds = {part.kind for part in parts} - {"pareto", "folded_pareto"}
-    if kinds:
-        raise SpecError(f"a {min(kinds)} part has no closed-form threshold, "
-                        "so tau must be empty (field: tau)")
-    u = (m4.pareto_levels(1.0, n, tau, np.array([p.alpha for p in parts]))
-         if parts else ndtri(1.0 - tau / n))
+    u = (m4.pareto_levels(1.0, n, tau,
+                          np.array([p.alpha for p in source.transform.parts]))
+         if source.transform else ndtri(1.0 - tau / n))
     return m4.ThresholdVector(n=n, tau=tau, u=u)
 
 
@@ -409,7 +404,7 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
         return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
     table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
     transform = (
-        subordinate.WindowTransform.from_json(json.dumps(gen["transform"]))
+        subordinate.Transform.from_json(json.dumps(gen["transform"]))
         if gen.get("transform") is not None
         else None
     )
@@ -418,12 +413,11 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
     return Generator(lambda seed: source.path(cfg.n, seed), source, u)
 
 
-def check(gen: Generator, analyses, reps: int) -> None:
-    """Check every analysis against the generator and the replication
-    count; draws no path."""
+def check(gen: Generator, analyses) -> None:
+    """Check every analysis against the generator; draws no path."""
     for idx, a in enumerate(analyses):
         try:
-            REGISTRY[a["type"]].check(a, gen, reps)
+            REGISTRY[a["type"]].check(a, gen)
         except SpecError as exc:
             raise SpecError(f"analyses[{idx}] ({a['type']}): {exc}") from None
 
@@ -433,7 +427,7 @@ def targets(cfg: ExperimentConfig) -> dict:
     "<index>:<type>" as the summary's analyses; an analysis without one is
     absent. Builds the generator and runs `check`, but draws no path."""
     gen = Generator(*_build_generator(cfg))
-    check(gen, cfg.analyses, cfg.reps)
+    check(gen, cfg.analyses)
     found = {f"{idx}:{a['type']}": REGISTRY[a["type"]].target(a, gen)
              for idx, a in enumerate(cfg.analyses)}
     return {key: value for key, value in found.items() if value is not None}
@@ -450,7 +444,7 @@ def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     fail. Each analysis then summarizes its results in replication order;
     its summary entry and CSV artifact are keyed "<index>:<type>".
     """
-    check(gen, analyses, reps)
+    check(gen, analyses)
     kinds = [REGISTRY[a["type"]] for a in analyses]
     mapped = [idx for idx, kind in enumerate(kinds) if kind.per_path]
     results = {idx: {} for idx in mapped}

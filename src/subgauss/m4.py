@@ -23,9 +23,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from subgauss import gausslin, subordinate
-from subgauss.gausslin import (LinearProcessSpec, SeriesMatrix, SpecError,
-                               _integer, _integers, _keys, _nested, _number,
-                               _object)
+from subgauss.gausslin import (SeriesMatrix, SpecError, _integer, _integers,
+                               _keys, _nested, _number, _object)
 from subgauss.subordinate import Part
 
 # A floor reads the tail P(W > c) = c^(-alpha) widened by FLOOR_SLACK, which
@@ -83,12 +82,12 @@ class SubGauss:
     h the (folded) Pareto probability integral transform; the marginal is
     exact Pareto(alpha) while temporal/cross dependence is inherited from X.
 
-    The standardized Gaussian source of `lin` (its coefficient table and
-    marginal sd) is resolved once, at construction, as `source`; every path
-    drawn through `innovations` reuses it.
+    The standardized Gaussian source of `table` (the table and its marginal
+    sd) is resolved once, at construction, as `source`; every path drawn
+    through `innovations` reuses it.
     """
 
-    lin: LinearProcessSpec
+    table: gausslin.CoeffTable
     transform: str = "pareto"  # or "folded_pareto"
     source: subordinate.GaussianSource = field(init=False, repr=False,
                                                compare=False)
@@ -99,12 +98,8 @@ class SubGauss:
         if self.transform not in ("pareto", "folded_pareto"):
             raise SpecError("SubGauss transform must be pareto or "
                             "folded_pareto (field: transform)")
-        object.__setattr__(self, "source", subordinate.GaussianSource(
-            gausslin.make_coeffs(self.lin)))
-
-    @property
-    def coeffs(self) -> gausslin.CoeffTable:
-        return self.source.table
+        object.__setattr__(self, "source",
+                           subordinate.GaussianSource(self.table))
 
     # A base draw is a column of the raw Gaussian rows X, and W = h(X / sd)
     # rises with X, or with |X| when folded.
@@ -115,8 +110,8 @@ class SubGauss:
     def lift(self, x, j, alpha) -> np.ndarray:
         """W = h(x / sd_j) of column j's Gaussian values x, through the
         transform's own `Part`."""
-        part = Part(kind=self.transform, coord=j, alpha=alpha)
-        return part.evaluate((x / self.source.sd[j])[None])
+        part = Part(kind=self.transform, alpha=alpha, coord=j)
+        return part.evaluate(x / self.source.sd[j])
 
     def floor(self, c, j, alpha) -> float:
         """A value (|value| when folded) below this lifts to at most c:
@@ -159,9 +154,9 @@ class M4Spec:
                 "(degenerate marginal otherwise) (field: a)"
             )
         inn = self.innovation
-        if isinstance(inn, SubGauss) and inn.lin.d0 != self.d:
+        if isinstance(inn, SubGauss) and inn.table.d0 != self.d:
             raise SpecError(
-                f"SubGauss innovation has lin.d0={inn.lin.d0}, "
+                f"SubGauss innovation has lin.d0={inn.table.d0}, "
                 f"spec needs d0 = d = {self.d} (field: d0)"
             )
         # thresholds and theta read the spec's alpha, the draws inn.alpha
@@ -189,7 +184,7 @@ class M4Spec:
         elif isinstance(self.innovation, SubGauss):
             inn = {
                 "kind": "subgauss",
-                "lin": json.loads(self.innovation.coeffs.to_json()),
+                "lin": json.loads(self.innovation.table.to_json()),
                 "transform": self.innovation.transform,
             }
         else:
@@ -219,9 +214,9 @@ class M4Spec:
             if kind == "iid_pareto":
                 innovation = IidPareto(alpha=_number("alpha", inn["alpha"]))
             else:
-                table = gausslin.CoeffTable.from_json(json.dumps(inn["lin"]))
                 innovation = SubGauss(
-                    lin=table.spec, transform=inn.get("transform", "pareto")
+                    gausslin.CoeffTable.from_json(json.dumps(inn["lin"])),
+                    transform=inn.get("transform", "pareto"),
                 )
         lags = tuple(_integers("lags", obj["lags"]))
         if len(lags) != 2:
@@ -423,7 +418,7 @@ def base(spec: M4Spec, n: int, seed: int) -> np.ndarray:
     if isinstance(inn, IidPareto):
         words = np.random.Philox(key=seed).random_raw(n * spec.d)
         return words.reshape(n, spec.d)
-    return gausslin.simulate(inn.coeffs, n, seed).values
+    return gausslin.simulate(inn.table, n, seed).values
 
 
 def lift(spec: M4Spec, V: np.ndarray) -> np.ndarray:

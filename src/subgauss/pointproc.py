@@ -26,7 +26,7 @@ BINS = 10  # equal-width bins of [0, 1] in the chi-square count diagnostic
 class GapConfig:
     r: int          # block length
     p: int          # gap length
-    m: int = 0      # window of the underlying subordination
+    m: int = 0      # the extremal dependence window (an M4's lag span)
 
     def __post_init__(self):
         if self.m < 0:

@@ -1,9 +1,12 @@
-"""Moving-window transforms of Gaussian paths, and the subordinated Gaussian
+"""Per-column Pareto maps of Gaussian paths, and the subordinated Gaussian
 source that draws them.
 
-The transform catalog is closed: every entry has an analytically known
-marginal law under standard normal input, so thresholds and tail oracles
-downstream stay exact.
+The transform catalog is closed: each part maps one standardized column
+through its Pareto or folded-Pareto probability integral transform, whose
+marginal law is exact Pareto(alpha), so thresholds and tail oracles
+downstream stay exact. A window maximum over lags [0, m] is not a transform
+here: it is the M4 of unit coefficients over those lags with a `subgauss`
+innovation (`m4.M4Spec`), as E2 is.
 """
 
 from __future__ import annotations
@@ -15,75 +18,47 @@ import numpy as np
 from scipy.special import ndtr
 
 from subgauss import gausslin
-from subgauss.gausslin import (SeriesMatrix, SpecError, _integer, _integers, _keys,
-                               _list, _number)
+from subgauss.gausslin import (SeriesMatrix, SpecError, _integer, _keys, _list,
+                               _number)
 
 
 @dataclass(frozen=True)
 class Part:
-    """One output coordinate of a window transform.
+    """One output column: a map of the standardized Gaussian column `coord`.
 
-    kinds (lag 0 and no alpha unless stated; any other input is an error):
-      identity(coord), abs(coord), square(coord),
+    kinds (any other is an error):
       pareto(alpha, coord)        = (1 - Phi(x))^(-1/alpha),
-      folded_pareto(alpha, coord) = (1 - F_|N|(|x|))^(-1/alpha),
-      window_max(coord, lags)     = max over the given lags of the coordinate.
+      folded_pareto(alpha, coord) = (1 - F_|N|(|x|))^(-1/alpha).
     """
 
     kind: str
+    alpha: float
     coord: int = 0
-    alpha: float | None = None
-    lags: tuple = (0,)
 
     def __post_init__(self):
-        if self.kind not in (
-            "identity", "abs", "square", "pareto", "folded_pareto",
-            "window_max",
-        ):
+        if self.kind not in ("pareto", "folded_pareto"):
             raise SpecError(f"unknown transform kind {self.kind!r} (field: kind)")
         if self.coord < 0:
             raise SpecError(f"coord={self.coord} must be >= 0 (field: coord)")
-        if self.kind in ("pareto", "folded_pareto"):
-            if self.alpha is None or self.alpha <= 0:
-                raise SpecError(f"{self.kind} requires alpha > 0 (field: alpha)")
-        elif self.alpha is not None:
-            raise SpecError(f"{self.kind} reads no alpha (field: alpha)")
-        if self.kind != "window_max" and self.lags != (0,):
-            raise SpecError(f"{self.kind} reads lag 0 only (field: lags)")
+        if not _number("alpha", self.alpha) > 0:
+            raise SpecError(f"{self.kind} requires alpha > 0 (field: alpha)")
 
-    def evaluate(self, window: np.ndarray) -> np.ndarray:
-        """window has shape (nlags, nobs): row l is the coordinate at lag l."""
-        x = window[0]
-        if self.kind == "identity":
-            return x
-        if self.kind == "abs":
-            return np.abs(x)
-        if self.kind == "square":
-            return x * x
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """The part's values at the 1-D column x."""
         if self.kind == "pareto":
             return ndtr(-x) ** (-1.0 / self.alpha)
-        if self.kind == "folded_pareto":
-            return (2.0 * ndtr(-np.abs(x))) ** (-1.0 / self.alpha)
-        # window_max
-        return np.max(window[list(self.lags)], axis=0)
+        return (2.0 * ndtr(-np.abs(x))) ** (-1.0 / self.alpha)
 
 
 @dataclass(frozen=True)
-class WindowTransform:
-    """Y_{k,i} = G_i(X_k, ..., X_{k-m}) with G_i from the catalog."""
+class Transform:
+    """Y_{k,i} = G_i(X_{k,coord_i}) with G_i the map of part i."""
 
-    m: int
     parts: tuple  # tuple of Part
 
     def __post_init__(self):
-        if self.m < 0:
-            raise SpecError("window size m must be >= 0 (field: m)")
         if not self.parts:
             raise SpecError("a transform needs at least one part (field: parts)")
-        for part in self.parts:
-            if any(l < 0 or l > self.m for l in part.lags):
-                raise SpecError("part references a lag outside [0, m] "
-                                "(field: lags)")
 
     @property
     def d(self) -> int:
@@ -93,42 +68,26 @@ class WindowTransform:
         return max(p.coord for p in self.parts)
 
     @staticmethod
-    def from_json(text: str) -> "WindowTransform":
-        obj = _keys("transform", json.loads(text), {"m", "parts"})
+    def from_json(text: str) -> "Transform":
+        obj = _keys("transform", json.loads(text), {"parts"})
         parts = []
         for p in _list("parts", obj["parts"]):
-            _keys("a transform part", p, {"kind", "coord", "alpha", "lags"})
-            alpha = p.get("alpha")
-            parts.append(Part(
-                kind=p["kind"],
-                coord=_integer("coord", p.get("coord", 0)),
-                alpha=None if alpha is None else _number("alpha", alpha),
-                lags=tuple(_integers("lags", p.get("lags", [0]))),
-            ))
-        return WindowTransform(m=_integer("m", obj["m"]), parts=tuple(parts))
+            _keys("a transform part", p, {"kind", "coord", "alpha"})
+            parts.append(Part(kind=p["kind"], alpha=p.get("alpha"),
+                              coord=_integer("coord", p.get("coord", 0))))
+        return Transform(parts=tuple(parts))
 
 
-def apply(X: SeriesMatrix, t: WindowTransform) -> SeriesMatrix:
-    """Apply the moving-window transform; output length n - m.
-
-    Output row k corresponds to input time k + m, i.e. lag l of part i reads
-    X_{k+m-l}.
-    """
+def apply(X: SeriesMatrix, t: Transform) -> SeriesMatrix:
+    """Map each part's column of X; the output has X's n rows."""
     if X.d <= t.max_coord():
         raise SpecError(
             f"transform references coordinate {t.max_coord()} but the path "
             f"has {X.d} columns"
         )
-    if X.n <= t.m:
-        raise SpecError("path shorter than the transform window")
-    n_out = X.n - t.m
-    out = np.empty((n_out, t.d))
+    out = np.empty((X.n, t.d))
     for i, part in enumerate(t.parts):
-        # rows of `window`: lag 0 is the current time index
-        window = np.stack(
-            [X.values[t.m - l : t.m - l + n_out, part.coord] for l in range(t.m + 1)]
-        )
-        out[:, i] = part.evaluate(window)
+        out[:, i] = part.evaluate(X.values[:, part.coord])
     return SeriesMatrix(values=out)
 
 
@@ -142,7 +101,7 @@ class GaussianSource:
     """
 
     table: gausslin.CoeffTable
-    transform: WindowTransform | None = None
+    transform: Transform | None = None
     sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -158,9 +117,7 @@ class GaussianSource:
         return self.transform.d if self.transform else self.table.d0
 
     def path(self, n: int, seed: int) -> SeriesMatrix:
-        """A path of n rows; the transform's window m costs n + m Gaussian
-        rows."""
-        m = self.transform.m if self.transform else 0
-        X = gausslin.simulate(self.table, n + m, seed)
+        """A path of n rows."""
+        X = gausslin.simulate(self.table, n, seed)
         Z = SeriesMatrix(values=X.values / self.sd)
         return apply(Z, self.transform) if self.transform else Z

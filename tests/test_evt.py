@@ -292,7 +292,7 @@ class TestDPrime:
         # same rows and give the same entry: E8 needs no pareto config
         cfg = dataclasses.replace(harness.ExperimentConfig.from_json(
             (CONFIGS / "e8_gauss.json").read_text()), n=2000, reps=20)
-        pareto = {"m": 0, "parts": [{"kind": "pareto", "alpha": 1.0}]}
+        pareto = {"parts": [{"kind": "pareto", "alpha": 1.0}]}
         raw, part = (
             harness.run(dataclasses.replace(cfg, generator={
                 **cfg.generator, "transform": transform}))["analyses"]

@@ -284,7 +284,7 @@ class TestRun:
         thresholds = {}
         for name, gen in (("raw", {"kind": "gauss", "lin": lin}),
                           ("pareto", {"kind": "gauss", "lin": lin,
-                                      "transform": {"m": 0, "parts": parts}})):
+                                      "transform": {"parts": parts}})):
             cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
                 generator=gen, tau=[5.0, 10.0])))
             thresholds[name] = harness._build_generator(cfg).u.u
@@ -554,6 +554,20 @@ class TestCli:
         )
         assert abs(summary["analyses"]["0:nonexceed"]["p_hat"] - 0.368) < 0.12
 
+    @pytest.mark.parametrize("kind", ["pareto", "folded_pareto"])
+    def test_run_gauss_part_with_tau(self, tmp_path, capsys, kind):
+        # every transform part has a level, so a gauss config with a tau
+        # draws its paths through the part
+        cfg = tiny_gauss_config()
+        cfg["generator"]["transform"] = {"parts": [{"kind": kind,
+                                                    "alpha": 2.0}]}
+        f = tmp_path / "cfg.json"
+        f.write_text(json.dumps(cfg))
+        assert cli_main(["run", "--config", str(f)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["failures"] == []
+        assert 0.0 <= summary["analyses"]["0:nonexceed"]["p_hat"] <= 1.0
+
     def test_settable_surface(self):
         # every value a user can set: each command's flags, the config and
         # generator keys, and no environment variable
@@ -714,15 +728,27 @@ class TestCli:
                      id="pointproc-bins"),
         pytest.param({"analyses": [{"type": "runs", "m": 1, "mm": 2}]}, "run",
                      "field: mm", id="runs-unknown-key"),
-        # a gauss generator's thresholds: a tau of the path's length, on
-        # raw or pareto-type columns, with every level positive
+        # a gauss generator's thresholds: a tau of the path's length, with
+        # every level positive
         pytest.param({**json.loads((CONFIGS / "e7.json").read_text()),
                       "tau": [1.0]}, "run", "field: tau",
                      id="e7-gauss-tau-length"),
+        # every part has a level, since a kind without one is not in the
+        # catalog: a window maximum is an M4 over subgauss innovations
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 1, "parts": [{"kind": "window_max", "lags": [0, 1]}]}},
-            "tau": [5.0], "reps": 1}, "run", "field: tau",
+            "parts": [{"kind": "window_max", "alpha": 1.0}]}},
+            "tau": [5.0], "reps": 1}, "run", "field: kind",
             id="gauss-window-max-tau"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "parts": [{"kind": "identity"}]}}, "tau": [5.0]}, "run",
+            "field: kind", id="parts-identity"),
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "parts": [{"kind": "square", "alpha": 1.0}]}}, "tau": []}, "run",
+            "field: kind", id="parts-square"),
+        # a transform has no window: m is a key that nothing reads
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
+            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0}]}},
+            "tau": [5.0]}, "run", "field: m", id="transform-m-zero"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8},
                       "tau": [1500.0]}, "run", "field: tau",
                      id="gauss-threshold-negative"),
@@ -733,13 +759,13 @@ class TestCli:
                       "tau": [0.0]}, "run", "field: tau", id="gauss-tau-zero"),
         # a transform part must read a column of the table
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": 3}]}},
+            "parts": [{"kind": "pareto", "alpha": 1.0, "coord": 3}]}},
             "tau": []}, "run", "field: coord", id="parts-coord-past-d0"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": -1}]}},
+            "parts": [{"kind": "pareto", "alpha": 1.0, "coord": -1}]}},
             "tau": []}, "run", "field: coord", id="parts-coord-negative"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": []}}, "tau": []}, "run", "field: parts",
+            "parts": []}}, "tau": []}, "run", "field: parts",
             id="transform-no-parts"),
         # a value out of range names its field
         pytest.param({"tau": [80.0, 80.0]}, "run", "field: tau",
@@ -787,14 +813,14 @@ class TestCli:
             "L": 0}}, "tau": []}, "run", "field: table",
             id="custom-table-shape"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": [{"kind": "pareto", "alpha": 0.0}]}},
+            "parts": [{"kind": "pareto", "alpha": 0.0}]}},
             "tau": []}, "run", "field: alpha", id="parts-pareto-alpha-zero"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": [{"kind": "window_max", "lags": [0, 1]}]}},
+            "parts": [{"kind": "pareto", "alpha": 1.0, "lags": [0, 1]}]}},
             "tau": []}, "run", "field: lags", id="parts-lag-outside-window"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": -1, "parts": [{"kind": "identity"}]}}, "tau": []}, "run",
-            "field: m", id="transform-m-negative"),
+            "m": -1, "parts": [{"kind": "pareto", "alpha": 1.0}]}},
+            "tau": []}, "run", "field: m", id="transform-m-negative"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 2,
                                     "m": 3}]}, "run", "field: p",
                      id="pointproc-p-lt-m"),
@@ -893,31 +919,30 @@ class TestCli:
             "run", "field: B", id="params-B-string"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
-            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "scale": 2}]}},
+            "parts": [{"kind": "pareto", "alpha": 1.0, "scale": 2}]}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: scale", id="parts-unknown-key"),
         pytest.param({"generator": {"kind": "gauss", "lin": {
             "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
-            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0, "coord": "0"}]}},
+            "parts": [{"kind": "pareto", "alpha": 1.0, "coord": "0"}]}},
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: coord", id="parts-coord-string"),
-        # a transform part input that its kind does not read: lags other
-        # than [0] off window_max, alpha off pareto and folded_pareto
+        # a part reads lag 0 of its column only, and a kind outside the
+        # catalog names kind whatever else the part holds
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 2, "parts": [{"kind": "pareto", "alpha": 1.0, "lags": [2]}]}},
+            "parts": [{"kind": "pareto", "alpha": 1.0, "lags": [2]}]}},
             "tau": [5.0]}, "run", "field: lags", id="parts-pareto-lags"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": [{"kind": "abs", "alpha": 3.0}]}}, "tau": [],
+            "parts": [{"kind": "abs", "alpha": 3.0}]}}, "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools"}]}, "run",
-            "field: alpha", id="parts-abs-alpha"),
+            "field: kind", id="parts-abs-alpha"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 1, "parts": [{"kind": "folded_pareto", "alpha": 1.0,
-                               "lags": [0, 1]}]}}, "tau": [5.0]}, "limits",
+            "parts": [{"kind": "folded_pareto", "alpha": 1.0,
+                       "lags": [0, 1]}]}}, "tau": [5.0]}, "limits",
             "field: lags", id="limits-parts-folded-pareto-lags"),
         pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 1, "parts": [{"kind": "window_max", "alpha": 2.0,
-                               "lags": [0, 1]}]}}, "tau": [],
-            "analyses": [{"type": "gauss-tools"}]}, "limits", "field: alpha",
+            "parts": [{"kind": "window_max", "alpha": 2.0}]}}, "tau": [],
+            "analyses": [{"type": "gauss-tools"}]}, "limits", "field: kind",
             id="limits-parts-window-max-alpha"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,

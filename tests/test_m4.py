@@ -64,7 +64,7 @@ def custom_subgauss_spec(d=2):
         alpha=1.5,
         lags=(0, 1),
         a=np.ones((2, d, d)),
-        innovation=SubGauss(lin=lin, transform="pareto"),
+        innovation=SubGauss(gausslin.make_coeffs(lin), transform="pareto"),
     )
 
 
@@ -116,7 +116,7 @@ class TestSpecValidation:
             alpha=1.0,
             lags=(0, 1),
             a=np.ones((2, 1, 1)),
-            innovation=SubGauss(lin=lin, transform="pareto"),
+            innovation=SubGauss(gausslin.make_coeffs(lin), transform="pareto"),
         )
         back = M4Spec.from_json(spec.to_json())
         assert isinstance(back.innovation, SubGauss)
@@ -130,7 +130,7 @@ class TestSpecValidation:
                 alpha=1.0,
                 lags=(0, 0),
                 a=np.ones((1, 2, 2)),
-                innovation=SubGauss(lin=lin),
+                innovation=SubGauss(gausslin.make_coeffs(lin)),
             )
 
 
@@ -273,14 +273,14 @@ class TestBuildAndInnovations:
         spec = custom_subgauss_spec()
         inn = spec.innovation
         W = m4.innovations(spec, 300, 2).values
-        X = gausslin.simulate(gausslin.make_coeffs(inn.lin), 300, 2).values
-        sd = np.sqrt(np.diag(gausslin.autocov(inn.coeffs, 0)[0]))
+        X = gausslin.simulate(inn.table, 300, 2).values
+        sd = np.sqrt(np.diag(gausslin.autocov(inn.table, 0)[0]))
         np.testing.assert_allclose(W, ndtr(-X / sd) ** (-1.0 / spec.alpha),
                                    rtol=1e-12)
         Y = m4.build(m4.innovations(spec, 301, 2), spec)
         assert Y.values.shape == (300, 2) and np.all(Y.values >= 1.0)
         back = M4Spec.from_json(spec.to_json())
-        np.testing.assert_array_equal(back.innovation.coeffs.psi, inn.coeffs.psi)
+        np.testing.assert_array_equal(back.innovation.table.psi, inn.table.psi)
 
     def test_iid_pareto_marginal(self):
         W = m4.innovations(equal_spec(), 200_000, 5)
@@ -297,7 +297,7 @@ class TestBuildAndInnovations:
             alpha=1.0,
             lags=(0, 0),
             a=np.ones((1, 1, 1)),
-            innovation=SubGauss(lin=lin, transform="pareto"),
+            innovation=SubGauss(gausslin.make_coeffs(lin), transform="pareto"),
         )
         w = m4.innovations(spec, 300_000, 9).values[:, 0]
         # exact Pareto(1) marginal after standardization
@@ -510,7 +510,7 @@ def test_m4_exceedances_equal_the_built_path(data):
 
 def _subgauss(d, transform):
     """A SubGauss innovation of d columns whose marginal sds differ from 1."""
-    return SubGauss(lin=custom_subgauss_spec(d).innovation.lin,
+    return SubGauss(custom_subgauss_spec(d).innovation.table,
                     transform=transform)
 
 
@@ -702,3 +702,49 @@ def test_m4_exceedances_read_either_memory_order(kind, overflow):
         with np.errstate(over="ignore"):
             got = _result_or_error(evt.m4_exceedances, draw, u)
         _assert_same_exceedances(got, want, n)
+
+
+@pytest.mark.parametrize("windows", [
+    pytest.param([[0, 1]], id="d1-lags-0-1"),
+    pytest.param([[0, 1, 2, 3]], id="d1-lags-0-3"),
+    pytest.param([[0, 2]], id="d1-lags-0-2"),
+    pytest.param([[0, 1], [0, 2, 3]], id="d2-a-window-per-column"),
+])
+def test_window_maximum_is_a_unit_m4(windows):
+    # the window maximum of a subordinated Gaussian in Pareto scale,
+    # Y_{k,i} = max over column i's lags l of W_{k+m-l,i}, is the M4 of
+    # a[r][i][j] = 1 iff j == i and r is one of column i's lags, over a
+    # subgauss innovation: E2 is the one over lags 0..3. Its exceedance
+    # times are those of the window maximum written here in numpy, and
+    # for d = 1 its extremal index is 1 / (number of lags)
+    d, m = len(windows), max(map(max, windows))
+    a = [[[1.0 if j == i and r in windows[i] else 0.0 for j in range(d)]
+          for i in range(d)] for r in range(m + 1)]
+    B = np.where(np.eye(d) == 1, 1.0, 0.3).tolist()
+    lin = {"d0": d, "family": "log_boundary", "params": {"q": 2.0, "B": B},
+           "L": 64}
+    n, alpha = 2000, 1.5
+    cfg = harness.ExperimentConfig.from_json(json.dumps({
+        "name": "window", "n": n, "tau": [20.0] * d, "reps": 1,
+        "analyses": [{"type": "nonexceed"}],
+        "generator": {"kind": "m4", "spec": {
+            "d": d, "alpha": alpha, "lags": [0, m], "a": a,
+            "innovation": {"kind": "subgauss", "lin": lin,
+                           "transform": "pareto"}}}}))
+    path_fn, spec, u = harness._build_generator(cfg)
+    np.testing.assert_array_equal(u.u, m4.thresholds(spec, n, cfg.tau).u)
+    table = gausslin.CoeffTable.from_json(json.dumps(lin))
+    sd = np.sqrt(np.diag(gausslin.autocov(table, 0)[0]))
+    for seed in range(3):
+        X = gausslin.simulate(table, n + m, seed).values
+        W = ndtr(-X / sd) ** (-1.0 / alpha)
+        Y = np.column_stack([
+            np.max([W[m - l : m - l + n, i] for l in window], axis=0)
+            for i, window in enumerate(windows)])
+        want = np.flatnonzero(np.any(Y > u.u, axis=1))
+        got = evt.m4_exceedances(path_fn(seed), u)
+        assert got.n == n and want.size > 0
+        np.testing.assert_array_equal(got.times, want)
+    if d == 1:
+        theta = harness.targets(cfg)["0:nonexceed"]["theta"]
+        assert theta == pytest.approx(1.0 / len(windows[0]), rel=1e-12)

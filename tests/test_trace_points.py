@@ -212,7 +212,7 @@ def test_benchmark_inputs_pass_the_config_checks(monkeypatch, tmp_path):
                 json.dumps(inputs(1, size)["config"]))
             drawn = []
             gen = harness._build_generator(cfg)._replace(path_fn=drawn.append)
-            harness.check(gen, cfg.analyses, cfg.reps)
+            harness.check(gen, cfg.analyses)
             assert drawn == []
 
         inputs = workloads.quad_inputs(1, size)
