@@ -3,7 +3,9 @@ statistic, and the joint exceedance counts of a column pair.
 
 Every function here reads one path (a SeriesMatrix or a bare array), an M4
 draw, or the exceedance times taken from either; the replication engine in
-`harness` owns seeding and the loop over paths.
+`harness` owns seeding and the loop over paths. A scan's pair counts read
+only the path rows at the exceedance times, since no other row exceeds in
+any column.
 
 The runs and blocks estimators (Smith & Weissman 1994), the gapped-block
 point process and D' read a path only through its sorted exceedance times,
@@ -225,8 +227,10 @@ def dprime_path(ex: Exceedances, k_list) -> tuple:
 
 
 def pair_exceedances(Y, u) -> tuple:
-    """The number of rows at which columns 0 and 1 both exceed their levels
-    u[0] and u[1], and the number at which column 1 does."""
+    """The number of rows of Y at which columns 0 and 1 both exceed their
+    levels u[0] and u[1], and the number at which column 1 does. A row at
+    which no column exceeds counts in neither, so Y may be a path or its
+    rows at the path's exceedance times."""
     v = _values(Y)
     e1 = v[:, 1] > u[1]
     joint = np.count_nonzero((v[:, 0] > u[0]) & e1)

@@ -1,16 +1,16 @@
 """Seeded Monte Carlo replication engine, analysis registry and configs.
 
-A config names a path generator (an M4 spec or a transformed Gaussian linear
-process), a sample size, a tau vector, a replication count and a base seed,
-plus a list of analyses. `replicate` is the one replication loop: replication
-i draws the path with seed base_seed XOR i once, every per-path analysis maps
-over that path, and results are folded in index order, so output bytes
-depend only on the config, never on execution order. Every per-path
-analysis but `scan` reads the replication's sorted exceedance times over the
+A config names an M4 generator (a spec with its innovation; a subordinated
+Gaussian is the M4 of lags [0, 0] and a diagonal `a` over a `subgauss`
+innovation), a sample size, a tau vector, a replication count and a base
+seed, plus a list of analyses. `replicate` is the one replication loop:
+replication i draws the path with seed base_seed XOR i once, every per-path
+analysis maps over that path, and results are folded in index order, so
+output bytes depend only on the config, never on execution order. Every
+per-path analysis reads the replication's sorted exceedance times over the
 generator's tau thresholds, found once, on first use: off the base draw of
 an M4 draw (`evt.m4_exceedances`, which lifts only the rows that can exceed
-and builds no path) or in one pass over a dense path (`evt.exceedances`).
-`scan` reads the dense Gaussian path.
+and builds no path) or in one pass over a bare dense path (`evt.exceedances`).
 
 A registry entry's target is the closed-form limit of its summary entry;
 `targets(cfg)` collects them, keyed as the summary's, and draws no path.
@@ -25,9 +25,8 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
-from subgauss import evt, gausslin, m4, pointproc, subordinate
+from subgauss import evt, gausslin, m4, pointproc
 from subgauss.gausslin import (SpecError, _integer, _integers, _keys, _list,
                                _number, _numbers, _object)
 
@@ -35,8 +34,8 @@ from subgauss.gausslin import (SpecError, _integer, _integers, _keys, _list,
 class Generator(NamedTuple):
     """A path generator and what the analyses may use of it."""
 
-    path_fn: Callable    # seed -> SeriesMatrix, or an m4.Draw
-    spec: object = None  # M4Spec, GaussianSource, or None for a bare path_fn
+    path_fn: Callable    # seed -> an m4.Draw, or a dense SeriesMatrix
+    spec: object = None  # M4Spec, or None for a bare path_fn
     u: object = None     # ThresholdVector, or None without thresholds
 
 
@@ -84,13 +83,27 @@ def _check_dprime(a, gen):
     evt.dprime_ks(a["k_list"])
 
 
+def _subgauss(gen) -> m4.SubGauss:
+    """The generator's subgauss innovation, which scan and gauss-tools read."""
+    inn = getattr(gen.spec, "innovation", None)
+    if not isinstance(inn, m4.SubGauss):
+        raise SpecError("needs a subgauss innovation (field: innovation)")
+    return inn
+
+
 def _check_scan(a, gen):
-    if not isinstance(gen.spec, subordinate.GaussianSource):
-        raise SpecError("needs a gauss generator (field: kind)")
+    _subgauss(gen)
     _needs_thresholds(a, gen)
-    if gen.spec.d < 2:
+    spec = gen.spec
+    if spec.d < 2:
         raise SpecError(f"pairs columns 0 and 1, but the generator has "
-                        f"d={gen.spec.d} (field: d)")
+                        f"d={spec.d} (field: d)")
+    # Y_k = diag(a) W_k: each path row is the lift of its own base row
+    if spec.lags != (0, 0):
+        raise SpecError(f"needs lags [0, 0], not {list(spec.lags)} "
+                        "(field: lags)")
+    if np.any(spec.a[0] != np.diag(np.diagonal(spec.a[0]))):
+        raise SpecError("needs a diagonal a (field: a)")
 
 
 def check_gauss_tools(table: gausslin.CoeffTable, nblock: int,
@@ -111,9 +124,7 @@ def check_gauss_tools(table: gausslin.CoeffTable, nblock: int,
 
 
 def _check_gauss_tools(a, gen):
-    if not isinstance(gen.spec, subordinate.GaussianSource):
-        raise SpecError("needs a gauss generator (field: kind)")
-    check_gauss_tools(gen.spec.table, a.get("nblock", 10))
+    check_gauss_tools(_subgauss(gen).table, a.get("nblock", 10))
 
 
 def gauss_tools(table: gausslin.CoeffTable, nblock: int,
@@ -191,27 +202,23 @@ def _scan(a, results, gen):
 
 
 def _gauss_tools(a, results, gen):
-    return gauss_tools(gen.spec.table, a.get("nblock", 10)), None
+    return gauss_tools(gen.spec.innovation.table, a.get("nblock", 10)), None
 
 
 # Targets: (analysis, generator) -> the closed-form limit of the analysis's
-# summary entry, or None where the generator has none; run after `check`.
+# summary entry, or None where there is none; run after `check`, on a
+# generator built from a config, whose spec is an M4Spec.
 
-def _on_m4(target):
-    """A target that only an m4 generator has: target(a, spec, thresholds)."""
-    return lambda a, gen: (target(a, gen.spec, gen.u)
-                           if isinstance(gen.spec, m4.M4Spec) else None)
-
-
-def _nonexceed_target(a, spec, u):
+def _nonexceed_target(a, gen):
     """P(no exceedance) -> G(tau)^theta (Smith & Weissman 1996)."""
+    spec, u = gen.spec, gen.u
     G, th = m4.G_limit(spec, u.tau), m4.theta(spec, u.tau)
     return {"G": G, "theta": th, "limit": G**th, "u": u.u.tolist()}
 
 
-def _pointproc_target(a, spec, u):
+def _pointproc_target(a, gen):
     """The gapped-block intensity at the runs limits theta(0..m)."""
-    gap = _gap_config(a)
+    spec, u, gap = gen.spec, gen.u, _gap_config(a)
     thetas = [m4.runs_limit(spec, u.tau, m) for m in range(gap.m + 1)]
     return {"lambda_rp": float(pointproc.lambda_rp(
         thetas, thetas[-1], m4.log_G(spec, u.tau), gap))}
@@ -224,15 +231,12 @@ def _dprime_target(a, gen):
 
 
 def _scan_target(a, gen):
-    """The canonical correlation rho of path columns 0 and 1 (from Gamma(0)),
-    their exact tails Fbar_i = tau_i / n and the hypercontractive ceiling
-    (Fbar_0 Fbar_1)^(1/(1+rho)) on their joint exceedance rate."""
-    source = gen.spec
-    c0, c1 = ([part.coord for part in source.transform.parts[:2]]
-              if source.transform else [0, 1])
-    gamma0, _ = gausslin.autocov(source.table, 0)
-    rho = float(min(abs(gamma0[c0, c1]) / (source.sd[c0] * source.sd[c1]),
-                    1.0))
+    """The canonical correlation rho of Gaussian columns 0 and 1 (from
+    Gamma(0)), their exact tails Fbar_i = tau_i / n and the hypercontractive
+    ceiling (Fbar_0 Fbar_1)^(1/(1+rho)) on their joint exceedance rate."""
+    inn = gen.spec.innovation
+    gamma0, _ = gausslin.autocov(inn.table, 0)
+    rho = float(min(abs(gamma0[0, 1]) / (inn.sd[0] * inn.sd[1]), 1.0))
     fbar = [float(t) / gen.u.n for t in gen.u.tau[:2]]
     return {"rho": rho, "Fbar": fbar,
             "bound": (fbar[0] * fbar[1]) ** (1 / (1 + rho))}
@@ -268,19 +272,30 @@ class Analysis(NamedTuple):
     target: Callable = lambda a, gen: None  # see the targets above
 
 
+def _scan_pair(a, view):
+    """`evt.pair_exceedances` of path columns 0 and 1, read at the
+    replication's exceedance times alone: no other row exceeds in any
+    column. At lags [0, 0] with a diagonal a, those rows of the path are
+    the lifts of their base rows times the diagonal."""
+    draw = view.Y
+    rows = m4.lift(draw.spec, draw.V[view.exceedances.times])
+    return evt.pair_exceedances(rows * np.diagonal(draw.spec.a[0]),
+                                view.u.u)
+
+
 # Per-path maps look their functions up at call time, so a patched or traced
-# module attribute is the one that runs. Every map but scan's reads the
-# replication's exceedance times; scan reads the path.
+# module attribute is the one that runs. Every map reads the replication's
+# exceedance times.
 REGISTRY = {
     "nonexceed": Analysis(
         {}, {}, _needs_thresholds,
         lambda a, view: view.exceedances.times.size == 0, _nonexceed,
-        _on_m4(_nonexceed_target)),
+        _nonexceed_target),
     "runs": Analysis(
         {"m": _integer}, {}, _check_runs,
         lambda a, view: evt.runs_theta(view.exceedances, a["m"]), _estimates,
-        _on_m4(lambda a, spec, u: {"theta": m4.runs_limit(spec, u.tau,
-                                                          a["m"])})),
+        lambda a, gen: {"theta": m4.runs_limit(gen.spec, gen.u.tau,
+                                               a["m"])}),
     "blocks": Analysis(
         {"b": _integer}, {}, _check_blocks,
         lambda a, view: evt.blocks_theta(view.exceedances, a["b"]),
@@ -290,15 +305,12 @@ REGISTRY = {
         {"m": _integer, "lambda_target": _number}, _check_pointproc,
         lambda a, view: pointproc.gapped_blocks(view.exceedances,
                                                 _gap_config(a)),
-        _poisson, _on_m4(_pointproc_target)),
+        _poisson, _pointproc_target),
     "dprime": Analysis(
         {"k_list": _integers}, {}, _check_dprime,
         lambda a, view: evt.dprime_path(view.exceedances, a["k_list"]),
         _dprime, _dprime_target),
-    "scan": Analysis(
-        {}, {}, _check_scan,
-        lambda a, view: evt.pair_exceedances(view.Y, view.u.u), _scan,
-        _scan_target),
+    "scan": Analysis({}, {}, _check_scan, _scan_pair, _scan, _scan_target),
     "gauss-tools": Analysis({}, {"nblock": _integer}, _check_gauss_tools, None,
                             _gauss_tools),
 }
@@ -324,7 +336,7 @@ def _analysis(a) -> dict:
 # error.
 CONFIG_KEYS = {"name", "generator", "n", "tau", "reps", "base_seed",
                "analyses"}
-GENERATOR_KEYS = {"m4": {"kind", "spec"}, "gauss": {"kind", "lin", "transform"}}
+GENERATOR_KEYS = {"m4": {"kind", "spec"}}
 
 
 @dataclass(frozen=True)
@@ -375,42 +387,20 @@ class ExperimentConfig:
                             f"(field: {name})") from exc
 
 
-def _gauss_thresholds(source: subordinate.GaussianSource, n: int,
-                      tau) -> m4.ThresholdVector:
-    """Levels u_i with n P(Y_i > u_i) = tau_i: ndtri(1 - tau_i / n) on a raw
-    column, and on a transform part, whose marginal is exact Pareto(alpha),
-    the Pareto rule `m4.pareto_levels` with A = 1."""
-    tau = m4.check_tau(source.d, tau)
-    u = (m4.pareto_levels(1.0, n, tau,
-                          np.array([p.alpha for p in source.transform.parts]))
-         if source.transform else ndtri(1.0 - tau / n))
-    return m4.ThresholdVector(n=n, tau=tau, u=u)
-
-
 def _build_generator(cfg: ExperimentConfig) -> Generator:
-    """The config's generator: path_fn(seed) -> an m4.Draw or a SeriesMatrix
-    of cfg.n rows, and the thresholds when tau is nonempty."""
+    """The config's generator: path_fn(seed) -> an m4.Draw of cfg.n rows,
+    its M4Spec, and the thresholds when tau is nonempty."""
     gen = _object("generator", cfg.generator)
     kind = gen.get("kind")
     if kind not in GENERATOR_KEYS:
         raise SpecError(f"unknown generator kind {kind!r} (field: kind)")
     _keys(f"a {kind} generator", gen, GENERATOR_KEYS[kind])
-    if kind == "m4":
-        spec = m4.M4Spec.from_json(json.dumps(gen["spec"]))
-        if spec.innovation is None:
-            raise SpecError("an m4 generator draws its spec's innovations, "
-                            "so the spec needs one (field: innovation)")
-        u = m4.thresholds(spec, cfg.n, cfg.tau) if cfg.tau else None
-        return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
-    table = gausslin.CoeffTable.from_json(json.dumps(gen["lin"]))
-    transform = (
-        subordinate.Transform.from_json(json.dumps(gen["transform"]))
-        if gen.get("transform") is not None
-        else None
-    )
-    source = subordinate.GaussianSource(table, transform)
-    u = _gauss_thresholds(source, cfg.n, cfg.tau) if cfg.tau else None
-    return Generator(lambda seed: source.path(cfg.n, seed), source, u)
+    spec = m4.M4Spec.from_json(json.dumps(gen["spec"]))
+    if spec.innovation is None:
+        raise SpecError("an m4 generator draws its spec's innovations, "
+                        "so the spec needs one (field: innovation)")
+    u = m4.thresholds(spec, cfg.n, cfg.tau) if cfg.tau else None
+    return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
 
 
 def check(gen: Generator, analyses) -> None:

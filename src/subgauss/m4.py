@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from subgauss import gausslin, subordinate
+from subgauss import gausslin
 from subgauss.gausslin import (SeriesMatrix, SpecError, _integer, _integers,
                                _keys, _nested, _number, _object)
 from subgauss.subordinate import Part
@@ -78,19 +78,19 @@ class IidPareto:
 
 @dataclass(frozen=True)
 class SubGauss:
-    """Innovations W_{k,j} = h(X_{k,j}) with X a Gaussian linear process and
-    h the (folded) Pareto probability integral transform; the marginal is
+    """Innovations W_{k,j} = h(X_{k,j} / sd_j) with X the Gaussian linear
+    process of `table`, sd_j its exact (truncated-model) marginal sd and h
+    the (folded) Pareto probability integral transform: the marginal is
     exact Pareto(alpha) while temporal/cross dependence is inherited from X.
+    Over lags [0, 0] and a diagonal `a`, the M4 is the subordinated Gaussian
+    Y_k = G(X_k) itself, in Pareto scale.
 
-    The standardized Gaussian source of `table` (the table and its marginal
-    sd) is resolved once, at construction, as `source`; every path drawn
-    through `innovations` reuses it.
+    The sd comes from Gamma(0) once, at construction; every draw reuses it.
     """
 
     table: gausslin.CoeffTable
     transform: str = "pareto"  # or "folded_pareto"
-    source: subordinate.GaussianSource = field(init=False, repr=False,
-                                               compare=False)
+    sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     kind = "subgauss"
 
@@ -98,8 +98,8 @@ class SubGauss:
         if self.transform not in ("pareto", "folded_pareto"):
             raise SpecError("SubGauss transform must be pareto or "
                             "folded_pareto (field: transform)")
-        object.__setattr__(self, "source",
-                           subordinate.GaussianSource(self.table))
+        gamma0, _ = gausslin.autocov(self.table, 0)
+        object.__setattr__(self, "sd", np.sqrt(np.diag(gamma0)))
 
     # A base draw is a column of the raw Gaussian rows X, and W = h(X / sd)
     # rises with X, or with |X| when folded.
@@ -110,8 +110,7 @@ class SubGauss:
     def lift(self, x, j, alpha) -> np.ndarray:
         """W = h(x / sd_j) of column j's Gaussian values x, through the
         transform's own `Part`."""
-        part = Part(kind=self.transform, alpha=alpha, coord=j)
-        return part.evaluate(x / self.source.sd[j])
+        return Part(self.transform, alpha).evaluate(x / self.sd[j])
 
     def floor(self, c, j, alpha) -> float:
         """A value (|value| when folded) below this lifts to at most c:
@@ -119,7 +118,7 @@ class SubGauss:
         p = _floor_tail(c, alpha)
         if p >= 1.0:
             return -np.inf
-        return self.source.sd[j] * -ndtri(p / 2 if self.folded else p)
+        return self.sd[j] * -ndtri(p / 2 if self.folded else p)
 
 
 @dataclass(frozen=True)
@@ -341,10 +340,15 @@ def pareto_levels(A, n: int, tau, alpha):
 
 def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
     """`pareto_levels` at the spec's A_i and alpha: P(Y_i > u) ~ A_i
-    u^(-alpha), as both innovation modes are exact Pareto(alpha)."""
+    u^(-alpha), as both innovation modes are exact Pareto(alpha). Each
+    tau_i lies in (0, n), since n P(Y_i > u_i) = tau_i is a probability
+    times n."""
     tau = check_tau(spec.d, tau)
     if n < 1:
         raise SpecError("n must be >= 1 (field: n)")
+    if np.any(tau >= n):
+        raise SpecError(f"tau={tau.tolist()} must lie below n={n} "
+                        "(field: tau)")
     if spec.innovation is None:
         raise SpecError("spec has no innovation mode (field: innovation)")
     u = pareto_levels(A_vec(spec), n, tau, spec.alpha)

@@ -6,12 +6,14 @@ The experiments are the shipped configs in configs/: every path, threshold,
 table and sample size comes from a config, through `harness.run` or the
 generator builder it uses (E4 hands its truncated build to the engine
 directly). E7's hypercontractivity and canonical-correlation checks draw no
-path. Every `harness.run` writes its files to a temporary directory, and
-their sha256 must match tests/golden/shipped_sha256.json, so the suite pins
-the bytes of each config it runs at no extra draw; replication 0's
-draw (an M4 config's innovations, a gauss config's path) and exceedance
-times are pinned in tests/golden/draw_sha256.json (e7's from the draw its
-run makes, so that its 1e7-row path is drawn once). Each gate's target comes
+path. Every config draws an M4: E6, E7 and E8's subordinated Gaussians are
+M4s of lags [0, 0] and a diagonal `a` over a `subgauss` innovation. Every
+`harness.run` writes its files to a temporary directory, and their sha256
+must match tests/golden/shipped_sha256.json, so the suite pins the bytes of
+each config it runs at no extra draw; replication 0's draw (its dense
+innovations) and exceedance times are pinned in
+tests/golden/draw_sha256.json (e7's from the draw its run makes, so that
+its 1e7-row path is drawn once). Each gate's target comes
 from `harness.targets` on its config, except E1's exact finite-n law, E4's
 hand values and E7(c)'s exact tail, which say why where they are used.
 """
@@ -28,13 +30,14 @@ import pytest
 import scipy
 
 from subgauss import chaos, evt, gausslin, harness, m4, pointproc
+from subgauss.gausslin import SeriesMatrix
 from subgauss.harness import ExperimentConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SHA256 = Path(__file__).resolve().parent / "golden" / "shipped_sha256.json"
 DRAW_SHA256 = Path(__file__).resolve().parent / "golden" / "draw_sha256.json"
-M4_STEMS = ("e1", "e2", "e2_runs", "e3", "e3b", "e4", "e5")
-GAUSS_STEMS = ("e7", "e8_gauss", "e8_iid")
+DRAWN_STEMS = ("e1", "e2", "e2_runs", "e3", "e3b", "e4", "e5", "e7",
+               "e8_gauss", "e8_iid")
 
 
 def _cfg(stem):
@@ -73,27 +76,23 @@ def _sha256(array) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def _draw_digests(stem, Y=None):
-    """The sha256 of replication 0's draw (float64, row-major) and of its
-    exceedance times (int64) as the run reads them, for configs/<stem>.json.
-    An M4 config's draw is its dense innovations, and its times must equal
-    those of the built path; a gauss config's draw is its dense path. Y is
-    replication 0's path when a run has drawn it already, else it is drawn
-    here."""
+def _draw_digests(stem, draw=None):
+    """The sha256 of replication 0's draw, its dense innovations (float64,
+    row-major), and of its exceedance times (int64) as the run reads them,
+    for configs/<stem>.json; the times must equal those of the path built
+    over the innovations. draw is replication 0's m4.Draw when a run has
+    drawn it already, else it is drawn here; either way the innovations are
+    the lift of its base draw, so no path is drawn twice."""
     cfg = _cfg(stem)
     gen = harness._build_generator(cfg)
-    seed = cfg.base_seed ^ 0
-    view = harness.Replication(gen.path_fn(seed) if Y is None else Y, gen.u)
-    times = view.exceedances.times
-    if isinstance(gen.spec, m4.M4Spec):
-        spec = gen.spec
-        W = m4.innovations(spec, cfg.n + spec.r_hi - spec.r_lo, seed)
-        built = evt.exceedances(m4.build(W, spec), gen.u).times
-        np.testing.assert_array_equal(times, built)
-        draw = {"innovations": _sha256(W.values)}
-    else:
-        draw = {"path": _sha256(view.Y.values)}
-    return {**draw, "times": _sha256(times.astype(np.int64)),
+    if draw is None:
+        draw = gen.path_fn(cfg.base_seed ^ 0)
+    times = harness.Replication(draw, gen.u).exceedances.times
+    W = SeriesMatrix(values=m4.lift(gen.spec, draw.V))
+    built = evt.exceedances(m4.build(W, gen.spec), gen.u).times
+    np.testing.assert_array_equal(times, built)
+    return {"innovations": _sha256(W.values),
+            "times": _sha256(times.astype(np.int64)),
             "count": int(times.size)}
 
 
@@ -118,7 +117,7 @@ def e7_run(tmp_path_factory):
     return summary, _draw_digests("e7", drawn.pop(_cfg("e7").base_seed ^ 0))
 
 
-@pytest.mark.parametrize("stem", M4_STEMS + GAUSS_STEMS)
+@pytest.mark.parametrize("stem", DRAWN_STEMS)
 def test_replication_zero_draw_bytes(stem, request):
     # pins the draw itself, not only what the run writes: a drift in the
     # draw or the exceedance times that flips no summary byte shows here.
@@ -129,6 +128,26 @@ def test_replication_zero_draw_bytes(stem, request):
     assert got == golden["draws"][stem], (
         f"config {stem}: replication 0's draw differs from the golden "
         f"(recorded with {golden['versions']})")
+
+
+# The sha256 of replication 0's standardized Gaussian rows X / sd (float64,
+# row-major) under e8_gauss's and e8_iid's Pareto innovations: D' reads
+# the Gaussian column through an increasing map, so these rows and the
+# Gaussian-scale level ndtri(1 - tau / n) give the same exceedance times.
+E8_GAUSSIAN_ROWS = {
+    "e8_gauss":
+        "de21c074649dad944c7138627ad3dbe6a7f97bf96b910a874c657bc13c0b9b0c",
+    "e8_iid":
+        "91aac006d32c0f6266e1a4a528665c65d702fff0385473b181dfe5e58877ad4f",
+}
+
+
+@pytest.mark.parametrize("stem", sorted(E8_GAUSSIAN_ROWS))
+def test_e8_standardized_gaussian_rows(stem):
+    cfg = _cfg(stem)
+    spec = harness._build_generator(cfg).spec
+    X = m4.base(spec, cfg.n, cfg.base_seed ^ 0) / spec.innovation.sd
+    assert _sha256(X) == E8_GAUSSIAN_ROWS[stem]
 
 
 def _emit(capsys, name, ok, detail):
@@ -350,7 +369,7 @@ def test_e5_gate_rejects_an_unclustered_intensity(monkeypatch, e5_report):
 
 
 def test_e6_decay_profile(capsys):
-    table = harness._build_generator(_cfg("e6")).spec.table
+    table = harness._build_generator(_cfg("e6")).spec.innovation.table
     prof = gausslin.berman_profile(table, 100_000)
     h = np.arange(2, 2 + len(prof))
     window = prof[(h >= 1000) & (h <= 100_000)]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from subgauss import chaos, evt, gausslin, harness, m4
 from subgauss.gausslin import SeriesMatrix, SpecError
@@ -287,18 +288,27 @@ class TestKernels:
 
 class TestDPrime:
     def test_pareto_part_counts_as_its_raw_column(self):
-        # a pareto part is an increasing map of its Gaussian column, and its
-        # level is the image of the column's level, so both exceed at the
-        # same rows and give the same entry: E8 needs no pareto config
+        # a pareto innovation is an increasing map of its Gaussian column,
+        # and its level is the image of the column's level, so e8_gauss
+        # (an M4 of lags [0, 0]) gives the entry of its standardized raw
+        # Gaussian column over the level ndtri(1 - tau / n), drawn here as
+        # a bare dense path: E8 needs no Gaussian-scale config
         cfg = dataclasses.replace(harness.ExperimentConfig.from_json(
             (CONFIGS / "e8_gauss.json").read_text()), n=2000, reps=20)
-        pareto = {"parts": [{"kind": "pareto", "alpha": 1.0}]}
-        raw, part = (
-            harness.run(dataclasses.replace(cfg, generator={
-                **cfg.generator, "transform": transform}))["analyses"]
-            ["0:dprime"] for transform in (None, pareto))
-        assert raw == part
-        assert raw["joint_events"] > 0
+        (a,) = cfg.analyses
+        spec = harness._build_generator(cfg).spec
+        inn = spec.innovation
+
+        def raw(seed):
+            X = gausslin.simulate(inn.table, cfg.n, seed).values
+            return SeriesMatrix(values=X / inn.sd)
+
+        level = ndtri(1.0 - cfg.tau[0] / cfg.n)
+        part = harness.run(cfg)["analyses"]["0:dprime"]
+        want, failures = replicate(raw, univariate_u(cfg.n, level), a,
+                                   cfg.reps, cfg.base_seed)
+        assert failures == [] and part == want
+        assert part["joint_events"] > 0
 
     def test_iid_matches_tau_sq_over_k(self):
         n, tau = 20_000, 5.0

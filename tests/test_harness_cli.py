@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtri
 
 from subgauss import evt, gausslin, harness, m4, pointproc
 from subgauss.cli import build_parser
@@ -28,14 +28,26 @@ CONFIGS = REPO / "configs"
 GOLDEN = REPO / "tests" / "golden"
 
 
-# an i.i.d. Gaussian table, for `gauss` generator cases
+# an i.i.d. Gaussian table, for subgauss innovation cases
 IID8 = {"d0": 1, "family": "iid", "params": {}, "L": 8}
 # two columns of correlation 0.5: the table of configs/e7.json
-RHO_HALF = json.loads((CONFIGS / "e7.json").read_text())["generator"]["lin"]
+RHO_HALF = json.loads((CONFIGS / "e7.json").read_text())[
+    "generator"]["spec"]["innovation"]["lin"]
+
+
+def subgauss_generator(lin=IID8, d=1, **innovation):
+    """The m4 generator of lags [0, 0] and a = identity over a pareto
+    subgauss innovation of the table lin, with the innovation's keys
+    updated from `innovation`: the subordinated Gaussian of lin, in Pareto
+    scale, as configs/e6.json to e8_iid.json are."""
+    return {"kind": "m4", "spec": {
+        "d": d, "alpha": 1.0, "lags": [0, 0], "a": np.eye(d)[None].tolist(),
+        "innovation": {"kind": "subgauss", "lin": lin, "transform": "pareto",
+                       **innovation}}}
 
 
 # A lin holding a non-finite number, keyed by the field that holds it; each
-# is a gauss config's lin and a gauss-tools spec.
+# is a subgauss innovation's lin and a gauss-tools spec.
 NONFINITE_LIN = {
     "table": {"d0": 1, "family": "custom",
               "params": {"table": [[[math.nan]]]}, "L": 0},
@@ -48,9 +60,9 @@ NONFINITE_LIN = {
 }
 
 
-def tiny_gauss_config(lin=IID8):
-    """tiny_config over the Gaussian table lin, one column by default."""
-    return tiny_config(generator={"kind": "gauss", "lin": lin}, tau=[5.0],
+def tiny_subgauss_config(lin=IID8):
+    """tiny_config over the subordinated Gaussian of the table lin."""
+    return tiny_config(generator=subgauss_generator(lin), tau=[5.0],
                        analyses=[{"type": "nonexceed"}])
 
 
@@ -231,7 +243,7 @@ class TestRun:
         # a scan is a threshold analysis: its levels come from tau, its rho
         # from the table, and it writes a summary entry and no CSV
         cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
-            generator={"kind": "gauss", "lin": RHO_HALF}, n=50_000,
+            generator=subgauss_generator(RHO_HALF, d=2), n=50_000,
             tau=[3000.0, 3000.0], reps=2, analyses=[{"type": "scan"}])))
         summary = harness.run(cfg, str(tmp_path))
         entry = summary["analyses"]["0:scan"]
@@ -250,22 +262,29 @@ class TestRun:
                      id="iid"),
     ])
     def test_scan_rho_comes_from_the_table(self, lin, rho):
+        # the target also holds the tails tau_i / n and their ceiling
         cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
-            generator={"kind": "gauss", "lin": lin}, tau=[5.0, 5.0],
+            generator=subgauss_generator(lin, d=2), tau=[5.0, 5.0],
             analyses=[{"type": "scan"}])))
-        assert abs(harness.targets(cfg)["0:scan"]["rho"] - rho) <= 1e-12
+        got = harness.targets(cfg)["0:scan"]
+        assert abs(got["rho"] - rho) <= 1e-12
+        assert got["Fbar"] == [0.0025, 0.0025]
+        assert got["bound"] == pytest.approx(0.0025 ** (2 / (1 + rho)),
+                                             rel=1e-12)
 
     def test_scan_counts_fold_over_replications(self):
         # two replications count what the one-replication runs at seeds
-        # base ^ 0 and base ^ 1 count, summed
+        # base ^ 0 and base ^ 1 count, summed, and each count is that of
+        # the replication's dense lift
         def run(reps, base_seed):
             cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
-                generator={"kind": "gauss", "lin": RHO_HALF}, n=20_000,
+                generator=subgauss_generator(RHO_HALF, d=2), n=20_000,
                 tau=[400.0, 400.0], reps=reps, base_seed=base_seed,
                 analyses=[{"type": "scan"}])))
             gen = harness._build_generator(cfg)
-            counts = [evt.pair_exceedances(gen.path_fn(base_seed ^ i),
-                                           gen.u.u) for i in range(reps)]
+            counts = [evt.pair_exceedances(
+                m4.lift(gen.spec, gen.path_fn(base_seed ^ i).V), gen.u.u)
+                for i in range(reps)]
             return harness.run(cfg)["analyses"]["0:scan"], counts
 
         both, counts = run(2, 5)
@@ -276,21 +295,23 @@ class TestRun:
         assert both["cond_exceed"] == joint / exceed1
 
     def test_gauss_thresholds_follow_the_marginal_law(self):
-        # n P(Y_i > u_i) = tau_i: a raw column by the normal tail, a pareto
-        # or folded_pareto part by u = (n / tau)^(1/alpha)
-        lin = {"d0": 2, "family": "iid", "params": {}, "L": 0}
-        parts = [{"kind": "pareto", "alpha": 1.0, "coord": 0},
-                 {"kind": "folded_pareto", "alpha": 2.0, "coord": 1}]
-        thresholds = {}
-        for name, gen in (("raw", {"kind": "gauss", "lin": lin}),
-                          ("pareto", {"kind": "gauss", "lin": lin,
-                                      "transform": {"parts": parts}})):
+        # n P(Y_i > u_i) = tau_i: either transform's marginal is exact
+        # Pareto(alpha), so u = (n / tau)^(1/alpha), the lift of the
+        # Gaussian-scale level ndtri(1 - tau / n), or of ndtri(1 - tau /
+        # (2 n)) when folded
+        tail = np.array([5.0, 10.0]) / 2000
+        for transform, p in (("pareto", tail), ("folded_pareto", tail / 2)):
+            gen = subgauss_generator({"d0": 2, "family": "iid", "params": {},
+                                      "L": 0}, d=2, transform=transform)
+            gen["spec"]["alpha"] = 2.0
             cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
                 generator=gen, tau=[5.0, 10.0])))
-            thresholds[name] = harness._build_generator(cfg).u.u
-        np.testing.assert_allclose(2000 * ndtr(-thresholds["raw"]),
-                                   [5.0, 10.0], rtol=1e-12)
-        assert list(thresholds["pareto"]) == [400.0, math.sqrt(200.0)]
+            _, spec, u = harness._build_generator(cfg)
+            assert list(u.u) == [20.0, math.sqrt(200.0)]
+            x = ndtri(1.0 - p)
+            lifted = [spec.innovation.lift(x[j:j + 1], j, 2.0)[0]
+                      for j in range(2)]
+            np.testing.assert_allclose(lifted, u.u, rtol=1e-10)
 
     def test_single_replication_draws_its_path_once(self, monkeypatch):
         # every per-path analysis maps over the engine's one path
@@ -337,23 +358,9 @@ class TestTargets:
             (49 * 0.5 + 1.0) / 55 * 40.0, rel=1e-14)
         assert got["4:dprime"] == {"stats": {"2": 800.0, "4": 400.0}}
 
-    def test_gauss_generator_has_no_m4_target(self):
-        # nonexceed, runs and pointproc have closed forms on an m4 generator
-        # only; a scan's target is its rho, tails and ceiling
-        cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
-            generator={"kind": "gauss", "lin": RHO_HALF}, tau=[5.0, 5.0],
-            analyses=[{"type": "nonexceed"}, {"type": "runs", "m": 1},
-                      {"type": "pointproc", "r": 50, "p": 5},
-                      {"type": "scan"}])))
-        got = harness.targets(cfg)
-        assert set(got) == {"3:scan"}
-        assert got["3:scan"]["Fbar"] == [0.0025, 0.0025]
-        assert got["3:scan"]["bound"] == pytest.approx(
-            0.0025 ** (2 / 1.5), rel=1e-12)
-
     def test_scan_entry_repeats_its_target(self):
         cfg = ExperimentConfig.from_json(json.dumps(tiny_config(
-            generator={"kind": "gauss", "lin": RHO_HALF}, n=20_000,
+            generator=subgauss_generator(RHO_HALF, d=2), n=20_000,
             tau=[400.0, 400.0], reps=1, analyses=[{"type": "scan"}])))
         entry = harness.run(cfg)["analyses"]["0:scan"]
         target = harness.targets(cfg)["0:scan"]
@@ -389,7 +396,7 @@ class TestCli:
         assert out["0:nonexceed"]["theta"] == out["1:runs"]["theta"] == 0.5
 
     # A case puts its value at a path into tiny_config (`limits`), into
-    # tiny_gauss_config (`run`) or into a coefficient spec (`gauss-tools`).
+    # tiny_subgauss_config (`run`) or into a coefficient spec (`gauss-tools`).
     # Its id names the retired command, `theta`, `m4-verify`, `simulate` or
     # `acf`, whose case it is, so the case keeps its name across the change.
     @pytest.mark.parametrize("command, path, value, field", [
@@ -452,7 +459,8 @@ class TestCli:
                     d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)),
                     L=16)).to_json()), "--spec"
         else:
-            spec = tiny_config() if command == ["limits"] else tiny_gauss_config()
+            spec = (tiny_config() if command == ["limits"]
+                    else tiny_subgauss_config())
             flag = "--config"
         # the value at path, or with an empty path, keys merged into spec
         node = spec
@@ -510,7 +518,7 @@ class TestCli:
         nonfinite["alpha"]["generator"]["spec"]["alpha"] = math.nan
         if field in NONFINITE_LIN:
             obj = (NONFINITE_LIN[field] if command == "gauss-tools"
-                   else tiny_gauss_config(NONFINITE_LIN[field]))
+                   else tiny_subgauss_config(NONFINITE_LIN[field]))
         else:
             obj = nonfinite[field]
         f = tmp_path / "in.json"
@@ -528,8 +536,8 @@ class TestCli:
     @pytest.mark.parametrize("stem", ["e1", "e8_iid"], ids=["m4", "gauss"])
     def test_infinite_threshold_exit_2_names_tau(self, tmp_path, capsys,
                                                  monkeypatch, stem, command):
-        # at tau = 5e-324 the Pareto rule's A n / tau overflows, and a raw
-        # Gaussian column's ndtri(1 - tau / n) is ndtri(1) = inf
+        # at tau = 5e-324 the Pareto rule's A n / tau overflows, over i.i.d.
+        # Pareto innovations (e1) and a subordinated Gaussian (e8_iid)
         obj = {**json.loads((CONFIGS / f"{stem}.json").read_text()),
                "tau": [5e-324]}
         f = tmp_path / "cfg.json"
@@ -556,11 +564,11 @@ class TestCli:
 
     @pytest.mark.parametrize("kind", ["pareto", "folded_pareto"])
     def test_run_gauss_part_with_tau(self, tmp_path, capsys, kind):
-        # every transform part has a level, so a gauss config with a tau
-        # draws its paths through the part
-        cfg = tiny_gauss_config()
-        cfg["generator"]["transform"] = {"parts": [{"kind": kind,
-                                                    "alpha": 2.0}]}
+        # either subgauss transform has a level, so a subordinated Gaussian
+        # with a tau draws its paths through it
+        cfg = tiny_config(generator=subgauss_generator(transform=kind),
+                          tau=[5.0], analyses=[{"type": "nonexceed"}])
+        cfg["generator"]["spec"]["alpha"] = 2.0
         f = tmp_path / "cfg.json"
         f.write_text(json.dumps(cfg))
         assert cli_main(["run", "--config", str(f)]) == 0
@@ -582,8 +590,7 @@ class TestCli:
         }
         assert harness.CONFIG_KEYS == {"name", "generator", "n", "tau",
                                        "reps", "base_seed", "analyses"}
-        assert harness.GENERATOR_KEYS == {
-            "m4": {"kind", "spec"}, "gauss": {"kind", "lin", "transform"}}
+        assert harness.GENERATOR_KEYS == {"m4": {"kind", "spec"}}
         assert not [path.name for path in (REPO / "src" / "subgauss").glob(
             "*.py") if "environ" in path.read_text()]
 
@@ -627,8 +634,10 @@ class TestCli:
         pytest.param({"analyses": [{"type": "dprime"}]}, "run", "'k_list'",
                      id="dprime-k_list"),
         pytest.param({"tau": []}, "run", "tau", id="no-thresholds"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [5.0], "analyses": [{"type": "scan"}]}, "run",
+        # scan pairs two columns of a subordinated Gaussian: the M4 of lags
+        # [0, 0] and a diagonal a over a subgauss innovation
+        pytest.param({"generator": subgauss_generator(), "tau": [5.0],
+                      "analyses": [{"type": "scan"}]}, "run",
                      "field: d", id="scan-univariate"),
         pytest.param({"tau": [5.0, 5.0], "analyses": [{"type": "scan"}],
                       "generator": {"kind": "m4", "spec": {
@@ -636,10 +645,20 @@ class TestCli:
                           "a": [[[1.0, 0.0], [0.0, 1.0]]],
                           "innovation": {"kind": "iid_pareto",
                                          "alpha": 1.0}}}}, "run",
-                     "field: kind", id="scan-m4"),
-        pytest.param({"generator": {"kind": "gauss", "lin": RHO_HALF},
+                     "field: innovation", id="scan-m4"),
+        pytest.param({"generator": subgauss_generator(RHO_HALF, d=2),
                       "tau": [], "analyses": [{"type": "scan"}]}, "run",
                      "field: tau", id="scan-without-tau"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **subgauss_generator(RHO_HALF, d=2)["spec"], "lags": [0, 1],
+            "a": [np.eye(2).tolist(), np.zeros((2, 2)).tolist()]}},
+            "tau": [5.0, 5.0], "analyses": [{"type": "scan"}]}, "run",
+            "field: lags", id="scan-lags"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **subgauss_generator(RHO_HALF, d=2)["spec"],
+            "a": [[[1.0, 0.5], [0.0, 1.0]]]}},
+            "tau": [5.0, 5.0], "analyses": [{"type": "scan"}]}, "run",
+            "field: a", id="scan-a-off-diagonal"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": []}]}, "run",
                      "field: k_list", id="dprime-k_list-empty"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": [1, 2]}]},
@@ -650,19 +669,17 @@ class TestCli:
             "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
             "tau": [80.0, 80.0], "analyses": [{"type": "dprime", "k_list": [2]}]},
             "run", "field: d", id="dprime-bivariate"),
+        # gauss-tools reads a subgauss innovation's table
         pytest.param({"analyses": [{"type": "gauss-tools"}]}, "run",
-                     "field: kind", id="gauss-tools-m4"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
+                     "field: innovation", id="gauss-tools-m4"),
+        pytest.param({"generator": subgauss_generator(IID8), "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": 0}]},
             "run", "field: nblock", id="gauss-tools-nblock"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
+        pytest.param({"generator": subgauss_generator(IID8), "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": 2001}]},
             "run", "field: nblock", id="gauss-tools-dense-budget"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 4}}, "tau": [],
-            "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+        pytest.param({"generator": subgauss_generator({**IID8, "L": 4}),
+            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: L", id="gauss-tools-short-table"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 5, "p": 5,
                                     "m": 5}]}, "run", "field: r",
@@ -686,11 +703,12 @@ class TestCli:
         pytest.param({"reps": 200, "analyses": [{
             "type": "pointproc", "r": 50, "p": 5, "lambda_target": -1.0}]},
             "run", "field: lambda_target", id="pointproc-lambda-negative"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8},
+        # m4 is the one generator kind: a subordinated Gaussian is the M4
+        # of lags [0, 0] and a diagonal a over a subgauss innovation
+        pytest.param({"generator": {"kind": "gauss", "lin": IID8,
             "standardize": False}, "tau": [], "reps": 1,
             "analyses": [{"type": "gauss-tools"}]},
-            "run", "field: standardize", id="gauss-unknown-key"),
+            "run", "field: kind", id="gauss-unknown-key"),
         pytest.param({"generator": {**tiny_config()["generator"], "m_trunc": 1}},
                      "run", "field: m_trunc", id="m4-unknown-key"),
         # a field of the wrong JSON type
@@ -728,45 +746,39 @@ class TestCli:
                      id="pointproc-bins"),
         pytest.param({"analyses": [{"type": "runs", "m": 1, "mm": 2}]}, "run",
                      "field: mm", id="runs-unknown-key"),
-        # a gauss generator's thresholds: a tau of the path's length, with
-        # every level positive
+        # a subordinated Gaussian's thresholds: a tau of the path's length,
+        # each entry in (0, n)
         pytest.param({**json.loads((CONFIGS / "e7.json").read_text()),
                       "tau": [1.0]}, "run", "field: tau",
                      id="e7-gauss-tau-length"),
-        # every part has a level, since a kind without one is not in the
-        # catalog: a window maximum is an M4 over subgauss innovations
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "window_max", "alpha": 1.0}]}},
-            "tau": [5.0], "reps": 1}, "run", "field: kind",
-            id="gauss-window-max-tau"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "identity"}]}}, "tau": [5.0]}, "run",
-            "field: kind", id="parts-identity"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "square", "alpha": 1.0}]}}, "tau": []}, "run",
-            "field: kind", id="parts-square"),
-        # a transform has no window: m is a key that nothing reads
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": 0, "parts": [{"kind": "pareto", "alpha": 1.0}]}},
-            "tau": [5.0]}, "run", "field: m", id="transform-m-zero"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [1500.0]}, "run", "field: tau",
-                     id="gauss-threshold-negative"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [5000.0]}, "run", "field: tau",
-                     id="gauss-threshold-nan"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8},
-                      "tau": [0.0]}, "run", "field: tau", id="gauss-tau-zero"),
-        # a transform part must read a column of the table
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "pareto", "alpha": 1.0, "coord": 3}]}},
-            "tau": []}, "run", "field: coord", id="parts-coord-past-d0"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "pareto", "alpha": 1.0, "coord": -1}]}},
-            "tau": []}, "run", "field: coord", id="parts-coord-negative"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": []}}, "tau": []}, "run", "field: parts",
-            id="transform-no-parts"),
+        pytest.param({"generator": subgauss_generator(), "tau": [5000.0]},
+                     "run", "field: tau", id="gauss-threshold-nan"),
+        pytest.param({"generator": subgauss_generator(), "tau": [0.0]},
+                     "run", "field: tau", id="gauss-tau-zero"),
+        pytest.param({**json.loads((CONFIGS / "e1.json").read_text()),
+                      "tau": [5000.0]}, "run", "field: tau", id="tau-at-n"),
+        # the transform is one of the two kinds with an exact Pareto
+        # marginal: a window maximum is an M4 over several lags
+        pytest.param({"generator": subgauss_generator(transform="window_max"),
+                      "tau": [5.0], "reps": 1}, "run", "field: transform",
+                     id="gauss-window-max-tau"),
+        pytest.param({"generator": subgauss_generator(transform="identity"),
+                      "tau": [5.0]}, "run", "field: transform",
+                     id="parts-identity"),
+        pytest.param({"generator": subgauss_generator(transform="square"),
+                      "tau": []}, "run", "field: transform",
+                     id="parts-square"),
+        # a subgauss innovation takes a kind, a lin and a transform: it has
+        # no window (m), lags, list of parts, or coord (column j of the
+        # innovation reads column j of the table)
+        pytest.param({"generator": subgauss_generator(m=0), "tau": [5.0]},
+                     "run", "field: m", id="transform-m-zero"),
+        pytest.param({"generator": subgauss_generator(coord=3), "tau": []},
+                     "run", "field: coord", id="parts-coord-past-d0"),
+        pytest.param({"generator": subgauss_generator(coord=-1), "tau": []},
+                     "run", "field: coord", id="parts-coord-negative"),
+        pytest.param({"generator": subgauss_generator(parts=[]), "tau": []},
+                     "run", "field: parts", id="transform-no-parts"),
         # a value out of range names its field
         pytest.param({"tau": [80.0, 80.0]}, "run", "field: tau",
                      id="tau-length"),
@@ -788,39 +800,38 @@ class TestCli:
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"], "alpha": 0.0}}}, "run",
             "field: alpha", id="spec-alpha-zero"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {**IID8, "L": -1}},
+        pytest.param({"generator": subgauss_generator({**IID8, "L": -1}),
                       "tau": []}, "run", "field: L", id="lin-L-negative"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {**IID8, "d0": 0}},
+        pytest.param({"generator": subgauss_generator({**IID8, "d0": 0}),
                       "tau": []}, "run", "field: d0", id="lin-d0-zero"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 1, "family": "log_boundary",
-            "params": {"q": 1.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, "run",
+            "params": {"q": 1.0, "B": [[1.0]]}, "L": 8}), "tau": []}, "run",
             "field: q", id="params-q-one"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 1, "family": "polynomial",
-            "params": {"beta": 0.5, "B": [[1.0]]}, "L": 8}}, "tau": []}, "run",
+            "params": {"beta": 0.5, "B": [[1.0]]}, "L": 8}), "tau": []}, "run",
             "field: beta", id="params-beta-half"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 1, "family": "log_boundary",
-            "params": {"q": 2.0, "B": [[-1.0]]}, "L": 8}}, "tau": []}, "run",
+            "params": {"q": 2.0, "B": [[-1.0]]}, "L": 8}), "tau": []}, "run",
             "field: B", id="params-B-negative"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 2, "family": "log_boundary",
-            "params": {"q": 2.0, "B": [[1.0]]}, "L": 8}}, "tau": []}, "run",
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 8}), "tau": []}, "run",
             "field: B", id="params-B-d0-mismatch"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 2, "family": "custom", "params": {"table": [[[1.0]]]},
-            "L": 0}}, "tau": []}, "run", "field: table",
+            "L": 0}), "tau": []}, "run", "field: table",
             id="custom-table-shape"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "pareto", "alpha": 0.0}]}},
-            "tau": []}, "run", "field: alpha", id="parts-pareto-alpha-zero"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "pareto", "alpha": 1.0, "lags": [0, 1]}]}},
-            "tau": []}, "run", "field: lags", id="parts-lag-outside-window"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "m": -1, "parts": [{"kind": "pareto", "alpha": 1.0}]}},
-            "tau": []}, "run", "field: m", id="transform-m-negative"),
+        # a subgauss innovation's alpha and lags are the spec's
+        pytest.param({"generator": subgauss_generator(alpha=0.0), "tau": []},
+                     "run", "field: alpha", id="parts-pareto-alpha-zero"),
+        pytest.param({"generator": subgauss_generator(lags=[0, 1]),
+                      "tau": []}, "run", "field: lags",
+                     id="parts-lag-outside-window"),
+        pytest.param({"generator": subgauss_generator(m=-1), "tau": []},
+                     "run", "field: m", id="transform-m-negative"),
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 2,
                                     "m": 3}]}, "run", "field: p",
                      id="pointproc-p-lt-m"),
@@ -832,11 +843,11 @@ class TestCli:
         # a nested field of the wrong JSON type, or missing
         pytest.param({"generator": {"kind": "m4", "spec": "x"}}, "run",
                      "field: spec", id="spec-string"),
-        pytest.param({"generator": {"kind": "gauss", "lin": "x"}, "tau": []},
+        pytest.param({"generator": subgauss_generator("x"), "tau": []},
                      "run", "field: lin", id="lin-string"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": "x"},
-            "tau": []}, "run", "field: transform", id="transform-string"),
+        pytest.param({"generator": subgauss_generator(transform="x"),
+                      "tau": []}, "run", "field: transform",
+                     id="transform-string"),
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"], "alpha": "one"}}}, "run",
             "field: alpha", id="spec-alpha-string"),
@@ -858,8 +869,8 @@ class TestCli:
         pytest.param({"analyses": [{"type": "pointproc", "r": 50, "p": 5,
                                     "lambda_target": "2"}]}, "run",
                      "field: lambda_target", id="pointproc-lambda-string"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8}}, "tau": [],
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1, "family": "iid", "params": {}, "L": 8}), "tau": [],
             "reps": 1, "analyses": [{"type": "gauss-tools", "nblock": "50"}]},
             "run", "field: nblock", id="gauss-tools-nblock-string"),
         pytest.param({"analyses": [{"type": "dprime", "k_list": "2"}]}, "run",
@@ -867,7 +878,7 @@ class TestCli:
         pytest.param({"analyses": [{"type": "dprime", "k_list": [2, 2.5]}]},
                      "run", "field: k_list", id="dprime-k_list-fraction"),
         # a key that nothing reads, or a field of the wrong JSON type, inside
-        # a spec, an innovation, a table (lin), its params or a transform part
+        # a spec, an innovation, a table (lin) or its params
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"], "extra": 1}}}, "run",
             "field: extra", id="spec-unknown-key"),
@@ -894,56 +905,51 @@ class TestCli:
         pytest.param({"generator": {"kind": "m4", "spec": {
             **tiny_config()["generator"]["spec"], "lags": [0, 1, 2]}}}, "run",
             "field: lags", id="spec-lags-three"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8, "Lmax": 9}},
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1, "family": "iid", "params": {}, "L": 8, "Lmax": 9}),
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: Lmax", id="lin-unknown-key"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8.5}},
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1, "family": "iid", "params": {}, "L": 8.5}),
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: L", id="lin-L-fraction"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 1, "family": "log_boundary",
-            "params": {"q": 2.0, "B": [[1.0]], "beta": 1.0}, "L": 8}},
+            "params": {"q": 2.0, "B": [[1.0]], "beta": 1.0}, "L": 8}),
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: beta", id="params-unknown-key"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 1, "family": "log_boundary",
-            "params": {"q": "two", "B": [[1.0]]}, "L": 8}},
+            "params": {"q": "two", "B": [[1.0]]}, "L": 8}),
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: q", id="params-q-string"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
+        pytest.param({"generator": subgauss_generator({
             "d0": 1, "family": "log_boundary",
-            "params": {"q": 2.0, "B": [["1"]]}, "L": 8}},
+            "params": {"q": 2.0, "B": [["1"]]}, "L": 8}),
             "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
             "run", "field: B", id="params-B-string"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
-            "parts": [{"kind": "pareto", "alpha": 1.0, "scale": 2}]}},
-            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            "run", "field: scale", id="parts-unknown-key"),
-        pytest.param({"generator": {"kind": "gauss", "lin": {
-            "d0": 1, "family": "iid", "params": {}, "L": 8}, "transform": {
-            "parts": [{"kind": "pareto", "alpha": 1.0, "coord": "0"}]}},
-            "tau": [], "reps": 1, "analyses": [{"type": "gauss-tools"}]},
-            "run", "field: coord", id="parts-coord-string"),
-        # a part reads lag 0 of its column only, and a kind outside the
-        # catalog names kind whatever else the part holds
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "pareto", "alpha": 1.0, "lags": [2]}]}},
-            "tau": [5.0]}, "run", "field: lags", id="parts-pareto-lags"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "abs", "alpha": 3.0}]}}, "tau": [],
-            "reps": 1, "analyses": [{"type": "gauss-tools"}]}, "run",
-            "field: kind", id="parts-abs-alpha"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "folded_pareto", "alpha": 1.0,
-                       "lags": [0, 1]}]}}, "tau": [5.0]}, "limits",
+        pytest.param({"generator": subgauss_generator(scale=2), "tau": [],
+                      "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+                     "run", "field: scale", id="parts-unknown-key"),
+        pytest.param({"generator": subgauss_generator(coord="0"), "tau": [],
+                      "reps": 1, "analyses": [{"type": "gauss-tools"}]},
+                     "run", "field: coord", id="parts-coord-string"),
+        # an innovation reads lag 0 of its column only, and a transform
+        # outside the catalog names transform whatever else it holds
+        pytest.param({"generator": subgauss_generator(lags=[2]),
+                      "tau": [5.0]}, "run", "field: lags",
+                     id="parts-pareto-lags"),
+        pytest.param({"generator": subgauss_generator(transform="abs"),
+                      "tau": [], "reps": 1,
+                      "analyses": [{"type": "gauss-tools"}]}, "run",
+                     "field: transform", id="parts-abs-alpha"),
+        pytest.param({"generator": subgauss_generator(
+            transform="folded_pareto", lags=[0, 1]), "tau": [5.0]}, "limits",
             "field: lags", id="limits-parts-folded-pareto-lags"),
-        pytest.param({"generator": {"kind": "gauss", "lin": IID8, "transform": {
-            "parts": [{"kind": "window_max", "alpha": 2.0}]}}, "tau": [],
-            "analyses": [{"type": "gauss-tools"}]}, "limits", "field: kind",
-            id="limits-parts-window-max-alpha"),
+        pytest.param({"generator": subgauss_generator(transform="window_max"),
+                      "tau": [], "analyses": [{"type": "gauss-tools"}]},
+                     "limits", "field: transform",
+                     id="limits-parts-window-max-alpha"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change,

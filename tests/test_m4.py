@@ -1,6 +1,7 @@
 """Moving-maxima specs: closed-form limits, thresholds, and path builders."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from scipy.special import ndtr, ndtri
 from subgauss import evt, gausslin, harness, m4
 from subgauss.gausslin import SpecError
 from subgauss.m4 import IidPareto, M4Spec, SubGauss
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def equal_spec(nlags=4, alpha=1.0):
@@ -527,7 +530,7 @@ def _exact_floor(inn, c, j, alpha):
         return round((1.0 - p) * 2**53) << 11
     if p >= 1.0:
         return -np.inf
-    return inn.source.sd[j] * -ndtri(p / 2 if inn.folded else p)
+    return inn.sd[j] * -ndtri(p / 2 if inn.folded else p)
 
 
 def _beside(value, step):
@@ -576,7 +579,7 @@ def test_only_candidate_rows_lift_above_the_level(data):
     if kind == "iid_pareto":
         V = _words(rng, (n + span, d))
     else:
-        V = rng.standard_normal((n + span, d)) * inn.source.sd * 2.0
+        V = rng.standard_normal((n + span, d)) * inn.sd * 2.0
     uu = np.array(data.draw(st.lists(st.floats(0.5, 1e4), min_size=d,
                                      max_size=d), label="u"))
     # the column levels of m4_exceedances
@@ -604,7 +607,7 @@ def test_only_candidate_rows_lift_above_the_level(data):
         # is inf
         j = data.draw(st.integers(0, d - 1))
         V[data.draw(st.integers(0, n + span - 1)), j] = (
-            2**64 - 1 if kind == "iid_pareto" else 60.0 * inn.source.sd[j])
+            2**64 - 1 if kind == "iid_pareto" else 60.0 * inn.sd[j])
     u = m4.ThresholdVector(n=n, tau=np.ones(d), u=uu)
 
     want = _dense_exceedances(spec, V, m_trunc, u)
@@ -630,7 +633,7 @@ def test_floor_admits_every_value_lifting_above_the_level(kind, alpha):
         top = (2**53 - np.arange(1, 200, dtype=np.uint64)) << 11
         base = np.concatenate([top - 1, top, top + 1])
     else:
-        base = inn.source.sd[0] * np.linspace(-3.0, 39.0, 2000)
+        base = inn.sd[0] * np.linspace(-3.0, 39.0, 2000)
     with np.errstate(divide="ignore", over="ignore"):
         w = inn.lift(base, 0, alpha)
     levels = w[np.isfinite(w)]
@@ -748,3 +751,44 @@ def test_window_maximum_is_a_unit_m4(windows):
     if d == 1:
         theta = harness.targets(cfg)["0:nonexceed"]["theta"]
         assert theta == pytest.approx(1.0 / len(windows[0]), rel=1e-12)
+
+
+@pytest.mark.parametrize("transform", ["pareto", "folded_pareto"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_subordinated_gaussian_is_a_one_lag_m4(d, transform):
+    # a subordinated Gaussian in Pareto scale, Y_{k,i} = h(X_{k,i} / sd_i),
+    # is the M4 of lags [0, 0] and a = identity over a subgauss innovation,
+    # as E6, E7 and E8 are. Its exceedance times are those of the
+    # standardized Gaussian path Z over the Gaussian-scale level
+    # ndtri(1 - tau / n) (|Z| over ndtri(1 - tau / (2 n)) when folded),
+    # written here in numpy, and so are those of the dense lift; and for
+    # d = 2, with E7's cross-correlated table, scan's counts are those of
+    # the dense lift
+    lin = (json.loads((CONFIGS / "e7.json").read_text())["generator"]
+           ["spec"]["innovation"]["lin"] if d == 2 else
+           {"d0": 1, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 64})
+    table = gausslin.CoeffTable.from_json(json.dumps(lin))
+    spec = M4Spec(d=d, alpha=1.5, lags=(0, 0), a=np.eye(d)[None],
+                  innovation=SubGauss(table, transform=transform))
+    n, tau = 20_000, np.array([40.0, 60.0])[:d]
+    u = m4.thresholds(spec, n, tau)
+    sd = np.sqrt(np.diag(gausslin.autocov(table, 0)[0]))
+    folded = transform == "folded_pareto"
+    level = ndtri(1.0 - tau / (2 * n if folded else n))
+    for seed in range(3):
+        Z = gausslin.simulate(table, n, seed).values / sd
+        want = np.flatnonzero(np.any((np.abs(Z) if folded else Z) > level,
+                                     axis=1))
+        draw = m4.path(spec, n, seed)
+        got = evt.m4_exceedances(draw, u)
+        assert got.n == n and want.size > 0
+        np.testing.assert_array_equal(got.times, want)
+        W = m4.lift(spec, draw.V)
+        np.testing.assert_array_equal(
+            np.flatnonzero(np.any(W > u.u, axis=1)), want)
+        if d == 2:
+            counts = harness.REGISTRY["scan"].per_path(
+                {"type": "scan"}, harness.Replication(draw, u))
+            assert counts == evt.pair_exceedances(W, u.u)
+            assert counts[1] > 0
