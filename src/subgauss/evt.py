@@ -1,19 +1,18 @@
 """Exceedance times, extremal-index estimators, the D'(u_n) anti-clustering
 statistic, and the joint exceedance counts of a column pair.
 
-Every function here reads one path (a SeriesMatrix or a bare array), an M4
-draw, or the exceedance times taken from either; the replication engine in
-`harness` owns seeding and the loop over paths. A scan's pair counts read
-only the path rows at the exceedance times, since no other row exceeds in
-any column.
+Every function here reads one M4 draw, the exceedance times taken from it,
+or an array of path rows; the replication engine in `harness` owns seeding
+and the loop over draws. A scan's pair counts read only the path rows at
+the exceedance times, since no other row exceeds in any column.
 
 The runs and blocks estimators (Smith & Weissman 1994), the gapped-block
 point process and D' read a path only through its sorted exceedance times,
-the rows k with Y_k not <= u: `exceedances` finds them with one strict
-comparison per column of a dense path, `m4_exceedances` off an M4 draw's
+the rows k with Y_k not <= u. `m4_exceedances` finds them off an M4 draw's
 base draw, in one pass over it, lifting only its candidate rows and
 building no path. Each estimator then reads them in O(number of
-exceedances).
+exceedances). `exceedances`, one strict comparison per column of a dense
+path (a SeriesMatrix or a bare array), is its reference: no run calls it.
 """
 
 from __future__ import annotations
@@ -226,12 +225,11 @@ def dprime_path(ex: Exceedances, k_list) -> tuple:
     return [n * csum[n // k] for k in ks], int(np.sum(counts[1:]))
 
 
-def pair_exceedances(Y, u) -> tuple:
-    """The number of rows of Y at which columns 0 and 1 both exceed their
+def pair_exceedances(v: np.ndarray, u) -> tuple:
+    """The number of rows of v at which columns 0 and 1 both exceed their
     levels u[0] and u[1], and the number at which column 1 does. A row at
-    which no column exceeds counts in neither, so Y may be a path or its
+    which no column exceeds counts in neither, so v may be a path or its
     rows at the path's exceedance times."""
-    v = _values(Y)
     e1 = v[:, 1] > u[1]
     joint = np.count_nonzero((v[:, 0] > u[0]) & e1)
     return int(joint), int(np.count_nonzero(e1))

@@ -38,6 +38,13 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _string(name: str, value) -> str:
+    if not isinstance(value, str):
+        raise SpecError(f"{name} must be a string, not {value!r} "
+                        f"(field: {name})")
+    return value
+
+
 def _number(name: str, value):
     """A finite JSON number: `json.loads` reads NaN and Infinity too."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
@@ -80,10 +87,17 @@ def _keys(name: str, value, allowed) -> dict:
 
 
 def _nested(name: str, value):
-    """A number or a nested list of numbers, as nested tuples."""
-    if isinstance(value, list):
-        return tuple(_nested(name, x) for x in value)
-    return _number(name, value)
+    """A number or a rectangular nested list of numbers, as nested tuples."""
+    def nest(x):
+        return tuple(map(nest, x)) if isinstance(x, list) else _number(name, x)
+
+    value = nest(value)
+    try:
+        np.asarray(value, dtype=float)
+    except ValueError:
+        raise SpecError(f"{name} must be a rectangular nested list "
+                        f"(field: {name})") from None
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +111,6 @@ class Polynomial:
     beta: float
     B: tuple  # nested tuple, d0 x d0, nonnegative
 
-    name = "polynomial"
-
 
 @dataclass(frozen=True)
 class LogBoundary:
@@ -109,14 +121,10 @@ class LogBoundary:
     q: float
     B: tuple
 
-    name = "log_boundary"
-
 
 @dataclass(frozen=True)
 class Iid:
     """Psi_0 = identity, Psi_l = 0 for l >= 1."""
-
-    name = "iid"
 
 
 @dataclass(frozen=True)
@@ -124,8 +132,6 @@ class Custom:
     """Explicit table of coefficients, shape (L+1, d0, d0); treated as exact."""
 
     table: tuple
-
-    name = "custom"
 
 
 @dataclass(frozen=True)
@@ -175,24 +181,10 @@ class CoeffTable:
     def L(self) -> int:
         return self.spec.L
 
-    def to_json(self) -> str:
-        fam = self.spec.family
-        if isinstance(fam, Polynomial):
-            params = {"beta": fam.beta, "B": np.asarray(fam.B).tolist()}
-        elif isinstance(fam, LogBoundary):
-            params = {"q": fam.q, "B": np.asarray(fam.B).tolist()}
-        elif isinstance(fam, Iid):
-            params = {}
-        else:
-            params = {"table": np.asarray(fam.table).tolist()}
-        return json.dumps(
-            {"d0": self.d0, "family": fam.name, "params": params, "L": self.L}
-        )
-
     @staticmethod
     def from_json(text: str) -> "CoeffTable":
         obj = _keys("lin", json.loads(text), {"d0", "family", "params", "L"})
-        name = obj["family"]
+        name = _string("family", obj["family"])
         if name not in FAMILY_PARAMS:
             raise SpecError(f"unknown family {name!r} (field: family)")
         params = _keys(f"{name} params", obj["params"], FAMILY_PARAMS[name])
@@ -313,8 +305,8 @@ def tail_bound(coeffs: CoeffTable, h: int) -> float:
     J = coeffs.L - h
     if isinstance(fam, (Iid, Custom)):
         return 0.0
-    B = np.asarray(fam.B, dtype=float)
-    scale = coeffs.d0 * float(np.max(B)) ** 2
+    top = float(np.max(fam.B))
+    scale = coeffs.d0 * top * top  # inf past the largest float, no raise
     if isinstance(fam, Polynomial):
         # integral comparison: sum_{j>J} (j+1)^(-2 beta) <= (J+1)^(1-2b)/(2b-1)
         b = fam.beta

@@ -4,13 +4,12 @@ A config names an M4 generator (a spec with its innovation; a subordinated
 Gaussian is the M4 of lags [0, 0] and a diagonal `a` over a `subgauss`
 innovation), a sample size, a tau vector, a replication count and a base
 seed, plus a list of analyses. `replicate` is the one replication loop:
-replication i draws the path with seed base_seed XOR i once, every per-path
-analysis maps over that path, and results are folded in index order, so
-output bytes depend only on the config, never on execution order. Every
-per-path analysis reads the replication's sorted exceedance times over the
-generator's tau thresholds, found once, on first use: off the base draw of
-an M4 draw (`evt.m4_exceedances`, which lifts only the rows that can exceed
-and builds no path) or in one pass over a bare dense path (`evt.exceedances`).
+replication i draws the M4 draw with seed base_seed XOR i once, finds its
+sorted exceedance times over the generator's tau thresholds once, off the
+base draw (`evt.m4_exceedances`, which lifts only the rows that can exceed
+and builds no path), and every per-path analysis maps over that
+`Replication`. Results are folded in index order, so output bytes depend
+only on the config, never on execution order.
 
 A registry entry's target is the closed-form limit of its summary entry;
 `targets(cfg)` collects them, keyed as the summary's, and draws no path.
@@ -28,15 +27,15 @@ import numpy as np
 
 from subgauss import evt, gausslin, m4, pointproc
 from subgauss.gausslin import (SpecError, _integer, _integers, _keys, _list,
-                               _number, _numbers, _object)
+                               _number, _numbers, _object, _string)
 
 
 class Generator(NamedTuple):
     """A path generator and what the analyses may use of it."""
 
-    path_fn: Callable    # seed -> an m4.Draw, or a dense SeriesMatrix
-    spec: object = None  # M4Spec, or None for a bare path_fn
-    u: object = None     # ThresholdVector, or None without thresholds
+    path_fn: Callable             # seed -> an m4.Draw
+    spec: m4.M4Spec
+    u: m4.ThresholdVector | None  # None when tau is empty
 
 
 # Registry checks raise SpecError naming the config field at fault; they see
@@ -85,7 +84,7 @@ def _check_dprime(a, gen):
 
 def _subgauss(gen) -> m4.SubGauss:
     """The generator's subgauss innovation, which scan and gauss-tools read."""
-    inn = getattr(gen.spec, "innovation", None)
+    inn = gen.spec.innovation
     if not isinstance(inn, m4.SubGauss):
         raise SpecError("needs a subgauss innovation (field: innovation)")
     return inn
@@ -242,25 +241,15 @@ def _scan_target(a, gen):
             "bound": (fbar[0] * fbar[1]) ** (1 / (1 + rho))}
 
 
-class Replication:
-    """One replication's path Y (a dense SeriesMatrix or an m4.Draw) and
-    thresholds u, as its per-path maps see them. `exceedances` is computed
-    on first use and then shared by every analysis that reads it. The view
-    refers to the path, never the reverse, so each path is freed once its
-    replication is done, without the cyclic garbage collector."""
+class Replication(NamedTuple):
+    """One replication as its per-path maps see it: the draw, the
+    thresholds u and the draw's exceedances over u. It refers to the draw,
+    never the reverse, so each draw is freed once its replication is done,
+    without the cyclic garbage collector."""
 
-    __slots__ = ("Y", "u", "_exceedances")
-
-    def __init__(self, Y, u):
-        self.Y, self.u, self._exceedances = Y, u, None
-
-    @property
-    def exceedances(self) -> evt.Exceedances:
-        if self._exceedances is None:
-            find = (evt.m4_exceedances if isinstance(self.Y, m4.Draw)
-                    else evt.exceedances)
-            self._exceedances = find(self.Y, self.u)
-        return self._exceedances
+    draw: m4.Draw
+    u: m4.ThresholdVector
+    exceedances: evt.Exceedances
 
 
 class Analysis(NamedTuple):
@@ -277,7 +266,7 @@ def _scan_pair(a, view):
     replication's exceedance times alone: no other row exceeds in any
     column. At lags [0, 0] with a diagonal a, those rows of the path are
     the lifts of their base rows times the diagonal."""
-    draw = view.Y
+    draw = view.draw
     rows = m4.lift(draw.spec, draw.V[view.exceedances.times])
     return evt.pair_exceedances(rows * np.diagonal(draw.spec.a[0]),
                                 view.u.u)
@@ -285,7 +274,7 @@ def _scan_pair(a, view):
 
 # Per-path maps look their functions up at call time, so a patched or traced
 # module attribute is the one that runs. Every map reads the replication's
-# exceedance times.
+# exceedance times, so `replicate` finds them before any map runs.
 REGISTRY = {
     "nonexceed": Analysis(
         {}, {}, _needs_thresholds,
@@ -319,7 +308,7 @@ REGISTRY = {
 def _analysis(a) -> dict:
     """An analyses entry of a registered type, with its required fields and
     no key its type does not read, each field of its JSON type."""
-    kind = a.get("type") if isinstance(a, dict) else None
+    kind = _string("type", a.get("type")) if isinstance(a, dict) else None
     if kind not in REGISTRY:
         raise SpecError(f"unknown analysis type {kind!r} (field: type)")
     entry = REGISTRY[kind]
@@ -391,14 +380,11 @@ def _build_generator(cfg: ExperimentConfig) -> Generator:
     """The config's generator: path_fn(seed) -> an m4.Draw of cfg.n rows,
     its M4Spec, and the thresholds when tau is nonempty."""
     gen = _object("generator", cfg.generator)
-    kind = gen.get("kind")
+    kind = _string("kind", gen.get("kind"))
     if kind not in GENERATOR_KEYS:
         raise SpecError(f"unknown generator kind {kind!r} (field: kind)")
     _keys(f"a {kind} generator", gen, GENERATOR_KEYS[kind])
     spec = m4.M4Spec.from_json(json.dumps(gen["spec"]))
-    if spec.innovation is None:
-        raise SpecError("an m4 generator draws its spec's innovations, "
-                        "so the spec needs one (field: innovation)")
     u = m4.thresholds(spec, cfg.n, cfg.tau) if cfg.tau else None
     return Generator(lambda seed: m4.path(spec, cfg.n, seed), spec, u)
 
@@ -426,12 +412,11 @@ def targets(cfg: ExperimentConfig) -> dict:
 def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     """The replication engine. Returns (entries, artifacts, failures).
 
-    After `check`, replication i draws gen.path_fn(base_seed ^ i) once and
-    maps every per-path analysis over one `Replication` of it, so its
-    exceedances are found at most once. Failures are recorded, never
-    silently dropped: a replication counts in every analysis or, if any of
-    them raises, in none, and the run aborts if more than 1% of replications
-    fail. Each analysis then summarizes its results in replication order;
+    After `check`, replication i draws gen.path_fn(base_seed ^ i) once,
+    finds its exceedances once and maps every per-path analysis over that
+    `Replication`. Failures are recorded, never silently dropped: a
+    replication counts in every analysis or, if any of them raises, in
+    none, and the run aborts if more than 1% of replications fail. Each analysis then summarizes its results in replication order;
     its summary entry and CSV artifact are keyed "<index>:<type>".
     """
     check(gen, analyses)
@@ -440,9 +425,10 @@ def replicate(gen: Generator, analyses, reps: int, base_seed: int):
     results = {idx: {} for idx in mapped}
     failures = []
     for rep in range(reps if mapped else 0):
-        view = None  # the last replication's path is freed before the next
+        view = draw = None  # the last draw is freed before the next
         try:
-            view = Replication(gen.path_fn(base_seed ^ rep), gen.u)
+            draw = gen.path_fn(base_seed ^ rep)
+            view = Replication(draw, gen.u, evt.m4_exceedances(draw, gen.u))
             got = [kinds[idx].per_path(analyses[idx], view) for idx in mapped]
         except Exception as exc:  # noqa: BLE001 - recorded, not dropped
             failures.append({"replication": rep, "error": str(exc)})

@@ -1,16 +1,17 @@
 """M4 moving-maxima processes over heavy-tailed innovations.
 
-Draws maxima-of-moving-maxima replications (Smith & Weissman 1996) over
-either i.i.d. Pareto innovations (the oracle mode) or Pareto-transformed
-Gaussian linear processes, and evaluates the closed-form limit objects: the
+An `M4Spec` holds its coefficients and its innovation: i.i.d. Pareto
+(`IidPareto`, the oracle mode) or a Pareto-transformed Gaussian linear
+process (`SubGauss`). The module draws maxima-of-moving-maxima replications
+(Smith & Weissman 1996) and evaluates the closed-form limit objects: the
 tail constants A_i, the i.i.d. limit G(tau), the multivariate extremal index
 theta(tau), its lag-truncated version, the runs limit theta(m), and analytic
-thresholds. `build` is the dense definition of a path over the innovations W
-that `innovations` draws. A run builds neither: a `Draw` holds the base draw
-V that W lifts from, column by column, through a monotone transform (the
-raw Philox words of an i.i.d. draw, or the Gaussian rows of a subordinated
-one), and `evt.m4_exceedances` lifts only the rows of V at or above the
-innovation's floor.
+thresholds. A run draws a `Draw`, the base draw V that the innovations W
+lift from, column by column, through a monotone transform (the raw Philox
+words of an i.i.d. draw, or the Gaussian rows of a subordinated one), and
+`evt.m4_exceedances` lifts only the rows of V at or above the innovation's
+floor. `innovations` and `build` are the dense definition of that path: no
+run calls them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.special import ndtri
 
 from subgauss import gausslin
 from subgauss.gausslin import (SeriesMatrix, SpecError, _integer, _integers,
-                               _keys, _nested, _number, _object)
+                               _keys, _nested, _number, _object, _string)
 from subgauss.subordinate import Part
 
 # A floor reads the tail P(W > c) = c^(-alpha) widened by FLOOR_SLACK, which
@@ -48,8 +49,6 @@ class IidPareto:
     """Oracle innovation mode: i.i.d. Pareto(alpha), P(W > u) = u^(-alpha)."""
 
     alpha: float
-
-    kind = "iid_pareto"
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -92,14 +91,17 @@ class SubGauss:
     transform: str = "pareto"  # or "folded_pareto"
     sd: np.ndarray = field(init=False, repr=False, compare=False)
 
-    kind = "subgauss"
-
     def __post_init__(self):
         if self.transform not in ("pareto", "folded_pareto"):
             raise SpecError("SubGauss transform must be pareto or "
                             "folded_pareto (field: transform)")
-        gamma0, _ = gausslin.autocov(self.table, 0)
-        object.__setattr__(self, "sd", np.sqrt(np.diag(gamma0)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gamma0, _ = gausslin.autocov(self.table, 0)
+        sd = np.sqrt(np.diag(gamma0))
+        if not np.all(np.isfinite(sd) & (sd > 0)):
+            raise SpecError(f"Gaussian column sds {sd.tolist()} must be "
+                            "finite and positive (field: lin)")
+        object.__setattr__(self, "sd", sd)
 
     # A base draw is a column of the raw Gaussian rows X, and W = h(X / sd)
     # rises with X, or with |X| when folded.
@@ -129,7 +131,7 @@ class M4Spec:
     alpha: float
     lags: tuple  # (r_lo, r_hi), r_lo <= 0 <= r_hi
     a: np.ndarray = field(repr=False)  # shape (r_hi - r_lo + 1, d, d), [r][i][j]
-    innovation: IidPareto | SubGauss = None
+    innovation: IidPareto | SubGauss
 
     def __post_init__(self):
         r_lo, r_hi = self.lags
@@ -177,46 +179,25 @@ class M4Spec:
     def lag_values(self) -> np.ndarray:
         return np.arange(self.r_lo, self.r_hi + 1)
 
-    def to_json(self) -> str:
-        if isinstance(self.innovation, IidPareto):
-            inn = {"kind": "iid_pareto", "alpha": self.innovation.alpha}
-        elif isinstance(self.innovation, SubGauss):
-            inn = {
-                "kind": "subgauss",
-                "lin": json.loads(self.innovation.table.to_json()),
-                "transform": self.innovation.transform,
-            }
-        else:
-            inn = None
-        return json.dumps(
-            {
-                "d": self.d,
-                "alpha": self.alpha,
-                "lags": list(self.lags),
-                "a": self.a.tolist(),
-                "innovation": inn,
-            }
-        )
-
     @staticmethod
     def from_json(text: str) -> "M4Spec":
         obj = _keys("spec", json.loads(text),
                     {"d", "alpha", "lags", "a", "innovation"})
-        inn = obj.get("innovation")
-        innovation = None
-        if inn is not None:
-            kind = _object("innovation", inn)["kind"]
-            if kind not in INNOVATION_KEYS:
-                raise SpecError(f"unknown innovation kind {kind!r} "
-                                "(field: kind)")
-            _keys(f"the {kind} innovation", inn, INNOVATION_KEYS[kind])
-            if kind == "iid_pareto":
-                innovation = IidPareto(alpha=_number("alpha", inn["alpha"]))
-            else:
-                innovation = SubGauss(
-                    gausslin.CoeffTable.from_json(json.dumps(inn["lin"])),
-                    transform=inn.get("transform", "pareto"),
-                )
+        if "innovation" not in obj:
+            raise SpecError("an M4 spec draws its innovation, so it needs "
+                            "one (field: innovation)")
+        inn = _object("innovation", obj["innovation"])
+        kind = _string("kind", inn["kind"])
+        if kind not in INNOVATION_KEYS:
+            raise SpecError(f"unknown innovation kind {kind!r} (field: kind)")
+        _keys(f"the {kind} innovation", inn, INNOVATION_KEYS[kind])
+        if kind == "iid_pareto":
+            innovation = IidPareto(alpha=_number("alpha", inn["alpha"]))
+        else:
+            innovation = SubGauss(
+                gausslin.CoeffTable.from_json(json.dumps(inn["lin"])),
+                transform=inn.get("transform", "pareto"),
+            )
         lags = tuple(_integers("lags", obj["lags"]))
         if len(lags) != 2:
             raise SpecError(f"lags must be [r_lo, r_hi], not {list(lags)} "
@@ -349,8 +330,6 @@ def thresholds(spec: M4Spec, n: int, tau) -> ThresholdVector:
     if np.any(tau >= n):
         raise SpecError(f"tau={tau.tolist()} must lie below n={n} "
                         "(field: tau)")
-    if spec.innovation is None:
-        raise SpecError("spec has no innovation mode (field: innovation)")
     u = pareto_levels(A_vec(spec), n, tau, spec.alpha)
     return ThresholdVector(n=n, tau=tau, u=u)
 
@@ -417,8 +396,6 @@ def base(spec: M4Spec, n: int, seed: int) -> np.ndarray:
     words, row-major, that `Generator(Philox(seed)).random((n, d))` turns
     into uniforms; the raw rows of `gausslin.simulate` in SubGauss mode."""
     inn = spec.innovation
-    if inn is None:
-        raise SpecError("spec has no innovation mode")
     if isinstance(inn, IidPareto):
         words = np.random.Philox(key=seed).random_raw(n * spec.d)
         return words.reshape(n, spec.d)

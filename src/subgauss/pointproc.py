@@ -3,8 +3,8 @@
 Length-r blocks separated by length-p gaps; a block emits a point (mark 1)
 at its normalized right endpoint when any sample inside it exceeds the
 threshold vector. Gap samples never influence the pattern. The pattern is
-read from a path's sorted exceedance times (`evt.exceedances` or
-`evt.m4_exceedances`), in O(number of exceedances).
+read from a path's sorted exceedance times (`evt.m4_exceedances`), in
+O(number of exceedances).
 """
 
 from __future__ import annotations

@@ -87,7 +87,7 @@ def _draw_digests(stem, draw=None):
     gen = harness._build_generator(cfg)
     if draw is None:
         draw = gen.path_fn(cfg.base_seed ^ 0)
-    times = harness.Replication(draw, gen.u).exceedances.times
+    times = evt.m4_exceedances(draw, gen.u).times
     W = SeriesMatrix(values=m4.lift(gen.spec, draw.V))
     built = evt.exceedances(m4.build(W, gen.spec), gen.u).times
     np.testing.assert_array_equal(times, built)

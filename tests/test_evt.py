@@ -37,10 +37,16 @@ def equal_spec(nlags=4):
     )
 
 
-def replicate(path_fn, u, analysis, reps, base_seed):
-    """Summary entry and failures of one analysis over reps paths."""
-    entries, _, failures = harness.replicate(
-        harness.Generator(path_fn, u=u), [analysis], reps, base_seed)
+def iid_gen(n, u):
+    """The engine's generator of n i.i.d. Pareto(1) rows over thresholds u:
+    the one-lag M4 of a = 1 over an iid_pareto innovation."""
+    spec = equal_spec(1)
+    return harness.Generator(lambda seed: m4.path(spec, n, seed), spec, u)
+
+
+def replicate(gen, analysis, reps, base_seed):
+    """Summary entry and failures of one analysis over reps draws."""
+    entries, _, failures = harness.replicate(gen, [analysis], reps, base_seed)
     return entries[f"0:{analysis['type']}"], failures
 
 
@@ -62,24 +68,25 @@ class TestEmpiricalNonexceed:
             n,
             (tau,),
         )
-        got, _ = replicate(iid_fn(n), u, {"type": "nonexceed"}, 2000, 7)
+        got, _ = replicate(iid_gen(n, u), {"type": "nonexceed"}, 2000, 7)
         want = (1 - 1 / n) ** n
         assert abs(got["p_hat"] - want) < 2 * got["ci_halfwidth"]
 
     def test_generator_failure_reports_replication(self):
+        gen = iid_gen(100, m4.thresholds(equal_spec(), 100, (1.0,)))
+
         def failing_at(*reps):
             def fn(seed):
                 if seed ^ 5 in reps:
                     raise ValueError("boom")
-                return iid_fn(100)(seed)
-            return fn
+                return gen.path_fn(seed)
+            return gen._replace(path_fn=fn)
 
-        u = m4.thresholds(equal_spec(), 100, (1.0,))
-        _, failures = replicate(failing_at(3), u, {"type": "nonexceed"}, 100, 5)
+        _, failures = replicate(failing_at(3), {"type": "nonexceed"}, 100, 5)
         assert failures == [{"replication": 3, "error": "boom"}]
         # more than 1% of replications failing aborts the run
         with pytest.raises(RuntimeError, match="2/100 replications failed"):
-            replicate(failing_at(3, 4), u, {"type": "nonexceed"}, 100, 5)
+            replicate(failing_at(3, 4), {"type": "nonexceed"}, 100, 5)
 
 
 class TestRunsAndBlocks:
@@ -289,30 +296,28 @@ class TestKernels:
 class TestDPrime:
     def test_pareto_part_counts_as_its_raw_column(self):
         # a pareto innovation is an increasing map of its Gaussian column,
-        # and its level is the image of the column's level, so e8_gauss
-        # (an M4 of lags [0, 0]) gives the entry of its standardized raw
-        # Gaussian column over the level ndtri(1 - tau / n), drawn here as
-        # a bare dense path: E8 needs no Gaussian-scale config
+        # and its level is the image of the column's level, so each
+        # replication of e8_gauss (an M4 of lags [0, 0]) has the exceedance
+        # times of its standardized raw Gaussian column over the level
+        # ndtri(1 - tau / n), and D' reads nothing else: E8 needs no
+        # Gaussian-scale config
         cfg = dataclasses.replace(harness.ExperimentConfig.from_json(
             (CONFIGS / "e8_gauss.json").read_text()), n=2000, reps=20)
-        (a,) = cfg.analyses
-        spec = harness._build_generator(cfg).spec
-        inn = spec.innovation
-
-        def raw(seed):
-            X = gausslin.simulate(inn.table, cfg.n, seed).values
-            return SeriesMatrix(values=X / inn.sd)
-
+        gen = harness._build_generator(cfg)
+        inn = gen.spec.innovation
         level = ndtri(1.0 - cfg.tau[0] / cfg.n)
-        part = harness.run(cfg)["analyses"]["0:dprime"]
-        want, failures = replicate(raw, univariate_u(cfg.n, level), a,
-                                   cfg.reps, cfg.base_seed)
-        assert failures == [] and part == want
-        assert part["joint_events"] > 0
+        for rep in range(cfg.reps):
+            seed = cfg.base_seed ^ rep
+            X = gausslin.simulate(inn.table, cfg.n, seed).values
+            want = evt.exceedances(X / inn.sd, level)
+            got = evt.m4_exceedances(gen.path_fn(seed), gen.u)
+            assert got.n == want.n
+            np.testing.assert_array_equal(got.times, want.times)
+        assert harness.run(cfg)["analyses"]["0:dprime"]["joint_events"] > 0
 
     def test_iid_matches_tau_sq_over_k(self):
         n, tau = 20_000, 5.0
-        rep, _ = replicate(iid_fn(n), univariate_u(n, n / tau),
+        rep, _ = replicate(iid_gen(n, univariate_u(n, n / tau)),
                            {"type": "dprime", "k_list": [2, 4, 8, 16]}, 200, 12)
         for k in (2, 4, 8, 16):
             want = tau**2 / k
@@ -320,7 +325,7 @@ class TestDPrime:
 
     def test_nonincreasing_in_k(self):
         n = 20_000
-        rep, _ = replicate(iid_fn(n), univariate_u(n, n / 5.0),
+        rep, _ = replicate(iid_gen(n, univariate_u(n, n / 5.0)),
                            {"type": "dprime", "k_list": [16, 2, 8, 4, 2]}, 100, 4)
         assert list(rep["stats"]) == ["2", "4", "8", "16"]
         vals = list(rep["stats"].values())
@@ -328,7 +333,7 @@ class TestDPrime:
 
     def test_wide_ci_flag(self):
         n = 2000
-        rep, _ = replicate(iid_fn(n), univariate_u(n, n * 50.0),
+        rep, _ = replicate(iid_gen(n, univariate_u(n, n * 50.0)),
                            {"type": "dprime", "k_list": [2]}, 50, 4)
         assert rep["joint_events"] < 10
         assert rep["wide_ci"]
@@ -351,8 +356,7 @@ class TestScan:
                       [3.0, 2.5]])
         # strict: a value at its level is no exceedance
         assert evt.pair_exceedances(v, [2.0, 2.0]) == (2, 3)
-        assert evt.pair_exceedances(SeriesMatrix(values=v),
-                                    [1.0, 2.5]) == (1, 2)
+        assert evt.pair_exceedances(v, [1.0, 2.5]) == (1, 2)
 
     def test_bound_column_uses_hyper_bound(self):
         # E7(c)'s folded-pareto pair of correlation 0.5, at a milder level

@@ -413,6 +413,8 @@ class TestCli:
                      id="acf-q-string"),
         pytest.param(["gauss-tools"], ["family"], "fractal", "field: family",
                      id="simulate-unknown-family"),
+        pytest.param(["gauss-tools"], ["family"], ["log_boundary"],
+                     "field: family", id="gauss-tools-family-list"),
         pytest.param(["gauss-tools"], ["params", "B0"], 1, "field: B0",
                      id="gauss-tools-params-unknown-key"),
         # a value out of range, in the spec or a flag, names its field
@@ -454,10 +456,8 @@ class TestCli:
         # applies to a config's lin, and `limits` reads a config as `run`
         # does
         if command[0] == "gauss-tools":
-            spec, flag = json.loads(gausslin.make_coeffs(
-                gausslin.LinearProcessSpec(
-                    d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)),
-                    L=16)).to_json()), "--spec"
+            spec, flag = {"d0": 1, "family": "log_boundary",
+                          "params": {"q": 2.0, "B": [[1.0]]}, "L": 16}, "--spec"
         else:
             spec = (tiny_config() if command == ["limits"]
                     else tiny_subgauss_config())
@@ -950,6 +950,48 @@ class TestCli:
                       "tau": [], "analyses": [{"type": "gauss-tools"}]},
                      "limits", "field: transform",
                      id="limits-parts-window-max-alpha"),
+        # a list or an object where a string is read
+        pytest.param({"analyses": [{"type": ["nonexceed"]}]}, "limits",
+                     "field: type", id="type-list"),
+        pytest.param({"generator": {**tiny_config()["generator"],
+                                    "kind": ["m4"]}}, "limits",
+                     "field: kind", id="generator-kind-list"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"],
+            "innovation": {"kind": {"a": 1}, "alpha": 1.0}}}}, "limits",
+            "field: kind", id="innovation-kind-object"),
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1, "family": ["log_boundary"],
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 8}), "tau": [5.0]},
+            "limits", "field: family", id="lin-family-list"),
+        # a nested list that is not rectangular
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"], "a": [-1, [[1.0]]]}}},
+            "limits", "field: a", id="a-ragged"),
+        pytest.param({"generator": subgauss_generator({
+            "d0": 2, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0, 0.0], [0.0]]}, "L": 8}, d=2),
+            "tau": [5.0, 5.0]}, "limits", "field: B", id="B-ragged"),
+        pytest.param({"generator": subgauss_generator({
+            "d0": 2, "family": "custom", "params": {"table": [
+                [[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0]]]}, "L": 1},
+            d=2), "tau": [5.0, 5.0]}, "limits", "field: table",
+            id="custom-table-ragged"),
+        # a Gaussian column whose variance is zero or not finite
+        pytest.param({"generator": subgauss_generator({
+            "d0": 2, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0, 0.0], [0.0, 0.0]]}, "L": 8},
+            d=2), "tau": [5.0, 5.0]}, "run", "field: lin",
+            id="lin-zero-variance-column"),
+        pytest.param({"generator": subgauss_generator({
+            "d0": 2, "family": "custom",
+            "params": {"table": [[[1.0, 0.0], [0.0, 0.0]]]}, "L": 0}, d=2),
+            "tau": [5.0, 5.0], "analyses": [{"type": "scan"}]}, "limits",
+            "field: lin", id="custom-table-zero-row"),
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1e308]]}, "L": 8}), "tau": [5.0]},
+            "limits", "field: lin", id="lin-variance-overflows"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change,
@@ -1018,11 +1060,10 @@ class TestCovarianceCli:
     @pytest.fixture
     def spec(self, tmp_path):
         psi = np.random.default_rng(2).normal(size=(9, 2, 2))
-        table = gausslin.make_coeffs(gausslin.LinearProcessSpec(
-            d0=2, family=gausslin.Custom(psi), L=8))
         f = tmp_path / "lin.json"
-        f.write_text(table.to_json())
-        return f, table
+        f.write_text(json.dumps({"d0": 2, "family": "custom",
+                                 "params": {"table": psi.tolist()}, "L": 8}))
+        return f, gausslin.CoeffTable.from_json(f.read_text())
 
     @staticmethod
     def dense_min_eig(table, nblock):
@@ -1099,10 +1140,10 @@ class TestCovarianceCli:
 
     def test_short_table_exit_2_names_L(self, tmp_path, capsys, monkeypatch):
         # check_decay needs L >= 8
-        table = gausslin.make_coeffs(gausslin.LinearProcessSpec(
-            d0=1, family=gausslin.Polynomial(beta=1.0, B=np.eye(1)), L=4))
         f = tmp_path / "short.json"
-        f.write_text(table.to_json())
+        f.write_text(json.dumps({"d0": 1, "family": "polynomial",
+                                 "params": {"beta": 1.0, "B": [[1.0]]},
+                                 "L": 4}))
         computed = []
         monkeypatch.setattr(gausslin, "lag_products", computed.append)
         assert cli_main(["gauss-tools", "--spec", str(f)]) == 2

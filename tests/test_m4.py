@@ -104,26 +104,26 @@ class TestSpecValidation:
                 innovation=IidPareto(1.0),
             )
 
-    def test_json_round_trip(self):
+    def test_from_json_parses_a_literal_object(self):
         spec = bivariate_spec(extra_lag5=0.05)
-        back = M4Spec.from_json(spec.to_json())
+        back = M4Spec.from_json(json.dumps({
+            "d": 2, "alpha": 1.0, "lags": [0, 5], "a": spec.a.tolist(),
+            "innovation": {"kind": "iid_pareto", "alpha": 1.0}}))
         np.testing.assert_array_equal(back.a, spec.a)
-        assert back.lags == spec.lags
+        assert (back.d, back.alpha, back.lags) == (2, 1.0, (0, 5))
+        assert back.innovation == IidPareto(alpha=1.0)
 
-    def test_json_round_trip_subgauss(self):
-        lin = gausslin.LinearProcessSpec(
-            d0=1, family=gausslin.LogBoundary(q=2.0, B=np.eye(1)), L=64
-        )
-        spec = M4Spec(
-            d=1,
-            alpha=1.0,
-            lags=(0, 1),
-            a=np.ones((2, 1, 1)),
-            innovation=SubGauss(gausslin.make_coeffs(lin), transform="pareto"),
-        )
-        back = M4Spec.from_json(spec.to_json())
+    def test_from_json_parses_a_subgauss_innovation(self):
+        back = M4Spec.from_json(json.dumps({
+            "d": 1, "alpha": 1.0, "lags": [0, 1], "a": [[[1.0]], [[1.0]]],
+            "innovation": {"kind": "subgauss", "transform": "folded_pareto",
+                           "lin": {"d0": 1, "family": "log_boundary",
+                                   "params": {"q": 2.0, "B": [[1.0]]},
+                                   "L": 64}}}))
         assert isinstance(back.innovation, SubGauss)
-        assert back.innovation.transform == "pareto"
+        assert back.innovation.transform == "folded_pareto"
+        assert back.innovation.table.spec == gausslin.LinearProcessSpec(
+            d0=1, family=gausslin.LogBoundary(q=2.0, B=((1.0,),)), L=64)
 
     def test_subgauss_dimension_mismatch_names_d0(self):
         lin = gausslin.LinearProcessSpec(d0=1, family=gausslin.Iid(), L=0)
@@ -282,7 +282,11 @@ class TestBuildAndInnovations:
                                    rtol=1e-12)
         Y = m4.build(m4.innovations(spec, 301, 2), spec)
         assert Y.values.shape == (300, 2) and np.all(Y.values >= 1.0)
-        back = M4Spec.from_json(spec.to_json())
+        back = M4Spec.from_json(json.dumps({
+            "d": 2, "alpha": 1.5, "lags": [0, 1], "a": spec.a.tolist(),
+            "innovation": {"kind": "subgauss", "lin": {
+                "d0": 2, "family": "custom",
+                "params": {"table": inn.table.psi.tolist()}, "L": 3}}}))
         np.testing.assert_array_equal(back.innovation.table.psi, inn.table.psi)
 
     def test_iid_pareto_marginal(self):
@@ -331,7 +335,9 @@ class TestBuildAndInnovations:
         spec = equal_spec()
         tau = (1.0,)
         cfg = harness.ExperimentConfig(
-            name="equal", generator={"kind": "m4", "spec": json.loads(spec.to_json())},
+            name="equal", generator={"kind": "m4", "spec": {
+                "d": 1, "alpha": 1.0, "lags": [0, 3], "a": spec.a.tolist(),
+                "innovation": {"kind": "iid_pareto", "alpha": 1.0}}},
             n=4000, tau=tau, reps=1500, base_seed=1000,
             analyses=({"type": "nonexceed"},),
         )
@@ -378,8 +384,9 @@ def test_runs_limit_falls_from_one_to_theta(data):
                                     max_size=(r_hi - r_lo + 1) * d * d),
                            label="a")).reshape(r_hi - r_lo + 1, d, d)
     a[0, :, 0] += 0.1  # every output component needs a positive coefficient
-    spec = M4Spec(d=d, alpha=data.draw(st.floats(0.5, 3.0), label="alpha"),
-                  lags=(r_lo, r_hi), a=a)
+    alpha = data.draw(st.floats(0.5, 3.0), label="alpha")
+    spec = M4Spec(d=d, alpha=alpha, lags=(r_lo, r_hi), a=a,
+                  innovation=IidPareto(alpha))
     tau = data.draw(st.lists(st.floats(0.1, 5.0), min_size=d, max_size=d),
                     label="tau")
     span = r_hi - r_lo
@@ -789,6 +796,6 @@ def test_subordinated_gaussian_is_a_one_lag_m4(d, transform):
             np.flatnonzero(np.any(W > u.u, axis=1)), want)
         if d == 2:
             counts = harness.REGISTRY["scan"].per_path(
-                {"type": "scan"}, harness.Replication(draw, u))
+                {"type": "scan"}, harness.Replication(draw, u, got))
             assert counts == evt.pair_exceedances(W, u.u)
             assert counts[1] > 0
