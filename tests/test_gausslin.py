@@ -153,17 +153,38 @@ class TestAutocov:
 
 
 class TestLagProducts:
-    @pytest.mark.parametrize("T, hmax", [(1, 0), (1, 3), (7, 4), (7, 6),
-                                         (7, 20)])
-    def test_matches_direct_sum(self, T, hmax):
+    # (have+1) * p <= DIRECT_PER_LOG2 * log2(N) sums directly: each pair of
+    # cases at one (T, p) sits on either side of that boundary
+    @pytest.mark.parametrize("T, p, q, hmax, method", [
+        pytest.param(1, 2, 3, 0, "fft", id="1-0"),
+        pytest.param(1, 2, 3, 3, "fft", id="1-3"),
+        pytest.param(7, 2, 3, 4, "direct", id="7-4"),
+        pytest.param(7, 2, 3, 6, "direct", id="7-6"),
+        pytest.param(7, 2, 3, 20, "direct", id="7-20"),
+        pytest.param(200, 2, 3, 22, "direct", id="200-p2-22-direct"),
+        pytest.param(200, 2, 3, 23, "fft", id="200-p2-23-fft"),
+        pytest.param(300, 1, 2, 49, "direct", id="300-p1-49-direct"),
+        pytest.param(300, 1, 2, 50, "fft", id="300-p1-50-fft"),
+        pytest.param(1000, 3, 2, 19, "direct", id="1000-p3-19-direct"),
+        pytest.param(1000, 3, 2, 20, "fft", id="1000-p3-20-fft"),
+        pytest.param(40, 3, 2, 60, "fft", id="40-p3-60-fft"),
+    ])
+    def test_matches_direct_sum(self, monkeypatch, T, p, q, hmax, method):
         # sum_l x_l x_{l+h}' over a (T, p, q) array; no pairs past T-1
-        x = np.random.default_rng(T + hmax).normal(size=(T, 2, 3))
+        ffts = []
+        rfft = gausslin.fft.rfft
+        monkeypatch.setattr(gausslin.fft, "rfft", lambda *a, **k: (
+            ffts.append(1) or rfft(*a, **k)))
+        x = np.random.default_rng(T + hmax).normal(size=(T, p, q))
         got = gausslin.lag_products(x, hmax)
-        assert got.shape == (hmax + 1, 2, 2)
-        for h in range(hmax + 1):
+        assert ("fft" if ffts else "direct") == method
+        assert got.shape == (hmax + 1, p, p)
+        for h in range(min(hmax, T - 1) + 1):
             want = sum((x[l] @ x[l + h].T for l in range(T - h)),
-                       np.zeros((2, 2)))
-            np.testing.assert_allclose(got[h], want, rtol=0, atol=1e-12)
+                       np.zeros((p, p)))
+            # rounding grows with the T*q terms of each sum
+            np.testing.assert_allclose(got[h], want, rtol=0,
+                                       atol=1e-14 * T * q)
         assert np.all(got[T:] == 0.0)
 
 
@@ -211,6 +232,42 @@ class TestDecayAndRank:
         bad_rep = gausslin.check_decay(bad)
         good_rep = gausslin.check_decay(good)
         assert good_rep.s[-1] < bad_rep.s[-1]
+
+    @staticmethod
+    def bumped(L, lag):
+        """A beta = 1 polynomial table, whose profile falls from lag 8 on,
+        with Psi_lag doubled: the profile rises into lag `lag`."""
+        psi = make_coeffs(poly_spec(beta=1.0, L=L)).psi.copy()
+        psi[lag] *= 2.0
+        return make_coeffs(LinearProcessSpec(d0=1, family=Custom(psi), L=L))
+
+    @pytest.mark.parametrize("L", [100, 101])
+    def test_profile_covers_the_judged_half(self, L):
+        # lags 2 + (L-1)//2 .. L: a rise into the first of them lies outside
+        # the judged diffs, a rise into the next flips the flag
+        first = 2 + (L - 1) // 2
+        assert gausslin.check_decay(make_coeffs(poly_spec(L=L))).tail_decreasing
+        for lag, flag in ((20, True), (first - 1, True), (first, True),
+                          (first + 1, False), (L - 10, False), (L, False)):
+            rep = gausslin.check_decay(self.bumped(L, lag))
+            assert rep.tail_decreasing is flag, lag
+            np.testing.assert_array_equal(rep.lags, np.arange(first, L + 1))
+            assert rep.s.shape == rep.lags.shape
+
+    @pytest.mark.parametrize("L", [8, 9, 100, 101])
+    def test_flag_matches_the_full_profile(self, L):
+        # the flag of the profile over all lags 2..L, judged on its second
+        # half, for a rise into every lag
+        for lag in range(1, L + 1):
+            table = self.bumped(L, lag)
+            lags = np.arange(2, L + 1)
+            full = (np.max(np.abs(table.psi[2:]), axis=(1, 2))
+                    * np.sqrt(lags) * np.log(lags))
+            tail = full[len(full) // 2:]
+            rep = gausslin.check_decay(table)
+            np.testing.assert_array_equal(rep.s, tail)
+            assert rep.tail_decreasing == bool(
+                np.all(np.diff(tail) <= gausslin.DECAY_TOL))
 
     def test_berman_profile_shape(self):
         t = make_coeffs(poly_spec(beta=1.0, L=2000))

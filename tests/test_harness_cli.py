@@ -992,6 +992,24 @@ class TestCli:
             "d0": 1, "family": "log_boundary",
             "params": {"q": 2.0, "B": [[1e308]]}, "L": 8}), "tau": [5.0]},
             "limits", "field: lin", id="lin-variance-overflows"),
+        # a coefficient table past the size budget, rejected before it is
+        # allocated, and an integer past the largest float
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 1e30}), "tau": [5.0]},
+            "limits", "field: L", id="lin-L-past-table-budget"),
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 10**12}), "tau": [5.0]},
+            "run", "field: L", id="lin-L-int-past-table-budget"),
+        pytest.param({"generator": subgauss_generator({
+            "d0": 1e308, "family": "log_boundary",
+            "params": {"q": 2.0, "B": [[1.0]]}, "L": 8}), "tau": [5.0]},
+            "limits", "field: d0", id="lin-d0-past-table-budget"),
+        pytest.param({"generator": {"kind": "m4", "spec": {
+            **tiny_config()["generator"]["spec"],
+            "a": [[[10**400]], [[1.0]]]}}}, "limits", "field: a",
+            id="a-int-past-float"),
     ])
     def test_run_config_error_exit_2_names_field(self, tmp_path, capsys,
                                                  monkeypatch, change,
@@ -1054,8 +1072,8 @@ class TestCli:
 
 class TestCovarianceCli:
     """`gauss-tools` against per-lag `autocov` and a dense eigensolve built
-    from it; values, not bytes, since the FFT kernel may move the last
-    bit."""
+    from it; values, not bytes, since `lag_products`' FFT or time-last sum
+    may move the last bit."""
 
     @pytest.fixture
     def spec(self, tmp_path):
@@ -1092,6 +1110,27 @@ class TestCovarianceCli:
                                    rtol=0, atol=1e-14)
         assert rep["full_rank"] == gausslin.full_rank_check(table)
         assert rep["tail_decreasing"] == gausslin.check_decay(table).tail_decreasing
+
+    def test_e6_report_sums_its_lags_directly(self, tmp_path, capsys,
+                                              monkeypatch):
+        # E6's 50 lags of its L = 2e5 table take lag_products' direct sum,
+        # which matches per-lag autocov; no FFT is made
+        lin = json.loads((CONFIGS / "e6.json").read_text())[
+            "generator"]["spec"]["innovation"]["lin"]
+        f = tmp_path / "e6_lin.json"
+        f.write_text(json.dumps(lin))
+        table = gausslin.CoeffTable.from_json(f.read_text())
+
+        def no_fft(*args, **kwargs):
+            raise AssertionError("gauss-tools made an FFT")
+        monkeypatch.setattr(gausslin.fft, "rfft", no_fft)
+        assert cli_main(["gauss-tools", "--spec", str(f), "--nblock", "50",
+                         "--berman-hmax", "100000"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(rep["block_toeplitz_min_eig"],
+                                   self.dense_min_eig(table, 50),
+                                   rtol=0, atol=1e-14)
+        assert rep["tail_decreasing"] and rep["full_rank"]
 
     def test_berman_last_forms_no_lag_products(self, spec, capsys,
                                               monkeypatch):
